@@ -1,25 +1,19 @@
-"""Hot-path speedup benchmark: legacy vs fast vs incremental vs array.
+"""Hot-path speedup benchmark: the legacy reference oracle vs the engine.
 
 Runs a Figure-3-style sweep (regular + random graphs x granularities x
-the paper's four 16-processor topologies x {BSA, DLS}) four times —
-with the original linear-rescan hot path (``legacy``), the
-indexed-timeline / memoized / pruned engine (``fast``), the
-change-driven settle + undo-log engine (``incremental``), and the
-flat-array / vectorized-candidate engine (``array``) — and:
+the paper's four 16-processor topologies x {BSA, DLS}) twice — with the
+original linear-rescan hot path (``legacy``, the reference oracle) and
+the production engine (``incremental``: indexed timelines, memoized
+routes and costs, the lower-bound candidate screen, change-driven
+settle and undo-log rollback) — and:
 
-* asserts every schedule is **byte-identical** across all four modes
+* asserts every schedule is **byte-identical** across both modes
   (serializer JSON compared cell by cell, which covers every task time
   and every message hop);
-* reports the single-process speedups (legacy->fast,
-  legacy->incremental and legacy->array);
-* runs the **settle/rollback microbench**: end-to-end BSA on n>=100-task
-  workloads, fast vs incremental vs array — isolating what the
-  change-driven settle engine, the undo-log rollback, and the array
-  rewrite buy on the workloads they target (recorded target: >= 2x
-  aggregate for incremental over fast);
-* records the **scaling curve** (n=100 -> 2000, incremental vs array)
-  and enforces the floor that array wins at n >= 1000 — the scale the
-  array engine exists for;
+* reports the single-process speedup legacy->incremental;
+* records the engine's **scaling curve** (BSA wall clock, n=100 ->
+  2000, every rep reported) and checks that the reps agree byte for
+  byte;
 * optionally measures parallel-runner scaling (``--jobs N`` wall clock
   vs serial) on the same sweep;
 * writes everything to ``BENCH_hotpath.json`` (repo root by default) so
@@ -35,11 +29,13 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
+import statistics
 import sys
 import time
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -53,14 +49,14 @@ from repro.util.intervals import set_hotpath_mode
 
 TOPOLOGIES = ("ring", "hypercube", "clique", "random")
 ALGORITHMS = ("bsa", "dls")
-MODES = ("legacy", "fast", "incremental", "array")
+MODES = ("legacy", "incremental")
 
 DEFAULT_OUT = os.path.join(os.path.dirname(__file__), "..", "BENCH_hotpath.json")
 
-#: settle/rollback microbench: BSA end-to-end on n>=100-task workloads,
-#: fast vs incremental (same indexed planning; the delta is exactly the
-#: incremental settle engine + undo-log rollback)
-MICROBENCH_WORKLOADS = {
+#: BSA end-to-end on n>=150-task workloads — large enough that the
+#: settle and candidate screen dominate; the observability guard times
+#: these with telemetry off and on
+GUARD_WORKLOADS = {
     "default": [
         ("regular", "gauss", 250, 1.0),
         ("regular", "laplace", 300, 1.0),
@@ -113,8 +109,7 @@ def _schedule(cell: Cell):
 
 
 def run_single_process(cells: List[Cell]) -> Dict:
-    """Time every cell under all four modes; verify bit-identical
-    schedules across the whole mode set."""
+    """Time every cell under both modes; verify bit-identical schedules."""
     totals = {m: 0.0 for m in MODES}
     per_topology: Dict[str, Dict[str, float]] = {
         t: {m: 0.0 for m in MODES} for t in TOPOLOGIES
@@ -134,37 +129,24 @@ def run_single_process(cells: List[Cell]) -> Dict:
             mismatches.append(cell.key())
         sys.stderr.write(
             f"\r[{i + 1}/{len(cells)}] legacy {totals['legacy']:.1f}s "
-            f"fast {totals['fast']:.1f}s "
-            f"incremental {totals['incremental']:.1f}s "
-            f"array {totals['array']:.1f}s"
+            f"incremental {totals['incremental']:.1f}s"
         )
     sys.stderr.write("\n")
     set_hotpath_mode("incremental")
     return {
         "cells": len(cells),
         "legacy_s": round(totals["legacy"], 3),
-        "fast_s": round(totals["fast"], 3),
         "incremental_s": round(totals["incremental"], 3),
-        "array_s": round(totals["array"], 3),
-        "speedup": round(totals["legacy"] / totals["fast"], 2),
         "speedup_incremental": round(totals["legacy"] / totals["incremental"], 2),
-        "speedup_array": round(totals["legacy"] / totals["array"], 2),
         "identical_schedules": not mismatches,
         "mismatched_cells": mismatches,
         "per_topology": {
             t: {
                 "legacy_s": round(v["legacy"], 3),
-                "fast_s": round(v["fast"], 3),
                 "incremental_s": round(v["incremental"], 3),
-                "array_s": round(v["array"], 3),
-                "speedup": round(v["legacy"] / v["fast"], 2) if v["fast"] else None,
                 "speedup_incremental": (
                     round(v["legacy"] / v["incremental"], 2)
                     if v["incremental"] else None
-                ),
-                "speedup_array": (
-                    round(v["legacy"] / v["array"], 2)
-                    if v["array"] else None
                 ),
             }
             for t, v in per_topology.items()
@@ -172,133 +154,52 @@ def run_single_process(cells: List[Cell]) -> Dict:
     }
 
 
-def run_settle_microbench(preset: str, reps: int = 3) -> Dict:
-    """End-to-end BSA, fast vs incremental vs array, n>=100 workloads.
-
-    All three modes share the indexed planning substrate; incremental's
-    delta over fast is exactly the change-driven settle engine plus the
-    undo-log rollback replacing per-commit snapshots, and array's delta
-    over incremental is the flat-array timelines plus the vectorized
-    candidate masks. Identity is asserted via the serializer like the
-    main sweep. Each workload is timed ``reps`` times per mode
-    (interleaved) and the minimum kept — the bench is
-    contention-noise-prone on shared CI boxes.
-    """
-    workloads = MICROBENCH_WORKLOADS[preset]
-    best: Dict[tuple, float] = {}
-    blobs: Dict[tuple, str] = {}
-    for rep in range(reps):
-        for suite, app, size, gran in workloads:
-            cell = Cell(suite, app, size, gran, "hypercube", "bsa",
-                        n_procs=16, graph_seed=1, system_seed=1)
-            for mode in ("fast", "incremental", "array"):
-                set_hotpath_mode(mode)
-                sched, elapsed = _schedule(cell)
-                key = (suite, app, size, mode)
-                best[key] = min(best.get(key, float("inf")), elapsed)
-                if rep == 0:
-                    validate_schedule(sched)
-                    blobs[key] = schedule_to_json(sched)
-    set_hotpath_mode("incremental")
-    per_workload = []
-    tot = {"fast": 0.0, "incremental": 0.0, "array": 0.0}
-    identical = True
-    for suite, app, size, gran in workloads:
-        f = best[(suite, app, size, "fast")]
-        i = best[(suite, app, size, "incremental")]
-        a = best[(suite, app, size, "array")]
-        tot["fast"] += f
-        tot["incremental"] += i
-        tot["array"] += a
-        same = (blobs[(suite, app, size, "fast")]
-                == blobs[(suite, app, size, "incremental")]
-                == blobs[(suite, app, size, "array")])
-        identical = identical and same
-        per_workload.append({
-            "workload": f"{app}-n{size}",
-            "n_tasks": size,
-            "fast_s": round(f, 3),
-            "incremental_s": round(i, 3),
-            "array_s": round(a, 3),
-            "speedup": round(f / i, 2),
-            "speedup_array": round(f / a, 2),
-            "identical": same,
-        })
-    return {
-        "workloads": per_workload,
-        "fast_s": round(tot["fast"], 3),
-        "incremental_s": round(tot["incremental"], 3),
-        "array_s": round(tot["array"], 3),
-        "speedup": round(tot["fast"] / tot["incremental"], 2),
-        "speedup_array": round(tot["fast"] / tot["array"], 2),
-        "identical_schedules": identical,
-    }
-
-
-#: scaling-curve sizes: the array engine targets n >= 1000; the curve
-#: records where the crossover happens, not just the endpoints
+#: scaling-curve sizes: one gauss workload per size on the 16-processor
+#: hypercube, from paper-grid scale up to n=2000
 SCALING_SIZES = {
     "default": (100, 250, 500, 1000, 2000),
     "smoke": (100, 1000),
 }
 
-#: the floor the curve enforces: at n >= this, array must beat
-#: incremental outright (same schedules, byte-identical)
-SCALING_FLOOR_N = 1000
 
+def run_scaling_curve(preset: str, reps: int = 3) -> Dict:
+    """Engine BSA wall clock, n=100 -> 2000, every rep reported.
 
-def run_scaling_curve(preset: str, reps: int = 2) -> Dict:
-    """BSA wall clock, incremental vs array, n=100 -> 2000.
-
-    One gauss workload per size on the 16-processor hypercube (the
-    microbench cell family). Modes are interleaved rep by rep and the
-    per-mode minimum kept. The curve is the tentpole's scaling story:
-    array overhead loses small, flat arrays win at n >= 1000 — so the
-    bench fails outright if array does not beat incremental at every
-    size >= ``SCALING_FLOOR_N``.
+    Each point records the median and every rep (shared boxes are noisy,
+    so one number would hide the spread), and whether every rep produced
+    the byte-identical schedule (the first is validated).
     """
+    set_hotpath_mode("incremental")
     points = []
-    floor_ok = True
     for size in SCALING_SIZES[preset]:
         cell = Cell("regular", "gauss", size, 1.0, "hypercube", "bsa",
                     n_procs=16, graph_seed=1, system_seed=1)
-        best = {"incremental": float("inf"), "array": float("inf")}
-        blobs = {}
+        times: List[float] = []
+        digests = set()
         for rep in range(reps):
-            for mode in ("incremental", "array"):
-                set_hotpath_mode(mode)
-                sched, elapsed = _schedule(cell)
-                best[mode] = min(best[mode], elapsed)
-                if rep == 0:
-                    validate_schedule(sched)
-                    blobs[mode] = schedule_to_json(sched)
-        identical = blobs["incremental"] == blobs["array"]
-        speedup = best["incremental"] / best["array"]
-        if size >= SCALING_FLOOR_N and (speedup < 1.0 or not identical):
-            floor_ok = False
+            sched, elapsed = _schedule(cell)
+            times.append(elapsed)
+            if rep == 0:
+                validate_schedule(sched)
+            digests.add(hashlib.sha256(
+                schedule_to_json(sched).encode()).hexdigest())
         points.append({
             "n_tasks": size,
-            "incremental_s": round(best["incremental"], 3),
-            "array_s": round(best["array"], 3),
-            "speedup_array": round(speedup, 2),
-            "identical": identical,
+            "incremental_s": round(statistics.median(times), 3),
+            "reps_s": [round(t, 3) for t in times],
+            "identical": len(digests) == 1,
         })
         sys.stderr.write(
-            f"\rscaling n={size}: incremental {best['incremental']:.2f}s "
-            f"array {best['array']:.2f}s = {speedup:.2f}x\n"
+            f"scaling n={size}: incremental median "
+            f"{statistics.median(times):.2f}s over {reps} reps\n"
         )
-    set_hotpath_mode("incremental")
-    return {
-        "points": points,
-        "floor_n": SCALING_FLOOR_N,
-        "floor_ok": floor_ok,
-    }
+    return {"reps": reps, "points": points}
 
 
 def run_obs_guard(preset: str, reps: int = 3) -> Dict:
     """The observability overhead contract, enforced.
 
-    Interleaves three configurations over the microbench workloads:
+    Interleaves three configurations over ``GUARD_WORKLOADS``:
     obs **off** twice (their spread is the machine's noise floor on
     this run) and obs **on** once, keeping per-config minima. Asserts
 
@@ -312,7 +213,7 @@ def run_obs_guard(preset: str, reps: int = 3) -> Dict:
     """
     from repro import obs
 
-    workloads = MICROBENCH_WORKLOADS[preset]
+    workloads = GUARD_WORKLOADS[preset]
     configs = ("off_a", "on", "off_b")
     totals = {c: 0.0 for c in configs}
     identical = True
@@ -435,17 +336,9 @@ def main(argv=None) -> int:
         "single_process": run_single_process(cells),
     }
     sp = report["single_process"]
-    print(f"single-process: legacy {sp['legacy_s']}s -> fast {sp['fast_s']}s "
-          f"= {sp['speedup']}x -> incremental {sp['incremental_s']}s "
-          f"= {sp['speedup_incremental']}x -> array {sp['array_s']}s "
-          f"= {sp['speedup_array']}x, identical={sp['identical_schedules']}")
-
-    report["settle_microbench"] = run_settle_microbench(args.preset)
-    mb = report["settle_microbench"]
-    print(f"settle/rollback microbench ({len(mb['workloads'])} BSA workloads, "
-          f"n>=100): fast {mb['fast_s']}s -> incremental {mb['incremental_s']}s "
-          f"= {mb['speedup']}x -> array {mb['array_s']}s "
-          f"= {mb['speedup_array']}x, identical={mb['identical_schedules']}")
+    print(f"single-process: legacy {sp['legacy_s']}s -> incremental "
+          f"{sp['incremental_s']}s = {sp['speedup_incremental']}x, "
+          f"identical={sp['identical_schedules']}")
 
     report["obs_guard"] = run_obs_guard(args.preset)
     og = report["obs_guard"]
@@ -456,10 +349,9 @@ def main(argv=None) -> int:
     report["scaling_curve"] = run_scaling_curve(args.preset)
     sc = report["scaling_curve"]
     curve = ", ".join(
-        f"n={p['n_tasks']}: {p['speedup_array']}x" for p in sc["points"]
+        f"n={p['n_tasks']}: {p['incremental_s']}s" for p in sc["points"]
     )
-    print(f"scaling curve (incremental -> array): {curve}; "
-          f"floor(n>={sc['floor_n']}) ok={sc['floor_ok']}")
+    print(f"scaling curve (median of {sc['reps']}): {curve}")
 
     if args.jobs and args.jobs > 1:
         usable = report["effective_cpus"]
@@ -485,16 +377,12 @@ def main(argv=None) -> int:
         fh.write("\n")
     print(f"report written to {out}")
 
-    if not sp["identical_schedules"] or not mb["identical_schedules"]:
+    if not sp["identical_schedules"]:
         print("FAIL: schedules differ between modes", file=sys.stderr)
         return 1
     if not all(p["identical"] for p in sc["points"]):
-        print("FAIL: scaling-curve schedules differ between modes",
+        print("FAIL: scaling-curve reps produced different schedules",
               file=sys.stderr)
-        return 1
-    if not sc["floor_ok"]:
-        print(f"FAIL: array mode does not beat incremental at "
-              f"n >= {sc['floor_n']}", file=sys.stderr)
         return 1
     if not og["ok"]:
         print("FAIL: observability guard violated (byte-identity or "

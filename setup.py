@@ -8,13 +8,4 @@ falls back to the legacy ``setup.py develop`` path.
 
 from setuptools import setup
 
-setup(
-    extras_require={
-        # the REPRO_HOTPATH=array engine is the only consumer of numpy;
-        # every other mode must install and run dependency-free, so the
-        # dependency is an extra, never a hard requirement. Requesting
-        # array mode without numpy raises a clean ConfigurationError
-        # (repro.util.intervals._require_numpy).
-        "array": ["numpy>=1.22"],
-    },
-)
+setup()

@@ -20,7 +20,7 @@ from repro.network.topology import Proc
 from repro.schedule.events import Edge
 from repro.schedule.linkplan import LinkPlanner, slot_start
 from repro.schedule.schedule import Schedule
-from repro.util.intervals import fast_path_enabled
+from repro.util.intervals import reference_mode
 
 
 @dataclass
@@ -89,10 +89,10 @@ class ListScheduleBuilder:
 
     def proc_available(self, proc: Proc) -> float:
         """Finish time of the last task on ``proc`` (DLS's ``TF``)."""
-        if fast_path_enabled():
-            return self.sched.proc_timeline(proc).last_finish()
-        busy = self.sched.proc_busy(proc)
-        return busy[-1].finish if busy else 0.0
+        if reference_mode():
+            busy = self.sched.proc_busy(proc)
+            return busy[-1].finish if busy else 0.0
+        return self.sched.proc_timeline(proc).last_finish()
 
     # ------------------------------------------------------------------
     # commitment

@@ -36,7 +36,7 @@ from repro.network.system import HeterogeneousSystem, LinkHeterogeneity
 from repro.baselines.common import ListScheduleBuilder, MessagePlan
 from repro.schedule.linkplan import arrival_lower_bound
 from repro.schedule.schedule import Schedule
-from repro.util.intervals import fast_path_enabled
+from repro.util.intervals import reference_mode
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ def schedule_dls(
     ready: List[TaskId] = [t for t in graph.tasks() if n_unsched_preds[t] == 0]
     procs = system.topology.processors
 
-    use_pruning = fast_path_enabled()
+    use_pruning = not reference_mode()
     # With homogeneous link factors and uniform unit bandwidth every hop
     # of message (k, task) costs its nominal c, and table routes have a
     # fixed hop count — so the queue-free store-and-forward chain

@@ -45,13 +45,9 @@ from repro.core.migration import (
     evaluate_migration,
 )
 from repro.core.serialization import PivotSelection, serial_injection
-from repro.schedule.linkplan import arrival_lower_bound
+from repro.schedule.linkplan import arrival_lower_bound, committed_arrival_bounds
 from repro.schedule.schedule import Schedule
-from repro.util.intervals import (
-    array_enabled,
-    fast_path_enabled,
-    incremental_enabled,
-)
+from repro.util.intervals import reference_mode
 from repro.util.rng import RngStream
 from repro.util.tolerance import EPS as _EPS
 
@@ -123,8 +119,8 @@ class BSAStats:
     first_pivot: Proc = -1
     n_examined: int = 0
     n_evaluated: int = 0
-    #: candidates skipped by the fast path's exact lower-bound pruning
-    #: (always 0 in legacy hot-path mode)
+    #: candidates skipped by the engine's exact lower-bound screen
+    #: (always 0 in the legacy reference mode)
     n_pruned: int = 0
     n_migrations: int = 0
     n_vip_migrations: int = 0
@@ -222,133 +218,128 @@ class BSAScheduler:
     ) -> None:
         opts = self.options
         current_ft = sched.slots[task].finish
-        vip = None
-        if array_enabled():
-            plans, best, vip = self._evaluate_candidates_array(
-                sched, task, pivot, neighbors
-            )
-        elif fast_path_enabled():
-            # the pruned evaluator already derives the VIP for its
-            # must-evaluate rule; reuse it rather than re-scanning
-            # predecessor arrivals below
-            plans, best, vip = self._evaluate_candidates_pruned(
-                sched, task, pivot, neighbors
-            )
-        else:
-            plans = []
-            for nb in neighbors:
-                plans.append(
-                    evaluate_migration(
-                        sched, task, nb,
-                        insertion=opts.insertion, truncate=opts.truncate_routes,
-                        route_mode=opts.route_mode,
-                    )
+        vip = current_drt_vip(sched, task)[1] if opts.vip_follow else None
+        vip_proc = None if vip is None else sched.proc_of(vip)
+        if reference_mode():
+            plans = [
+                evaluate_migration(
+                    sched, task, nb,
+                    insertion=opts.insertion, truncate=opts.truncate_routes,
+                    route_mode=opts.route_mode,
                 )
-                self.stats.n_evaluated += 1
+                for nb in neighbors
+            ]
+            self.stats.n_evaluated += len(plans)
             best = min(plans, key=lambda p: (p.ft, p.dst))
-            if opts.vip_follow:
-                _, vip = current_drt_vip(sched, task)
+        else:
+            plans, best = self._evaluate_candidates(
+                sched, task, neighbors, vip_proc
+            )
 
-        # the array evaluator may mask out *every* candidate (each bound
-        # already proves the plan cannot win) and return best=None; the
-        # other evaluators always produce at least one plan
+        # the screen may discard *every* candidate (each bound already
+        # proves the plan cannot win) and return best=None
         if best is not None and best.ft < current_ft - _EPS:
             self._commit_transactional(sched, best)
             return
 
-        if not opts.vip_follow:
+        if vip_proc is None or vip_proc == pivot:
             return
-        if vip is None or sched.proc_of(vip) == pivot:
-            return
-        vip_proc = sched.proc_of(vip)
         for plan in plans:
             if plan.dst == vip_proc and plan.ft <= current_ft + _EPS:
                 if self._commit_transactional(sched, plan):
                     self.stats.n_vip_migrations += 1
                 return
 
-    def _evaluate_candidates_pruned(
-        self,
-        sched: Schedule,
-        task: TaskId,
-        pivot: Proc,
-        neighbors: List[Proc],
-    ) -> Tuple[List[MigrationPlan], MigrationPlan, Optional[TaskId]]:
-        """Evaluate candidate destinations with sound lower-bound pruning.
+    def _drt_lower_bounds(self, sched: Schedule, task: TaskId) -> List[float]:
+        """Per-processor lower bound on ``task``'s data-ready time if it
+        moved there (indexed by processor).
 
-        Every plan's finish time satisfies ``ft >= DRT_lb +
-        exec_cost(task, dst)``: each message arrives no earlier than its
-        producer finishes plus (in the homogeneous-link shortest-route
-        case) the queue-free store-and-forward chain over its exact hop
-        count — hop durations and queueing delays are non-negative, and
-        truncated incremental routes reuse hops settled after the
-        producer. A candidate is skipped only when its bound exceeds the
-        best evaluated finish time by more than ``_EPS``, which keeps the
-        selected plan (and hence the schedule) bit-identical to
-        exhaustive evaluation.
-
-        Candidates are visited in ascending bound order so a strong
-        incumbent is found early; the VIP's processor is always evaluated
-        because the VIP-follow step needs its exact plan even when it
-        cannot win on finish time.
+        Under shortest routes with insertion every message is walked over
+        the committed link load to all processors at once
+        (:func:`~repro.schedule.linkplan.committed_arrival_bounds`).
+        Otherwise that walk is no bound, and the queue-free
+        :func:`~repro.schedule.linkplan.arrival_lower_bound` applies: the
+        store-and-forward chain over the exact hop count when every hop
+        costs its nominal ``c`` (shortest routes, homogeneous link
+        factors, uniform unit bandwidth; a fast link would make hops
+        *cheaper* than ``c``), else the latest producer finish.
         """
         opts = self.options
         system = self.system
-        graph = system.graph
-        slots = sched.slots
         topology = system.topology
-
-        pred_info = [
-            (sched.proc_of(k), slots[k].finish, graph.comm_cost(k, task))
-            for k in graph.predecessors(task)
-        ]
-        # With homogeneous link factors AND uniform unit bandwidth every
-        # hop of a message costs its nominal c_ij, and in "shortest" mode
-        # the planned path has exactly dist(producer, dst) hops — so the
-        # no-queueing arrival chain (see linkplan.arrival_lower_bound) is
-        # a per-destination lower bound. Heterogeneous links, skewed
-        # bandwidths (where a fast link makes hops *cheaper* than c_ij,
-        # breaking the bound) or incremental routes fall back to the
-        # producer-finish bound. Duplex mode is irrelevant: it only
-        # changes queueing, which the bound already ignores.
+        slots = sched.slots
+        proc_of = sched.proc_of
+        preds = system.graph.predecessors(task)
+        if opts.route_mode == "shortest" and opts.insertion:
+            lbs = [0.0] * topology.n_procs
+            tl_memo: Dict = {}
+            for k in preds:
+                kb = committed_arrival_bounds(sched, (k, task), tl_memo)
+                for p, b in enumerate(kb):
+                    if b > lbs[p]:
+                        lbs[p] = b
+            return lbs
+        comm_cost = system.graph.comm_cost
+        pred_info = [(proc_of(k), slots[k].finish, comm_cost(k, task)) for k in preds]
         distance_bound = (
             opts.route_mode == "shortest"
             and system.link_mode is LinkHeterogeneity.HOMOGENEOUS
             and topology.uniform_bandwidth
         )
-        finish_lb = 0.0
-        for (_, f, _) in pred_info:
-            if f > finish_lb:
-                finish_lb = f
-
-        vip: Optional[TaskId] = None
-        vip_proc: Optional[Proc] = None
-        if opts.vip_follow:
-            _, vip = current_drt_vip(sched, task)
-            if vip is not None:
-                vip_proc = sched.proc_of(vip)
-
-        exec_cost = system.exec_cost
         hop_distance = (
             (lambda p, nb: len(shortest_path(topology, p, nb)) - 1)
             if distance_bound else None
         )
+        return [
+            arrival_lower_bound(pred_info, p, hop_distance)
+            for p in topology.processors
+        ]
+
+    def _evaluate_candidates(
+        self,
+        sched: Schedule,
+        task: TaskId,
+        neighbors: List[Proc],
+        vip_proc: Optional[Proc],
+    ) -> Tuple[List[MigrationPlan], Optional[MigrationPlan]]:
+        """Screen candidate destinations by a finish-time lower bound,
+        then evaluate the survivors exactly, cheapest bound first.
+
+        Every plan's finish time satisfies ``ft >= DRT_lb + exec_cost(task,
+        dst)`` (see :meth:`_drt_lower_bounds`). The screen discards every
+        candidate whose bound already proves its plan can neither beat
+        the current finish time nor serve the VIP-follow step (the VIP
+        processor is kept while it could still tie the current finish
+        time). Survivors are visited in ascending ``(bound, dst)`` order
+        so a strong incumbent is found early, and a survivor is skipped
+        once its bound exceeds the best evaluated finish time — except
+        the VIP processor, whose exact plan the VIP-follow step needs.
+
+        Soundness margin: the exact evaluator's DRT is an epsilon-max
+        (within ``DRT_EPS`` = 1e-12 *below* the plain max), so a bound
+        may overshoot the true plan finish time by at most ``DRT_EPS``;
+        every screen and prune here leaves at least ``_EPS`` (1e-9) of
+        slack (both constants live in util/tolerance.py), so a skipped
+        candidate's exact plan provably loses every comparison
+        ``_try_migrate`` performs — the selected migration (and the
+        schedule) stays bit-identical to exhaustive evaluation.
+        """
+        opts = self.options
+        drt_lb = self._drt_lower_bounds(sched, task)
+        exec_row = self.system.exec_cost_row(task)
+        current_ft = sched.slots[task].finish
+        vip_limit = current_ft + 2 * _EPS
         bounds = []
         for nb in neighbors:
-            if distance_bound:
-                drt_lb = arrival_lower_bound(pred_info, nb, hop_distance)
-            else:
-                drt_lb = finish_lb
-            bounds.append((drt_lb + exec_cost(task, nb), nb))
+            bound = drt_lb[nb] + exec_row[nb]
+            if bound < current_ft or (nb == vip_proc and bound <= vip_limit):
+                bounds.append((bound, nb))
+        self.stats.n_pruned += len(neighbors) - len(bounds)
         bounds.sort()
 
         plans: List[MigrationPlan] = []
         best: Optional[MigrationPlan] = None
         for bound, nb in bounds:
-            # the EPS (1e-9) margin absorbs the evaluator's DRT_EPS
-            # (1e-12) epsilon-max in DRT selection (both live in
-            # util/tolerance.py); candidates inside the margin are simply
-            # evaluated, so pruning never changes the selected plan
             if best is not None and nb != vip_proc and bound > best.ft + _EPS:
                 self.stats.n_pruned += 1
                 continue
@@ -361,151 +352,19 @@ class BSAScheduler:
             plans.append(plan)
             if best is None or (plan.ft, plan.dst) < (best.ft, best.dst):
                 best = plan
-        return plans, best, vip
-
-    def _evaluate_candidates_array(
-        self,
-        sched: Schedule,
-        task: TaskId,
-        pivot: Proc,
-        neighbors: List[Proc],
-    ) -> Tuple[List[MigrationPlan], Optional[MigrationPlan], Optional[TaskId]]:
-        """Batched candidate evaluation on the flat-array state.
-
-        Per predecessor, one committed-state trie walk
-        (:meth:`~repro.schedule.arraystate.ArrayState.arrival_bounds`)
-        lower-bounds the message's arrival at *every* processor at once;
-        a vectorized add of the task's execution-cost row turns those
-        into per-candidate finish-time bounds, and boolean masks discard
-        every candidate whose bound already proves its plan can neither
-        beat the current finish time nor serve the VIP-follow step.
-        Survivors are evaluated exactly, cheapest bound first, with the
-        same incumbent prune as :meth:`_evaluate_candidates_pruned`.
-
-        Soundness margin: the exact evaluator's DRT is an epsilon-max
-        (within ``DRT_EPS`` = 1e-12 *below* the plain max), so a bound
-        may overshoot the true plan finish time by at most ``DRT_EPS``;
-        every mask and prune here leaves at least ``_EPS`` (1e-9) of
-        slack, so a discarded candidate's exact plan provably loses every
-        comparison ``_try_migrate`` performs — the selected migration
-        (and the schedule) stays bit-identical to exhaustive evaluation.
-        Unlike the distance bound in the pruned evaluator, the committed
-        walk is valid for heterogeneous links and skewed bandwidths; it
-        requires only shortest routes and the insertion slot policy
-        (append-mode last-reservation finishes are not monotone under
-        the planner's tentative extras), so the other ablations fall
-        back to the pruned evaluator.
-        """
-        opts = self.options
-        if opts.route_mode != "shortest" or not opts.insertion:
-            return self._evaluate_candidates_pruned(sched, task, pivot, neighbors)
-
-        import numpy as np
-
-        from repro.schedule.arraystate import get_array_state
-
-        system = self.system
-        graph = system.graph
-        slots = sched.slots
-        state = get_array_state(system)
-
-        vip: Optional[TaskId] = None
-        vip_proc: Optional[Proc] = None
-        if opts.vip_follow:
-            _, vip = current_drt_vip(sched, task)
-            if vip is not None:
-                vip_proc = sched.proc_of(vip)
-
-        current_ft = slots[task].finish
-        proc_of = sched.proc_of
-
-        drt_lb: Optional[np.ndarray] = None
-        tl_memo: Dict = {}
-        for k in graph.predecessors(task):
-            kb = np.asarray(state.arrival_bounds(
-                sched, (k, task), proc_of(k), slots[k].finish, opts.insertion,
-                tl_memo,
-            ))
-            if drt_lb is None:
-                drt_lb = kb
-            else:
-                np.maximum(drt_lb, kb, out=drt_lb)
-
-        exec_row = state.exec_row(task)
-        ft_bounds = exec_row if drt_lb is None else drt_lb + exec_row
-
-        nb_arr = np.fromiter(neighbors, dtype=np.intp, count=len(neighbors))
-        b = ft_bounds[nb_arr]
-        keep = b < current_ft
-        if vip_proc is not None:
-            # the VIP-follow step needs the VIP processor's exact plan
-            # whenever it could still tie the current finish time
-            keep |= (nb_arr == vip_proc) & (b <= current_ft + 2 * _EPS)
-        kept = int(np.count_nonzero(keep))
-        self.stats.n_pruned += len(neighbors) - kept
-        if kept == 0:
-            return [], None, vip
-
-        nb_kept = nb_arr[keep]
-        b_kept = b[keep]
-        # ascending (bound, dst) — the same visit order bounds.sort()
-        # gives the pruned evaluator
-        order = np.lexsort((nb_kept, b_kept))
-
-        plans: List[MigrationPlan] = []
-        best: Optional[MigrationPlan] = None
-        for idx in order:
-            nb = int(nb_kept[idx])
-            if (
-                best is not None
-                and nb != vip_proc
-                and b_kept[idx] > best.ft + _EPS
-            ):
-                self.stats.n_pruned += 1
-                continue
-            plan = evaluate_migration(
-                sched, task, nb,
-                insertion=opts.insertion, truncate=opts.truncate_routes,
-                route_mode=opts.route_mode,
-            )
-            self.stats.n_evaluated += 1
-            plans.append(plan)
-            if best is None or (plan.ft, plan.dst) < (best.ft, best.dst):
-                best = plan
-        return plans, best, vip
+        return plans, best
 
     def _commit_transactional(self, sched: Schedule, plan: MigrationPlan) -> bool:
         """Commit a migration; revert and reject it if the resulting order
         constraints are contradictory (possible after multi-phase reroutes
         leave stale slot positions — rare, but must never corrupt state).
 
-        Rollback machinery by engine mode: ``incremental`` records an
-        undo log of the actual mutations (O(#mutations), no per-commit
-        capture cost); ``fast`` captures a shallow container snapshot;
-        ``legacy`` deep-copies the schedule.
+        The engine records an undo log of the actual mutations
+        (O(#mutations), no per-commit capture cost); the legacy reference
+        mode deep-copies the schedule.
         """
-        if incremental_enabled():
-            txn = sched.begin_txn()
-            try:
-                commit_migration(
-                    sched, plan,
-                    insertion=self.options.insertion,
-                    truncate=self.options.truncate_routes,
-                )
-            except CycleError:
-                txn.rollback()
-                self.stats.n_rejected_migrations += 1
-                return False
-            sched.commit_txn()
-            self.stats.n_migrations += 1
-            return True
-
-        if fast_path_enabled():
-            snapshot = sched.snapshot()
-            restore = sched.restore_snapshot
-        else:
-            snapshot = sched.copy()
-            restore = sched.restore_from
+        txn = None if reference_mode() else sched.begin_txn()
+        snapshot = sched.copy() if txn is None else None
         try:
             commit_migration(
                 sched, plan,
@@ -513,9 +372,14 @@ class BSAScheduler:
                 truncate=self.options.truncate_routes,
             )
         except CycleError:
-            restore(snapshot)
+            if txn is None:
+                sched.restore_from(snapshot)
+            else:
+                txn.rollback()
             self.stats.n_rejected_migrations += 1
             return False
+        if txn is not None:
+            sched.commit_txn()
         self.stats.n_migrations += 1
         return True
 
@@ -527,7 +391,8 @@ def schedule_bsa(
     """Convenience wrapper: run BSA and return the schedule.
 
     The schedule is complete (every task placed, every message routed)
-    and identical across the four ``REPRO_HOTPATH`` engine modes.
+    and identical under both ``REPRO_HOTPATH`` modes (the engine and the
+    legacy reference oracle).
 
     >>> from repro.network.system import HeterogeneousSystem
     >>> from repro.network.topology import ring

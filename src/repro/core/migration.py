@@ -40,8 +40,8 @@ from repro.network.topology import Proc, link_id
 from repro.schedule.events import Edge
 from repro.schedule.linkplan import LinkPlanner, slot_start
 from repro.schedule.schedule import Schedule
-from repro.schedule.settle import settle, settle_array, settle_incremental
-from repro.util.intervals import array_enabled, incremental_enabled
+from repro.schedule.settle import settle, settle_incremental
+from repro.util.intervals import reference_mode
 from repro.util.tolerance import DRT_EPS
 
 #: incoming-route plan kinds
@@ -203,11 +203,11 @@ def commit_migration(
 ) -> None:
     """Apply ``plan`` to the schedule and settle times.
 
-    In incremental hot-path mode the final settle recomputes only the
+    Outside the reference mode the final settle recomputes only the
     affected cone, seeded by the transaction's mutation log (an
     anonymous transaction is opened if the caller didn't provide one);
     the schedule must therefore be settled on entry, which every BSA
-    state is. Other modes run the full settle pass.
+    state is. The reference mode runs the full settle pass.
     """
     system = sched.system
     graph = system.graph
@@ -217,7 +217,7 @@ def commit_migration(
             f"stale migration plan: {task!r} on P{sched.proc_of(task)}, plan expects P{src}"
         )
 
-    own_txn = incremental_enabled() and sched.txn is None
+    own_txn = not reference_mode() and sched.txn is None
     if own_txn:
         sched.begin_txn()
     try:
@@ -252,16 +252,13 @@ def commit_migration(
 
         sched.place_task(task, dst, start=plan.st)
         txn = sched.txn
-        if txn is not None and incremental_enabled():
-            if array_enabled():
-                settle_array(sched, txn.seed_tasks, txn.seed_hops)
-            else:
-                settle_incremental(sched, txn.seed_tasks, txn.seed_hops)
+        if txn is not None and not reference_mode():
+            settle_incremental(sched, txn.seed_tasks, txn.seed_hops)
         else:
             settle(sched)
     finally:
         # an anonymous transaction must not leak; on error the schedule
-        # stays partially mutated exactly as in the other modes — the
+        # stays partially mutated exactly as in the reference mode — the
         # transactional caller (BSA) owns rollback, not us
         if own_txn and sched.txn is not None:
             sched.commit_txn()

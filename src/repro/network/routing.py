@@ -24,7 +24,11 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import RoutingError
 from repro.network.topology import Link, Proc, Topology, link_id
-from repro.util.intervals import fast_path_enabled
+from repro.obs import counters as _obs
+from repro.util.intervals import reference_mode
+
+#: ``(parents, channels, links, dst_node)`` — see :func:`shortest_path_trie`
+PathTrie = Tuple[List[int], List[Link], List[Link], List[int]]
 
 
 class RoutingTable:
@@ -50,7 +54,7 @@ class RoutingTable:
         self.strategy = strategy
         # next_hop[src][dst] -> neighbor of src on the chosen shortest path
         self._next: Dict[Proc, Dict[Proc, Proc]] = {}
-        # fast-path memo of materialized paths (the table is immutable)
+        # materialized-path memo (the table is immutable); off in the reference mode
         self._path_cache: Dict[Tuple[Proc, Proc], List[Proc]] = {}
         if strategy == "ecube":
             _check_hypercube(topology)
@@ -123,13 +127,13 @@ class RoutingTable:
     def path(self, src: Proc, dst: Proc) -> List[Proc]:
         """Processor sequence ``src .. dst`` (length 1 when src == dst).
 
-        On the fast hot path the materialized list is memoized (the table
-        never changes after construction); the shared list must not be
-        mutated by callers.
+        Outside the reference mode the materialized list is memoized (the
+        table never changes after construction); the shared list must not
+        be mutated by callers.
         """
         if src == dst:
             return [src]
-        if fast_path_enabled():
+        if not reference_mode():
             hit = self._path_cache.get((src, dst))
             if hit is not None:
                 return hit
@@ -140,7 +144,7 @@ class RoutingTable:
             path.append(cur)
             if len(path) > self.topology.n_procs:
                 raise RoutingError(f"routing loop from {src} to {dst}")
-        if fast_path_enabled():
+        if not reference_mode():
             self._path_cache[(src, dst)] = path
         return path
 
@@ -155,7 +159,7 @@ class RoutingTable:
 def shortest_path(topology: Topology, src: Proc, dst: Proc) -> List[Proc]:
     """BFS shortest path (for callers that don't keep a table).
 
-    On the fast hot path, paths are memoized per topology *instance*
+    Outside the reference mode, paths are memoized per topology *instance*
     (the cache lives on the topology object, so it follows topology
     identity and can never leak across systems). Topologies are immutable
     after construction, which makes the memo safe. The returned list is
@@ -163,7 +167,7 @@ def shortest_path(topology: Topology, src: Proc, dst: Proc) -> List[Proc]:
     """
     if src == dst:
         return [src]
-    if not fast_path_enabled():
+    if reference_mode():
         return _bfs_path(topology, src, dst)
     cache: Dict[Tuple[Proc, Proc], List[Proc]] = topology.__dict__.setdefault(
         "_sp_cache", {}
@@ -173,6 +177,54 @@ def shortest_path(topology: Topology, src: Proc, dst: Proc) -> List[Proc]:
         path = _bfs_path(topology, src, dst)
         cache[(src, dst)] = path
     return path
+
+
+def shortest_path_trie(topology: Topology, src: Proc) -> PathTrie:
+    """The :func:`shortest_path` routes from ``src`` to every other
+    processor, merged by shared prefix into one trie.
+
+    Returns ``(parents, channels, links, dst_node)`` parallel lists:
+    node ``k`` is one directed hop whose message leaves the finish of
+    node ``parents[k]`` (or the producer, for roots ``-1``), reserves on
+    channel ``channels[k]`` and costs the message's hop duration on
+    canonical link ``links[k]``; ``dst_node[d]`` is the terminal node of
+    the route to ``d`` (``-1`` for ``src`` itself). Nodes are keyed by
+    (parent node, hop), so identical prefixes yield identical float
+    chains and merging them loses nothing — no path-consistency
+    assumption is needed. Memoized per topology instance next to the
+    path memo (tries depend only on the topology); shared, do not mutate.
+    """
+    cache: Dict[Proc, PathTrie] = topology.__dict__.setdefault("_trie_cache", {})
+    trie = cache.get(src)
+    if trie is not None:
+        if _obs.ACTIVE:
+            _obs.inc("route.trie_hits")
+        return trie
+    if _obs.ACTIVE:
+        _obs.inc("route.trie_misses")
+    channel_of = topology._channel
+    parents: List[int] = []
+    channels: List[Link] = []
+    links: List[Link] = []
+    dst_node = [-1] * topology.n_procs
+    index: Dict[Tuple[int, Proc, Proc], int] = {}
+    for dst in topology.processors:
+        if dst == src:
+            continue
+        node = -1
+        path = shortest_path(topology, src, dst)
+        for a, b in zip(path, path[1:]):
+            key = (node, a, b)
+            nxt = index.get(key)
+            if nxt is None:
+                nxt = index[key] = len(parents)
+                parents.append(node)
+                channels.append(channel_of[(a, b)])
+                links.append((a, b) if a < b else (b, a))
+            node = nxt
+        dst_node[dst] = node
+    trie = cache[src] = (parents, channels, links, dst_node)
+    return trie
 
 
 def _bfs_path(topology: Topology, src: Proc, dst: Proc) -> List[Proc]:

@@ -21,7 +21,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 from repro.errors import ConfigurationError, TopologyError
 from repro.graph.model import TaskGraph, TaskId
 from repro.network.topology import Link, Proc, Topology, link_id
-from repro.util.intervals import fast_path_enabled
+from repro.util.intervals import reference_mode
 from repro.util.rng import RngStream, stable_uniform
 
 
@@ -79,8 +79,8 @@ class HeterogeneousSystem:
         # free of an objectives import.
         self.power_model = None       # Optional[PowerModel]
         self.failure_model = None     # Optional[ReliabilityModel]
-        # fast-path memo for comm_cost: every factor source is a pure
-        # function of (edge, link) for a fixed system, so caching is exact.
+        # comm_cost memo, off in the reference mode: every factor source is
+        # a pure function of (edge, link) for a fixed system, so it is exact.
         self._comm_cache: Dict[Tuple[Tuple[TaskId, TaskId], Link], float] = {}
 
     # ------------------------------------------------------------------
@@ -236,25 +236,20 @@ class HeterogeneousSystem:
         LinkSpec`; the default 1.0 divides out bit-exactly, so uniform
         topologies reproduce the paper's ``h' * c_ij`` unchanged.
         """
-        if fast_path_enabled():
-            key = (edge, link)
-            hit = self._comm_cache.get(key)
+        memo = None if reference_mode() else self._comm_cache
+        if memo is not None:
+            hit = memo.get((edge, link))
             if hit is not None:
                 return hit
-            src, dst = edge
-            cost = (
-                self.link_factor(edge, link)
-                * self.graph.comm_cost(src, dst)
-                / self.topology.bandwidth(*link)
-            )
-            self._comm_cache[key] = cost
-            return cost
         src, dst = edge
-        return (
+        cost = (
             self.link_factor(edge, link)
             * self.graph.comm_cost(src, dst)
             / self.topology.bandwidth(*link)
         )
+        if memo is not None:
+            memo[(edge, link)] = cost
+        return cost
 
     # ------------------------------------------------------------------
     @property

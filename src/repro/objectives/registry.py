@@ -4,7 +4,7 @@ Makespan is the library's historical (and default) objective; this
 module makes it one of several. Every objective is a pure, deterministic
 float reduction over a *committed* :class:`~repro.schedule.schedule.
 Schedule` — evaluators never mutate the schedule and never consult
-wall-clock state, so the four ``REPRO_HOTPATH`` engine modes (whose
+wall-clock state, so both ``REPRO_HOTPATH`` engine modes (whose
 schedules are byte-identical by contract) produce byte-identical
 objective values.
 

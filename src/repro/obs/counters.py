@@ -70,13 +70,13 @@ COUNTERS: Dict[str, str] = {
     "settle.budget_fallbacks":
         "incremental settles abandoned to the full pass (pop budget)",
     "settle.full_passes":
-        "full Kahn settle passes (fast/legacy engines and fallbacks)",
+        "full Kahn settle passes (settle() calls and incremental fallbacks)",
     "txn.rollbacks":
         "schedule transactions rolled back via the undo log",
     "route.trie_hits":
-        "array-engine route-trie cache hits",
+        "candidate-screen route-trie cache hits",
     "route.trie_misses":
-        "array-engine route-trie builds (cache misses)",
+        "candidate-screen route-trie builds (cache misses)",
     "cache.hits":
         "ResultCache entries served (fresh provenance)",
     "cache.misses":

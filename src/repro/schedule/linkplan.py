@@ -10,15 +10,15 @@ the contention substrate stays identical across algorithms.
 
 Two implementations, selected by the process-wide hot-path mode:
 
-* *indexed* (modes ``fast`` and ``incremental`` — planning is identical
-  in both; ``incremental`` only changes settle/rollback downstream) —
-  query the schedule's cached :class:`Timeline` with an indexed jump,
-  merged on the fly (two-pointer walk) with the planner's small
-  per-link tentative-reservation lists; nothing is copied or re-sorted;
-* *legacy* — the original code: re-merge ``sorted(committed + planned)``
-  object lists and scan from time zero on every reservation.
+* *indexed* (the production ``incremental`` engine) — query the
+  schedule's cached :class:`Timeline` with an indexed jump, merged on
+  the fly (two-pointer walk) with the planner's small per-link
+  tentative-reservation lists; nothing is copied or re-sorted;
+* *legacy* (the reference oracle) — the original code: re-merge
+  ``sorted(committed + planned)`` object lists and scan from time zero
+  on every reservation.
 
-All modes yield bit-identical plans (see
+Both modes yield bit-identical plans (see
 ``tests/test_hotpath_equivalence.py`` and ``benchmarks/bench_hotpath.py``).
 """
 
@@ -27,10 +27,16 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Dict, List, Tuple
 
+from repro.network.routing import shortest_path_trie
 from repro.network.topology import Link, Proc, link_id
 from repro.schedule.events import Edge
 from repro.schedule.schedule import Schedule
-from repro.util.intervals import Interval, earliest_gap, fast_path_enabled
+from repro.util.intervals import (
+    Interval,
+    Timeline,
+    earliest_gap,
+    reference_mode,
+)
 
 
 class LinkPlanner:
@@ -41,15 +47,15 @@ class LinkPlanner:
         self.insertion = insertion
         # legacy mode: tentative Interval lists merged per query
         self.planned: Dict[Link, List[Interval]] = {}
-        # fast mode: small start-sorted (starts, finishes) lists per link
+        # indexed mode: small start-sorted (starts, finishes) lists per link
         self._extras: Dict[Link, Tuple[List[float], List[float]]] = {}
         # bind the implementation once — reserve is called per hop on the
         # hottest path and the mode cannot change mid-plan
         self.reserve = (
-            self._reserve_fast if fast_path_enabled() else self._reserve_legacy
+            self._reserve_legacy if reference_mode() else self._reserve_indexed
         )
 
-    def _reserve_fast(self, lid: Link, ready: float, duration: float) -> float:
+    def _reserve_indexed(self, lid: Link, ready: float, duration: float) -> float:
         """Reserve ``duration`` on ``lid`` no earlier than ``ready``;
         returns the chosen start under the configured slot policy."""
         base = self.sched.link_timeline(lid)
@@ -137,9 +143,9 @@ def arrival_lower_bound(
     Without ``hop_distance`` the bound degrades to the latest producer
     finish, which is always valid.
 
-    This is the soundness-bearing kernel of both BSA's and DLS's
-    candidate pruning — keep it shared so the float-exactness argument
-    lives in exactly one place.
+    This and :func:`committed_arrival_bounds` are the soundness-bearing
+    kernels of BSA's and DLS's candidate screens — keep them here so the
+    float-exactness arguments live in exactly one place.
     """
     lb = 0.0
     for (p, f, c) in pred_info:
@@ -153,16 +159,74 @@ def arrival_lower_bound(
     return lb
 
 
+def committed_arrival_bounds(
+    sched: Schedule,
+    edge: Edge,
+    tl_memo: Dict[Link, Timeline],
+) -> List[float]:
+    """Lower bound on ``edge``'s arrival at *every* processor if its
+    consumer moved there, walking committed link timelines only.
+
+    The message leaves the producer's processor at its finish time and
+    follows the :func:`~repro.network.routing.shortest_path` route to each
+    destination — one earliest-gap query per node of that processor's
+    :func:`~repro.network.routing.shortest_path_trie`, against the
+    schedule's committed load and without a planner's tentative
+    reservations. Hop durations come from the same
+    ``HeterogeneousSystem.comm_cost`` memo :meth:`LinkPlanner.walk_path`
+    reads, so every float matches the real plan's.
+
+    Soundness: under the insertion slot policy ``earliest_gap`` is
+    monotone nondecreasing in both the ready time and the reservation
+    set (an extra reservation can only break a fit or raise the running
+    maximum, never admit an earlier start), so hop by hop the committed
+    walk lower-bounds the planned arrival, and equals it whenever no
+    tentative reservation shares a channel with this message. Unlike
+    :func:`arrival_lower_bound`'s distance chain it holds for
+    heterogeneous links and skewed bandwidths. It does *not* hold under
+    the append policy, whose "last reservation in start order" can move
+    earlier once tentative hops are layered on — callers must use it
+    only with shortest routes and insertion.
+
+    ``tl_memo`` (channel -> timeline) skips the schedule's stamped
+    timeline-cache probe on repeat channels; callers bounding several
+    messages against one committed state share one dict across them.
+    """
+    system = sched.system
+    producer = sched.slots[edge[0]]
+    finish = producer.finish
+    parents, channels, links, dst_node = shortest_path_trie(
+        system.topology, producer.proc
+    )
+    comm_cache = system._comm_cache
+    comm_cost = system.comm_cost
+    link_timeline = sched.link_timeline
+    arr: List[float] = []
+    for k in range(len(parents)):
+        p = parents[k]
+        ready = finish if p < 0 else arr[p]
+        lid = links[k]
+        c = comm_cache.get((edge, lid))
+        if c is None:
+            c = comm_cost(edge, lid)
+        ch = channels[k]
+        tl = tl_memo.get(ch)
+        if tl is None:
+            tl = tl_memo[ch] = link_timeline(ch)
+        arr.append(tl.earliest_gap(ready, c) + c)
+    return [finish if n < 0 else arr[n] for n in dst_node]
+
+
 def slot_start(sched: Schedule, proc: Proc, ready: float, duration: float,
                insertion: bool) -> float:
     """Earliest feasible task start on ``proc`` under the slot policy."""
-    if fast_path_enabled():
-        tl = sched.proc_timeline(proc)
+    if reference_mode():
+        busy = sched.proc_busy(proc)
         if insertion:
-            return tl.earliest_gap(ready, duration)
-        return max(ready, tl.last_finish())
-    busy = sched.proc_busy(proc)
+            return earliest_gap(busy, ready, duration)
+        last = busy[-1].finish if busy else 0.0
+        return max(ready, last)
+    tl = sched.proc_timeline(proc)
     if insertion:
-        return earliest_gap(busy, ready, duration)
-    last = busy[-1].finish if busy else 0.0
-    return max(ready, last)
+        return tl.earliest_gap(ready, duration)
+    return max(ready, tl.last_finish())

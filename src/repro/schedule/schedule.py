@@ -27,21 +27,7 @@ from repro.network.system import HeterogeneousSystem
 from repro.obs import counters as _obs
 from repro.network.topology import Link, Proc, link_id
 from repro.schedule.events import Edge, MessageHop, Route, TaskSlot
-from repro.util.intervals import Interval, Timeline, array_enabled
-
-
-def _timeline_class():
-    """Timeline implementation for the active engine mode.
-
-    The array engine swaps in :class:`~repro.schedule.arraystate.
-    ArrayTimeline` (vectorized long-tail gap search); the import stays
-    lazy so every other mode never touches numpy.
-    """
-    if array_enabled():
-        from repro.schedule.arraystate import ArrayTimeline
-
-        return ArrayTimeline
-    return Timeline
+from repro.util.intervals import Timeline
 
 
 class Schedule:
@@ -90,11 +76,9 @@ class Schedule:
         # processors/channels it touched, so a commit that rearranges
         # two processors and three links leaves every other resource's
         # cached timeline valid. ``_epoch`` covers wholesale changes
-        # (full resort, snapshot restore, rollback); ``_version`` stays
-        # as the coarse any-mutation counter. BSA evaluates hundreds of
+        # (full resort, restore, rollback). BSA evaluates hundreds of
         # candidate moves between mutations, so the caches are hit far
         # more than rebuilt.
-        self._version: int = 0
         self._epoch: int = 0
         self._res_version: Dict[Tuple[str, object], int] = {}
         self._tl_cache: Dict[Tuple[str, object], Tuple[Tuple[int, int], Timeline]] = {}
@@ -155,9 +139,7 @@ class Schedule:
         if hit is not None and hit[0] == stamp:
             return hit[1]
         slots = self.slots
-        tl = _timeline_class().from_items(
-            [slots[t] for t in self.proc_order[proc]]
-        )
+        tl = Timeline.from_items([slots[t] for t in self.proc_order[proc]])
         self._tl_cache[key] = (stamp, tl)
         return tl
 
@@ -169,7 +151,7 @@ class Schedule:
         hit = self._tl_cache.get(key)
         if hit is not None and hit[0] == stamp:
             return hit[1]
-        tl = _timeline_class().from_items(self.link_order[link])
+        tl = Timeline.from_items(self.link_order[link])
         self._tl_cache[key] = (stamp, tl)
         return tl
 
@@ -234,7 +216,6 @@ class Schedule:
         self.slots[task] = slot
         if self._txn is not None:
             self._txn.record_place(task, proc, position, order)
-        self._version += 1
         key = ("p", proc)
         rv = self._res_version
         rv[key] = rv.get(key, 0) + 1
@@ -262,7 +243,6 @@ class Schedule:
         order.pop(pos)
         if self._txn is not None:
             self._txn.record_remove(task, slot, pos, order)
-        self._version += 1
         key = ("p", slot.proc)
         rv = self._res_version
         rv[key] = rv.get(key, 0) + 1
@@ -329,7 +309,6 @@ class Schedule:
             txn.record_set_route(edge, entries)
             txn.seed_hops.extend(hops)
             txn.seed_tasks.add(edge[1])
-        self._version += 1
         return route
 
     def _bisect_hops(self, order: List[MessageHop], start: float) -> int:
@@ -373,7 +352,6 @@ class Schedule:
         if txn is not None:
             txn.record_clear_route(edge, route, entries)
             txn.seed_tasks.add(edge[1])
-        self._version += 1
 
     def mark_local(self, edge: Edge) -> None:
         """Record that ``edge`` is intra-processor (no links used)."""
@@ -390,7 +368,7 @@ class Schedule:
         """Open a transaction: record every structural mutation (and any
         time write-back the incremental settle performs) in an undo log
         so a failed commit can be reversed in O(#mutations) instead of
-        restoring a whole-schedule snapshot. Also accumulates the seed
+        restoring a whole-schedule :meth:`copy`. Also accumulates the seed
         set the incremental settle engine recomputes from.
 
         One transaction may be open at a time; close it with
@@ -420,7 +398,6 @@ class Schedule:
             order.sort(key=lambda t: (self.slots[t].start, self.slots[t].finish))
         for l, hops in self.link_order.items():
             hops.sort(key=lambda h: (h.start, h.finish))
-        self._version += 1
         self._epoch += 1  # every resource may have changed
 
     def resort_partial(self, procs: Iterable[Proc], channels: Iterable[Link]) -> None:
@@ -465,7 +442,6 @@ class Schedule:
                 ps, pf = ss, sf
             key = ("l", ch)
             rv[key] = rv.get(key, 0) + 1
-        self._version += 1
 
     def copy(self) -> "Schedule":
         """Deep copy (fresh slot/hop objects, shared system)."""
@@ -490,34 +466,6 @@ class Schedule:
             dup.link_order[l] = [hop_map[id(h)] for h in hops]
         return dup
 
-    def snapshot(self) -> "ScheduleSnapshot":
-        """Shallow structural capture for transactional rollback.
-
-        Much cheaper than :meth:`copy` — container dicts/lists are copied
-        but slot/hop/route objects are *shared* with the live schedule.
-        This is sound for rolling back a failed ``commit_migration``
-        because mutators only ever create new objects or re-link
-        containers; shared objects' times are first overwritten by the
-        settle write-back, which the settle pass guarantees not to reach
-        when it raises ``CycleError``. Do not use the snapshot after any
-        successful settle: restoring it then would revive stale times.
-        """
-        return ScheduleSnapshot(self)
-
-    def restore_snapshot(self, snap: "ScheduleSnapshot") -> None:
-        """Adopt the state captured by :meth:`snapshot` (see its
-        contract); the snapshot must not be reused afterwards."""
-        if snap.system is not self.system:
-            raise SchedulingError("cannot restore from a different system's snapshot")
-        self.algorithm = snap.algorithm
-        self.slots = snap.slots
-        self.proc_order = snap.proc_order
-        self.routes = snap.routes
-        self.link_order = snap.link_order
-        self._version += 1
-        self._epoch += 1
-        self._tl_cache.clear()
-
     def restore_from(self, snapshot: "Schedule") -> None:
         """Adopt the full state of ``snapshot`` (transactional rollback).
 
@@ -531,7 +479,6 @@ class Schedule:
         self.slots = snapshot.slots
         self.routes = snapshot.routes
         self.link_order = snapshot.link_order
-        self._version += 1
         self._epoch += 1
         self._tl_cache.clear()
 
@@ -551,25 +498,6 @@ class Schedule:
         )
 
 
-class ScheduleSnapshot:
-    """Shallow capture of a schedule's container state.
-
-    Slot, hop and route objects are shared with the live schedule — see
-    :meth:`Schedule.snapshot` for when that is sound.
-    """
-
-    __slots__ = ("system", "algorithm", "slots", "proc_order", "routes",
-                 "link_order")
-
-    def __init__(self, sched: Schedule):
-        self.system = sched.system
-        self.algorithm = sched.algorithm
-        self.slots = dict(sched.slots)
-        self.proc_order = {p: list(o) for p, o in sched.proc_order.items()}
-        self.routes = dict(sched.routes)
-        self.link_order = {l: list(h) for l, h in sched.link_order.items()}
-
-
 #: undo-log op tags
 _OP_PLACE, _OP_REMOVE, _OP_SET_ROUTE, _OP_CLEAR_ROUTE, _OP_SET_LOCAL = range(5)
 
@@ -583,9 +511,9 @@ class ScheduleTxn:
     had before the op (later mutations of the same list have already
     been reversed when an op replays, so recorded indices are valid).
     Time write-backs the incremental settle performs are recorded via
-    :meth:`record_time` and restored the same way. Compared to
-    :meth:`Schedule.snapshot` this costs O(actual mutations) instead of
-    O(tasks + hops) per commit — and commits vastly outnumber rollbacks.
+    :meth:`record_time` and restored the same way. Compared to a
+    :meth:`Schedule.copy` per commit this costs O(actual mutations)
+    instead of O(tasks + hops) — and commits vastly outnumber rollbacks.
 
     The *seed sets* accumulate every node whose constraint predecessors
     changed (moved/new tasks, order successors of removed or inserted
@@ -677,6 +605,5 @@ class ScheduleTxn:
         sched.slots = {t: slots[t] for t in self._slot_keys}
         sched.routes = {e: routes[e] for e in self._route_keys}
         sched._txn = None
-        sched._version += 1
         sched._epoch += 1
         sched._tl_cache.clear()

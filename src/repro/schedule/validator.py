@@ -45,6 +45,14 @@ def schedule_violations(schedule: Schedule) -> List[str]:
     system = schedule.system
     graph = system.graph
     topo = system.topology
+    # Membership sets built here from the orders themselves — never from
+    # the schedule's cached position maps, so the trust anchor reads no
+    # engine cache. Hops are matched by identity: MessageHop compares by
+    # value, and a value-equal copy in a link order is not the route's hop.
+    in_proc_order = {p: set(order) for p, order in schedule.proc_order.items()}
+    in_link_order = {
+        ch: {id(h) for h in hops} for ch, hops in schedule.link_order.items()
+    }
 
     # 1. task coverage & durations ------------------------------------------
     for task in graph.tasks():
@@ -65,7 +73,7 @@ def schedule_violations(schedule: Schedule) -> List[str]:
                 f"task {task!r} duration {slot.duration:.6f} != "
                 f"exec cost {expected:.6f} on P{slot.proc}"
             )
-        if task not in schedule.proc_order[slot.proc]:
+        if task not in in_proc_order[slot.proc]:
             v.append(f"task {task!r} missing from proc_order[{slot.proc}]")
 
     for p, order in schedule.proc_order.items():
@@ -159,7 +167,7 @@ def schedule_violations(schedule: Schedule) -> List[str]:
                     f"its data is ready at {prev_finish:.3f}"
                 )
             ch = topo.channel(hop.src, hop.dst)
-            if hop not in schedule.link_order[ch]:
+            if id(hop) not in in_link_order[ch]:
                 v.append(f"message {edge} hop {k} missing from link_order[{ch}]")
             prev_finish = hop.finish
         if sv.start < route.arrival - _TOL:

@@ -170,6 +170,9 @@ class ReproServer(ThreadingHTTPServer):
 class _Handler(BaseHTTPRequestHandler):
     server: ReproServer  # set by http.server
     protocol_version = "HTTP/1.1"
+    # _send writes headers and body in two sends; with Nagle's algorithm
+    # on, a keep-alive client's delayed ACK stalls the body ~40 ms
+    disable_nagle_algorithm = True
 
     # -- plumbing ------------------------------------------------------
     def log_message(self, fmt, *args):  # pragma: no cover - cosmetic

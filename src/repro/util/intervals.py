@@ -10,7 +10,7 @@ Two implementations coexist:
 
 * the original object-walking :func:`earliest_gap` over any sequence with
   ``start``/``finish`` attributes (the *legacy* hot path, kept verbatim so
-  the fast path can be benchmarked and equivalence-tested against it);
+  the indexed engine can be benchmarked and equivalence-tested against it);
 * :class:`Timeline` — an indexed view holding parallel ``starts`` /
   ``finishes`` float lists, answering the same query with a ``bisect``
   jump over every reservation that finishes before ``ready`` instead of a
@@ -19,16 +19,13 @@ Two implementations coexist:
 
 Which one the schedulers use is controlled by the process-wide hot-path
 mode (:func:`hotpath_mode` / :func:`set_hotpath_mode`, initialized from
-``REPRO_HOTPATH``). Four modes exist: ``legacy`` (the original
-linear-rescan reference code), ``fast`` (indexed timelines, memoized
-routing/costs, candidate pruning, shallow snapshots), ``incremental``
-(the default: everything in ``fast`` plus the change-driven settle
-engine and the undo-log rollback in :mod:`repro.schedule.settle` /
-:mod:`repro.schedule.schedule`), and ``array`` (everything in
-``incremental`` plus the numpy-backed flat-array state in
-:mod:`repro.schedule.arraystate`: vectorized timeline gap search,
-dense cost matrices, and batched candidate evaluation — built for
-n>=1000 graphs; requires numpy, the only mode that does). All modes
+``REPRO_HOTPATH``). Two modes exist: ``incremental`` (the default and
+only production engine: indexed timelines, memoized routing/costs,
+lower-bound candidate screening, the change-driven settle engine and
+the undo-log rollback in :mod:`repro.schedule.settle` /
+:mod:`repro.schedule.schedule`) and ``legacy`` (the original
+linear-rescan reference code, kept as the oracle that tests and benches
+switch to). Engine modules branch on :func:`reference_mode`. Both modes
 produce bit-identical schedules — enforced by
 ``benchmarks/bench_hotpath.py`` and ``tests/test_hotpath_equivalence.py``.
 
@@ -49,60 +46,31 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.util.tolerance import EPS
 
-#: hot-path modes: "incremental" (default) adds the change-driven settle
-#: engine and undo-log rollback on top of "fast" (indexed structures and
-#: memoized routing/cost lookups); "array" adds the numpy flat-array
-#: state (vectorized gap search, dense cost matrices, batched candidate
-#: evaluation) on top of "incremental"; "legacy" runs the original
-#: linear-rescan code.
-HOTPATH_MODES = ("incremental", "fast", "legacy", "array")
-
-
-def _require_numpy(mode: str) -> None:
-    """Raise a clean error when a numpy-backed mode is requested without
-    numpy. Every other mode must keep working numpy-free, so this is the
-    only place the engine ever imports it eagerly."""
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        from repro.errors import ConfigurationError
-
-        raise ConfigurationError(
-            f"REPRO_HOTPATH={mode!r} requires numpy, which is not "
-            f"installed; install numpy or pick one of the numpy-free "
-            f"modes {tuple(m for m in HOTPATH_MODES if m != 'array')}"
-        ) from None
+#: hot-path modes: "incremental" (the production engine, default) and
+#: "legacy" (the original linear-rescan reference oracle)
+HOTPATH_MODES = ("incremental", "legacy")
 
 
 _hotpath_mode = os.environ.get("REPRO_HOTPATH", "incremental").strip().lower()
-if _hotpath_mode not in HOTPATH_MODES:  # pragma: no cover - env typo guard
-    _hotpath_mode = "incremental"
-if _hotpath_mode == "array":
-    _require_numpy(_hotpath_mode)
+if _hotpath_mode not in HOTPATH_MODES:
+    # a typo here would silently run the wrong engine under a leg that
+    # claims to test the other one, so refuse to import at all
+    from repro.errors import ConfigurationError
+
+    raise ConfigurationError(
+        f"REPRO_HOTPATH must be one of {HOTPATH_MODES}, got {_hotpath_mode!r}"
+    )
 
 
 def hotpath_mode() -> str:
-    """Current hot-path mode: ``"incremental"`` (default), ``"fast"``,
-    ``"legacy"`` or ``"array"``."""
+    """Current hot-path mode: ``"incremental"`` (default) or ``"legacy"``."""
     return _hotpath_mode
 
 
-def fast_path_enabled() -> bool:
-    """True for every indexed-engine mode (``fast``, ``incremental`` and
-    ``array``); each later engine is a strict superset of ``fast``."""
-    return _hotpath_mode != "legacy"
-
-
-def incremental_enabled() -> bool:
-    """True when the change-driven settle engine and undo-log rollback
-    are active (modes ``incremental`` and ``array`` — the array engine
-    reuses the whole transactional substrate)."""
-    return _hotpath_mode == "incremental" or _hotpath_mode == "array"
-
-
-def array_enabled() -> bool:
-    """True when the numpy flat-array engine is active (mode ``array``)."""
-    return _hotpath_mode == "array"
+def reference_mode() -> bool:
+    """True when the legacy reference oracle is active (mode ``legacy``);
+    every engine module branches on this one check."""
+    return _hotpath_mode == "legacy"
 
 
 def set_hotpath_mode(mode: str) -> str:
@@ -114,8 +82,6 @@ def set_hotpath_mode(mode: str) -> str:
     global _hotpath_mode
     if mode not in HOTPATH_MODES:
         raise ValueError(f"hotpath mode must be one of {HOTPATH_MODES}, got {mode!r}")
-    if mode == "array":
-        _require_numpy(mode)
     previous = _hotpath_mode
     _hotpath_mode = mode
     return previous

@@ -36,7 +36,7 @@ Constants
     pruning compares *whole finish times* with the coarser ``EPS``
     margin — which therefore absorbs ``DRT_EPS`` noise by three orders
     of magnitude, keeping the pruned search bit-identical to exhaustive
-    evaluation (see ``core/bsa.py::_evaluate_candidates_pruned``).
+    evaluation (see ``core/bsa.py::_evaluate_candidates``).
     Before this constant existed the value was hard-coded twice in
     ``core/migration.py``, invisible to exactly that soundness argument.
 

@@ -102,14 +102,12 @@ class TestBehaviour:
         assert stats.first_pivot in range(4)
         assert sorted(stats.pivot_sequence) == [0, 1, 2, 3]
         assert stats.n_examined > 0
-        from repro.util.intervals import array_enabled
-
-        if array_enabled():
-            # the array engine's candidate masks may discard *every*
-            # destination of an examined task before evaluating any
-            assert stats.n_evaluated > 0
-        else:
-            assert stats.n_evaluated >= stats.n_examined
+        # every candidate of an examined task is either evaluated or
+        # screened out (the screen may discard all of them; the legacy
+        # reference mode evaluates every one)
+        assert stats.n_evaluated > 0
+        assert (stats.n_evaluated + stats.n_pruned
+                == stats.n_examined * (small_random_system.n_procs - 1))
         assert stats.n_sweeps_run >= 1
         assert stats.serial_length > 0
 

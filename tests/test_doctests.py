@@ -4,7 +4,7 @@ examples, and the examples must pass.
 These are the modules the documentation sweep promises examples for
 (workload generators, graph IO/interchange, the topology builders and
 the schedule container). Running them inside the tier-1 suite means the
-examples execute under all three ``REPRO_HOTPATH`` CI legs — a docstring
+examples execute under both ``REPRO_HOTPATH`` CI legs — a docstring
 whose output depended on the engine mode would fail here.
 """
 

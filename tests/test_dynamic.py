@@ -46,7 +46,7 @@ from repro.schedule.io import schedule_to_json
 from repro.schedule.validator import schedule_violations, validate_schedule
 from repro.util.intervals import hotpath_mode, set_hotpath_mode
 
-MODES = ("legacy", "fast", "incremental", "array")
+MODES = ("legacy", "incremental")
 
 #: the bench's smoke cell: small enough to schedule in ~100 ms, rich
 #: enough that a scenario displaces real work
@@ -271,8 +271,8 @@ class TestModeIdentity:
                                     compare_replan=False)
             blobs[mode] = schedule_to_json(sim.schedule)
             logs[mode] = sim.log_json()
-        assert blobs["legacy"] == blobs["fast"] == blobs["incremental"]
-        assert logs["legacy"] == logs["fast"] == logs["incremental"]
+        assert blobs["legacy"] == blobs["incremental"]
+        assert logs["legacy"] == logs["incremental"]
 
     def test_jobs_fanout_identical(self, tmp_path):
         cells = [

@@ -1,7 +1,7 @@
-"""Equivalence regression tests for the fast and incremental engines.
+"""Equivalence regression tests for the incremental engine.
 
 Two layers of protection for the hot-path overhauls (indexed timelines,
-memoized routing/costs, bound-based candidate pruning, change-driven
+memoized routing/costs, the lower-bound candidate screen, change-driven
 incremental settle, undo-log rollback):
 
 * **pinned makespans** — exact floats for the paper's Table 1 worked
@@ -9,8 +9,8 @@ incremental settle, undo-log rollback):
   route modes. Any change to scheduling arithmetic, however subtle,
   trips these. All arithmetic involved is deterministic IEEE-754, so the
   pins are machine-independent.
-* **legacy/fast/incremental cross-checks** — the same cell scheduled
-  under all four hot-path modes must serialize to byte-identical JSON
+* **legacy/incremental cross-checks** — the same cell scheduled under
+  both hot-path modes must serialize to byte-identical JSON
   (every task time and every message hop), on uniform *and*
   heterogeneous link models (full-duplex, bandwidth-skewed torus and
   fat-tree cells).
@@ -18,6 +18,7 @@ incremental settle, undo-log rollback):
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -31,7 +32,7 @@ from repro.objectives import evaluate_objectives
 from repro.schedule.io import schedule_to_json
 from repro.util.intervals import hotpath_mode, set_hotpath_mode
 
-MODES = ("legacy", "fast", "incremental", "array")
+MODES = ("legacy", "incremental")
 
 
 @pytest.fixture
@@ -123,13 +124,17 @@ PINNED_SPDECOMP = {
 }
 
 
-#: n=1000 golden cell — the scale the array engine exists for, and the
-#: same cell family as ``bench_hotpath.py``'s scaling curve. Pins the
-#: exact makespan so array-mode schedules are locked against drift at
-#: scale (regenerate only on intentional algorithmic change).
+#: n=1000 golden cell — the same cell family as ``bench_hotpath.py``'s
+#: scaling curve. Pins the exact makespan and the serialized bytes so
+#: engine schedules are locked against drift at scale (regenerate only
+#: on intentional algorithmic change).
 CELL_N1000 = Cell("regular", "gauss", 1000, 1.0, "hypercube", "bsa",
                   n_procs=16, graph_seed=1, system_seed=1)
 PINNED_N1000 = 66554.90105672537
+#: sha256 of ``schedule_to_json`` for the same schedule
+PINNED_N1000_SHA256 = (
+    "82971b64ebb7c6910b9781ded0b3479d8cf589b9a89b17c568a9ad7f94e022f6"
+)
 
 
 def _cell(suite: str) -> Cell:
@@ -184,8 +189,8 @@ class TestPinnedMakespans:
 
 
 class TestEngineModesIdentical:
-    """legacy vs fast vs incremental vs array — byte-identical
-    serialized output."""
+    """legacy reference oracle vs the incremental engine —
+    byte-identical serialized output."""
 
     @pytest.mark.parametrize(
         "suite", ["regular", "random", "torus", "fattree", "torus_fd", "fattree_skew"]
@@ -199,8 +204,7 @@ class TestEngineModesIdentical:
             set_hotpath_mode(mode)
             system = build_cell_system(_cell(suite))
             blobs[mode] = schedule_to_json(_SCHEDULERS[algorithm](system))
-        assert (blobs["legacy"] == blobs["fast"] == blobs["incremental"]
-                == blobs["array"])
+        assert blobs["legacy"] == blobs["incremental"]
 
     @pytest.mark.parametrize("route_mode", ["incremental", "shortest"])
     def test_route_modes_identical(self, route_mode, both_modes):
@@ -213,31 +217,44 @@ class TestEngineModesIdentical:
                 BSAOptions(migration_scope="neighbors", route_mode=route_mode),
             )
             blobs[mode] = schedule_to_json(sched)
-        assert (blobs["legacy"] == blobs["fast"] == blobs["incremental"]
-                == blobs["array"])
+        assert blobs["legacy"] == blobs["incremental"]
+
+    @pytest.mark.parametrize("options", [
+        BSAOptions(insertion=False),
+        BSAOptions(insertion=False, migration_scope="neighbors",
+                   route_mode="incremental"),
+        BSAOptions(vip_follow=False),
+        BSAOptions(migration_trigger="st_gt_drt"),
+    ], ids=["append", "append-incremental-routes", "novip", "st_gt_drt"])
+    def test_bsa_ablations_identical(self, options, both_modes):
+        """The candidate screen's queue-free fallback bound (append slot
+        policy, incremental routes) and the VIP-follow switch, against
+        the oracle's exhaustive evaluation."""
+        blobs = {}
+        for mode in MODES:
+            set_hotpath_mode(mode)
+            system = build_cell_system(CELL_RANDOM)
+            blobs[mode] = schedule_to_json(schedule_bsa(system, options))
+        assert blobs["legacy"] == blobs["incremental"]
 
     def test_paper_example_identical(self, both_modes):
         blobs = {}
         for mode in MODES:
             set_hotpath_mode(mode)
             blobs[mode] = schedule_to_json(run_paper_example()["schedule"])
-        assert (blobs["legacy"] == blobs["fast"] == blobs["incremental"]
-                == blobs["array"])
+        assert blobs["legacy"] == blobs["incremental"]
 
     def test_golden_cell_n1000(self, both_modes):
-        """The n=1000 golden cell: array and incremental byte-identical
-        AND pinned to the exact makespan. Legacy/fast are excluded here
-        only for wall-clock reasons — the ``MODES`` sweeps above pin
-        their equivalence on every differential cell, so the
-        incremental blob transitively anchors all four modes."""
-        blobs = {}
-        for mode in ("incremental", "array"):
-            set_hotpath_mode(mode)
-            system = build_cell_system(CELL_N1000)
-            sched = _SCHEDULERS["bsa"](system)
-            assert sched.schedule_length() == PINNED_N1000, mode
-            blobs[mode] = schedule_to_json(sched)
-        assert blobs["incremental"] == blobs["array"]
+        """The n=1000 golden cell on the engine: the exact makespan AND
+        the sha256 of the serialized schedule, so every task time and
+        message hop is pinned. Legacy is excluded only for wall-clock
+        reasons — the ``MODES`` sweeps above pin its equivalence on
+        every differential cell."""
+        set_hotpath_mode("incremental")
+        sched = _SCHEDULERS["bsa"](build_cell_system(CELL_N1000))
+        assert sched.schedule_length() == PINNED_N1000
+        digest = hashlib.sha256(schedule_to_json(sched).encode()).hexdigest()
+        assert digest == PINNED_N1000_SHA256
 
     @pytest.mark.parametrize("suite", ["regular", "torus", "fattree_skew"])
     @pytest.mark.parametrize("algorithm", ["bsa", "heft", "spdecomp"])
@@ -255,14 +272,13 @@ class TestEngineModesIdentical:
                 sched, "makespan,energy,reliability,throughput"
             )
             blobs[mode] = json.dumps(values, sort_keys=True)
-        assert (blobs["legacy"] == blobs["fast"] == blobs["incremental"]
-                == blobs["array"])
+        assert blobs["legacy"] == blobs["incremental"]
 
     def test_rejection_heavy_cell_identical(self, both_modes):
         """A communication-heavy cell whose BSA run rejects many
-        migrations: exercises the undo-log rollback (incremental), the
-        shallow-snapshot restore (fast) and the deep-copy restore
-        (legacy) against each other on the same commit sequence."""
+        migrations: exercises the undo-log rollback (incremental) and
+        the deep-copy restore (legacy) against each other on the same
+        commit sequence."""
         from repro.core.bsa import BSAScheduler
 
         cell = Cell("regular", "gauss", 60, 0.1, "hypercube", "bsa",
@@ -274,8 +290,7 @@ class TestEngineModesIdentical:
             scheduler = BSAScheduler(build_cell_system(cell), BSAOptions())
             blobs[mode] = schedule_to_json(scheduler.run())
             rejected[mode] = scheduler.stats.n_rejected_migrations
-        assert (blobs["legacy"] == blobs["fast"] == blobs["incremental"]
-                == blobs["array"])
+        assert blobs["legacy"] == blobs["incremental"]
         assert len(set(rejected.values())) == 1
         # the cell must keep exercising rollback; reseed it if this trips
         assert rejected["incremental"] > 0
@@ -283,7 +298,7 @@ class TestEngineModesIdentical:
 #: golden Pareto cell (PR 9): fat-tree n=100 gauss, every scheduler
 #: scored on all four objectives. The front and every objective value
 #: are pinned exactly; the serialized artifact must be byte-identical
-#: across all four engine modes.
+#: across both engine modes.
 CELL_PARETO = Cell("regular", "gauss", 100, 1.0, "fattree", "bsa",
                    n_procs=8, graph_seed=2, system_seed=2)
 
@@ -352,5 +367,4 @@ class TestGoldenPareto:
         for mode in MODES:
             set_hotpath_mode(mode)
             blobs[mode] = pareto_to_json(self._run())
-        assert (blobs["legacy"] == blobs["fast"] == blobs["incremental"]
-                == blobs["array"])
+        assert blobs["legacy"] == blobs["incremental"]

@@ -87,7 +87,9 @@ def fresh_cache(tmp_path, monkeypatch):
 
 
 def _serve(server):
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll keeps shutdown() from waiting out the default 0.5 s
+    thread = threading.Thread(target=server.serve_forever,
+                              kwargs={"poll_interval": 0.01}, daemon=True)
     thread.start()
     return thread
 
@@ -292,7 +294,7 @@ class TestPipeline:
         try:
             set_hotpath_mode("legacy")
             first = execute(self.REQ, cache=cache)
-            set_hotpath_mode("fast")
+            set_hotpath_mode("incremental")
             second = execute(self.REQ, cache=cache)
         finally:
             set_hotpath_mode(initial)
@@ -563,6 +565,26 @@ class TestHttp:
     def test_job_not_found(self, server):
         status, _, body = _request(server, "GET", "/jobs/job-9999")
         assert status == 404
+
+    def test_connections_disable_nagle(self, server, monkeypatch):
+        """Headers and body go out in two sends, so every accepted
+        connection must have TCP_NODELAY set."""
+        import socket
+
+        from repro.service import http as http_mod
+
+        seen = []
+        original = http_mod._Handler.setup
+
+        def recording(handler):
+            original(handler)
+            seen.append(handler.connection.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY))
+
+        monkeypatch.setattr(http_mod._Handler, "setup", recording)
+        status, _, _ = _request(server, "GET", "/health")
+        assert status == 200
+        assert seen and all(seen), seen
 
 
 class TestAuth:

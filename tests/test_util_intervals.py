@@ -7,10 +7,10 @@ from repro.util.intervals import (
     Interval,
     Timeline,
     earliest_gap,
-    fast_path_enabled,
     hotpath_mode,
     insert_interval,
     intervals_overlap,
+    reference_mode,
     set_hotpath_mode,
     total_busy,
     verify_disjoint,
@@ -203,7 +203,7 @@ class TestHotpathMode:
         assert hotpath_mode() in HOTPATH_MODES
         prev = set_hotpath_mode("legacy")
         try:
-            assert not fast_path_enabled()
+            assert reference_mode()
         finally:
             set_hotpath_mode(prev)
         assert hotpath_mode() == prev
@@ -212,119 +212,43 @@ class TestHotpathMode:
         with pytest.raises(ValueError):
             set_hotpath_mode("turbo")
 
-    def test_incremental_implies_fast(self):
-        from repro.util.intervals import array_enabled, incremental_enabled
-
+    def test_only_legacy_is_the_reference(self):
+        assert HOTPATH_MODES == ("incremental", "legacy")
         prev = hotpath_mode()
         try:
             set_hotpath_mode("incremental")
-            assert fast_path_enabled() and incremental_enabled()
-            assert not array_enabled()
-            set_hotpath_mode("fast")
-            assert fast_path_enabled() and not incremental_enabled()
-            assert not array_enabled()
+            assert not reference_mode()
             set_hotpath_mode("legacy")
-            assert not fast_path_enabled() and not incremental_enabled()
-            assert not array_enabled()
+            assert reference_mode()
         finally:
             set_hotpath_mode(prev)
 
-    def test_array_without_numpy_raises_configuration_error(self):
-        """Requesting the array engine on a numpy-free install must fail
-        with a clean ConfigurationError — at set_hotpath_mode() and at
-        env-var import time alike — while the other three modes keep
-        working. numpy IS installed here, so a child process blocks its
-        import via a meta_path finder before touching repro."""
+    @pytest.mark.parametrize("value", ["array", "fast", "legcy"])
+    def test_unknown_env_mode_refused_at_import(self, value):
+        """A retired engine name or a typo in ``REPRO_HOTPATH`` must stop
+        the import with a ConfigurationError naming the valid modes —
+        never silently run the production engine under a leg that claims
+        to test another one. A child process imports repro fresh."""
         import os
         import subprocess
         import sys
         import textwrap
 
         code = textwrap.dedent("""
-            import sys
-
-            class _BlockNumpy:
-                def find_spec(self, name, path=None, target=None):
-                    if name == "numpy" or name.startswith("numpy."):
-                        raise ImportError("numpy blocked for test")
-                    return None
-
-            sys.meta_path.insert(0, _BlockNumpy())
-
-            from repro.errors import ConfigurationError
-            from repro.util.intervals import (
-                hotpath_mode,
-                set_hotpath_mode,
-            )
-
-            # numpy-free modes stay fully selectable
-            for mode in ("incremental", "fast", "legacy"):
-                set_hotpath_mode(mode)
             try:
-                set_hotpath_mode("array")
-            except ConfigurationError as exc:
-                assert "numpy" in str(exc), exc
+                import repro.util.intervals  # noqa: F401
+            except Exception as exc:
+                assert type(exc).__name__ == "ConfigurationError", exc
+                assert "'incremental', 'legacy'" in str(exc), exc
+                print("REFUSED")
             else:
-                raise SystemExit("array mode accepted without numpy")
-            # the failed request must not corrupt the mode switch
-            assert hotpath_mode() == "legacy"
-
-            # env-var request: importing repro with REPRO_HOTPATH=array
-            # must raise the same clean error (re-exec with the blocker
-            # installed via this same script, stage 2)
-            print("STAGE1-OK")
+                raise SystemExit("unknown REPRO_HOTPATH value accepted")
         """)
-        env = {**os.environ, "PYTHONPATH": "src"}
-        env.pop("REPRO_HOTPATH", None)
+        env = {**os.environ, "PYTHONPATH": "src", "REPRO_HOTPATH": value}
         done = subprocess.run(
             [sys.executable, "-c", code],
             capture_output=True, text=True, env=env,
             cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
         )
         assert done.returncode == 0, done.stderr
-        assert "STAGE1-OK" in done.stdout
-
-        env_code = textwrap.dedent("""
-            import sys
-
-            class _BlockNumpy:
-                def find_spec(self, name, path=None, target=None):
-                    if name == "numpy" or name.startswith("numpy."):
-                        raise ImportError("numpy blocked for test")
-                    return None
-
-            sys.meta_path.insert(0, _BlockNumpy())
-            try:
-                import repro.util.intervals  # noqa: F401
-            except Exception as exc:
-                assert type(exc).__name__ == "ConfigurationError", exc
-                assert "numpy" in str(exc), exc
-                print("STAGE2-OK")
-            else:
-                raise SystemExit(
-                    "REPRO_HOTPATH=array import succeeded without numpy"
-                )
-        """)
-        env["REPRO_HOTPATH"] = "array"
-        done = subprocess.run(
-            [sys.executable, "-c", env_code],
-            capture_output=True, text=True, env=env,
-            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-        )
-        assert done.returncode == 0, done.stderr
-        assert "STAGE2-OK" in done.stdout
-
-    def test_array_implies_incremental_and_fast(self):
-        """The array engine is the incremental engine on flat arrays:
-        everything gated on the incremental or fast predicates (undo-log
-        transactions, memoized routes, settle seeding) must stay on."""
-        from repro.util.intervals import array_enabled, incremental_enabled
-
-        prev = hotpath_mode()
-        try:
-            set_hotpath_mode("array")
-            assert array_enabled()
-            assert incremental_enabled()
-            assert fast_path_enabled()
-        finally:
-            set_hotpath_mode(prev)
+        assert "REFUSED" in done.stdout

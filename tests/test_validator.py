@@ -128,3 +128,19 @@ class TestViolationDetection:
         s.set_route(("c", "d"), [0, 1, 2], hop_starts=[60.0, 70.0])
         v = schedule_violations(s)
         assert any("before" in x and "ready" in x for x in v)
+
+    def test_value_equal_hop_copy_is_not_a_member(self, valid_schedule):
+        """Membership is by identity: a route hop replaced by a
+        value-equal copy is not the hop ``link_order`` holds, even though
+        MessageHop's dataclass equality says the two are equal."""
+        import copy
+
+        route = valid_schedule.routes[("a", "b")]
+        original = route.hops[0]
+        twin = copy.copy(original)
+        assert twin == original and twin is not original
+        route.hops[0] = twin
+        v = schedule_violations(valid_schedule)
+        assert any(
+            "message ('a', 'b') hop 0 missing from link_order" in x for x in v
+        ), v
