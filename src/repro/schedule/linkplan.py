@@ -202,14 +202,11 @@ def committed_arrival_bounds(
     comm_cost = system.comm_cost
     link_timeline = sched.link_timeline
     arr: List[float] = []
-    for k in range(len(parents)):
-        p = parents[k]
+    for p, lid, ch in zip(parents, links, channels):
         ready = finish if p < 0 else arr[p]
-        lid = links[k]
         c = comm_cache.get((edge, lid))
         if c is None:
             c = comm_cost(edge, lid)
-        ch = channels[k]
         tl = tl_memo.get(ch)
         if tl is None:
             tl = tl_memo[ch] = link_timeline(ch)

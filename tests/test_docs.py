@@ -233,8 +233,9 @@ class TestExperimentsSection10:
     def test_scaling_curve_table_matches_bench(self):
         """The §10 scaling-curve table is generated from the
         scaling_curve section of BENCH_hotpath.json — both artifacts
-        are committed, so every point (size, engine median and reps,
-        the parent engines' medians) must agree."""
+        are committed, so every point (size, the engine's scaled and raw
+        medians and scaled reps, the parent engines' medians) must
+        agree."""
         import json
 
         report = json.load(
@@ -243,10 +244,14 @@ class TestExperimentsSection10:
         curve = report["scaling_curve"]
         section = _read("EXPERIMENTS.md").split("## 10.")[1]
         for p in curve["points"]:
-            reps = " / ".join(str(r) for r in p["reps_s"])
-            row = (f"| {p['n_tasks']} | {p['incremental_s']} s | {reps} "
-                   f"| {p['parent_incremental_s']} s "
-                   f"| {p['parent_array_s']} s | yes |")
+            reps = " / ".join(str(r) for r in p["reps_scaled_s"])
+            row = (f"| {p['n_tasks']} "
+                   f"| {p['incremental_scaled_s']} s ({p['incremental_s']} s) "
+                   f"| {reps} "
+                   f"| {p['parent_incremental_scaled_s']} s "
+                   f"({p['parent_incremental_s']} s) "
+                   f"| {p['parent_array_scaled_s']} s "
+                   f"({p['parent_array_s']} s) | yes |")
             # normalize column padding: compare without repeated spaces
             squashed = " ".join(section.split())
             assert " ".join(row.split()) in squashed, (
