@@ -10,7 +10,7 @@ comparison with BSA/DLS is on equal footing.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Set
+from typing import Dict, Set
 
 from repro.graph.model import TaskId
 from repro.graph.validation import validate_graph
@@ -89,19 +89,9 @@ def schedule_cpop(system: HeterogeneousSystem) -> Schedule:
     while heap:
         _, _, task = heapq.heappop(heap)
         if task in cp_tasks:
-            da, plans = builder.plan_messages(task, cp_proc)
-            start = builder.earliest_start(task, cp_proc, da)
-            builder.commit(task, cp_proc, start, plans)
+            builder.place(task, cp_proc)
         else:
-            best = None
-            for proc in system.topology.processors:
-                da, plans = builder.plan_messages(task, proc)
-                start = builder.earliest_start(task, proc, da)
-                eft = start + system.exec_cost(task, proc)
-                if best is None or (eft, proc) < (best[0], best[1]):
-                    best = (eft, proc, start, plans)
-            _, proc, start, plans = best
-            builder.commit(task, proc, start, plans)
+            builder.place_earliest_finish(task)
         for s in graph.successors(task):
             n_unsched[s] -= 1
             if n_unsched[s] == 0:

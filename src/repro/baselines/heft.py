@@ -11,7 +11,7 @@ the same substrate.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from repro.graph.model import TaskId
 from repro.graph.validation import validate_graph
@@ -62,13 +62,5 @@ def schedule_heft(system: HeterogeneousSystem) -> Schedule:
     order = sorted(graph.tasks(), key=lambda t: (-rank[t], order_index[t]))
 
     for task in order:
-        best = None  # (eft, proc, start, plans)
-        for proc in system.topology.processors:
-            da, plans = builder.plan_messages(task, proc)
-            start = builder.earliest_start(task, proc, da)
-            eft = start + system.exec_cost(task, proc)
-            if best is None or (eft, proc) < (best[0], best[1]):
-                best = (eft, proc, start, plans)
-        _, proc, start, plans = best
-        builder.commit(task, proc, start, plans)
+        builder.place_earliest_finish(task)
     return builder.finish()

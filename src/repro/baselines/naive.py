@@ -29,9 +29,7 @@ def schedule_serial(system: HeterogeneousSystem) -> Schedule:
     )
     builder = ListScheduleBuilder(system, algorithm="serial")
     for task in graph.topological_order():
-        da, plans = builder.plan_messages(task, proc)
-        start = builder.earliest_start(task, proc, da)
-        builder.commit(task, proc, start, plans)
+        builder.place(task, proc)
     return builder.finish()
 
 
@@ -49,7 +47,5 @@ def schedule_round_robin(system: HeterogeneousSystem) -> Schedule:
     procs = system.topology.processors
     for i, task in enumerate(graph.topological_order()):
         proc = procs[i % len(procs)]
-        da, plans = builder.plan_messages(task, proc)
-        start = builder.earliest_start(task, proc, da)
-        builder.commit(task, proc, start, plans)
+        builder.place(task, proc)
     return builder.finish()

@@ -105,21 +105,11 @@ def schedule_spdecomp(system: HeterogeneousSystem) -> Schedule:
     pin: Dict[TaskId, Proc] = {}
     for task in order:
         if task in pin:
-            candidates = [pin[task]]
-        else:
-            candidates = list(system.topology.processors)
+            builder.place(task, pin[task])
+            continue
+        # price the whole series segment on each processor
         tail = tail_of.get(task, [])
-        best = None  # (score, proc, start, plans)
-        for proc in candidates:
-            da, plans = builder.plan_messages(task, proc)
-            start = builder.earliest_start(task, proc, da)
-            eft = start + system.exec_cost(task, proc)
-            # price the whole series segment on this processor
-            score = eft + sum(system.exec_cost(m, proc) for m in tail)
-            if best is None or (score, proc) < (best[0], best[1]):
-                best = (score, proc, start, plans)
-        _, proc, start, plans = best
-        builder.commit(task, proc, start, plans)
+        proc = builder.place_earliest_finish(task, tail)
         for member in tail:
             pin[member] = proc
     return builder.finish()

@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.errors import ConfigurationError, CycleError
 from repro.graph.model import TaskId
 from repro.graph.validation import validate_graph
-from repro.network.routing import shortest_path
+from repro.network.routing import shortest_path, shortest_path_trie
 from repro.network.system import HeterogeneousSystem, LinkHeterogeneity
 from repro.network.topology import Proc
 from repro.obs import counters as _obs
@@ -274,7 +274,8 @@ class BSAScheduler:
             lbs = [0.0] * topology.n_procs
             tl_memo: Dict = {}
             for k in preds:
-                kb = committed_arrival_bounds(sched, (k, task), tl_memo)
+                trie = shortest_path_trie(topology, slots[k].proc)
+                kb = committed_arrival_bounds(sched, (k, task), trie, tl_memo)
                 for p, b in enumerate(kb):
                     if b > lbs[p]:
                         lbs[p] = b

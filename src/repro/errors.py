@@ -68,3 +68,7 @@ class ConfigurationError(ReproError):
 
 class WorkloadError(ReproError):
     """A workload generator received unusable parameters."""
+
+
+class RequestTooLargeError(ReproError):
+    """A service request body is larger than the server accepts."""

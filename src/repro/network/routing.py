@@ -13,14 +13,17 @@ method"); :func:`ecube_path` implements it (dimension-ordered: correct
 address bits from least-significant upward), and
 ``RoutingTable(topology, strategy="ecube")`` builds a table from it.
 
-BSA deliberately needs *no* routing table — routes emerge from migration —
-but the table is also used by the schedule *validator* to check that DLS
-routes are shortest paths, and by tests.
+BSA deliberately needs *no* routing table — routes emerge from migration
+over on-demand :func:`shortest_path` routes. The list schedulers route
+every message over a table, and the earliest-finish screen of HEFT, CPOP
+and spdecomp walks the table's routes merged into one trie per source
+(:meth:`RoutingTable.trie`). The validator checks route contiguity and
+timing only; it never builds a table.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.errors import RoutingError
 from repro.network.topology import Link, Proc, Topology, link_id
@@ -56,6 +59,7 @@ class RoutingTable:
         self._next: Dict[Proc, Dict[Proc, Proc]] = {}
         # materialized-path memo (the table is immutable); off in the reference mode
         self._path_cache: Dict[Tuple[Proc, Proc], List[Proc]] = {}
+        self._trie_cache: Dict[Proc, PathTrie] = {}
         if strategy == "ecube":
             _check_hypercube(topology)
             for src in topology.processors:
@@ -155,6 +159,15 @@ class RoutingTable:
     def hop_distance(self, src: Proc, dst: Proc) -> int:
         return len(self.path(src, dst)) - 1
 
+    def trie(self, src: Proc) -> PathTrie:
+        """This table's routes from ``src``, merged by shared prefix into
+        one trie (layout as :func:`shortest_path_trie`). Table routes may
+        differ from :func:`shortest_path` (BFS breaks ties from the
+        destination), so a screen that bounds table-routed plans must
+        walk this trie. Memoized per table; shared, do not mutate."""
+        return _memo_trie(self._trie_cache, self.topology, src,
+                          lambda _topology, a, b: self.path(a, b))
+
 
 def shortest_path(topology: Topology, src: Proc, dst: Proc) -> List[Proc]:
     """BFS shortest path (for callers that don't keep a table).
@@ -195,6 +208,17 @@ def shortest_path_trie(topology: Topology, src: Proc) -> PathTrie:
     path memo (tries depend only on the topology); shared, do not mutate.
     """
     cache: Dict[Proc, PathTrie] = topology.__dict__.setdefault("_trie_cache", {})
+    return _memo_trie(cache, topology, src, shortest_path)
+
+
+def _memo_trie(
+    cache: Dict[Proc, PathTrie],
+    topology: Topology,
+    src: Proc,
+    path: Callable[[Topology, Proc, Proc], List[Proc]],
+) -> PathTrie:
+    """``cache[src]``, built on a miss by merging ``path(topology, src,
+    dst)`` for every ``dst`` by shared prefix."""
     trie = cache.get(src)
     if trie is not None:
         if _obs.ACTIVE:
@@ -212,8 +236,8 @@ def shortest_path_trie(topology: Topology, src: Proc) -> PathTrie:
         if dst == src:
             continue
         node = -1
-        path = shortest_path(topology, src, dst)
-        for a, b in zip(path, path[1:]):
+        route = path(topology, src, dst)
+        for a, b in zip(route, route[1:]):
             key = (node, a, b)
             nxt = index.get(key)
             if nxt is None:

@@ -73,6 +73,10 @@ COUNTERS: Dict[str, str] = {
         "full Kahn settle passes (settle() calls and incremental fallbacks)",
     "txn.rollbacks":
         "schedule transactions rolled back via the undo log",
+    "list.candidates_evaluated":
+        "exact (task, processor) plans in the HEFT/CPOP/spdecomp earliest-finish argmin",
+    "list.candidates_pruned":
+        "earliest-finish candidates skipped by the committed-load bound",
     "route.trie_hits":
         "candidate-screen route-trie cache hits",
     "route.trie_misses":

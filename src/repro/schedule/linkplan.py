@@ -27,7 +27,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Dict, List, Tuple
 
-from repro.network.routing import shortest_path_trie
+from repro.network.routing import PathTrie
 from repro.network.topology import Link, Proc, link_id
 from repro.schedule.events import Edge
 from repro.schedule.schedule import Schedule
@@ -162,19 +162,22 @@ def arrival_lower_bound(
 def committed_arrival_bounds(
     sched: Schedule,
     edge: Edge,
+    trie: PathTrie,
     tl_memo: Dict[Link, Timeline],
 ) -> List[float]:
     """Lower bound on ``edge``'s arrival at *every* processor if its
     consumer moved there, walking committed link timelines only.
 
     The message leaves the producer's processor at its finish time and
-    follows the :func:`~repro.network.routing.shortest_path` route to each
-    destination — one earliest-gap query per node of that processor's
-    :func:`~repro.network.routing.shortest_path_trie`, against the
-    schedule's committed load and without a planner's tentative
-    reservations. Hop durations come from the same
-    ``HeterogeneousSystem.comm_cost`` memo :meth:`LinkPlanner.walk_path`
-    reads, so every float matches the real plan's.
+    follows the routes merged in ``trie``, which must be the producer
+    processor's trie of the routes the real plan takes — BSA passes
+    :func:`~repro.network.routing.shortest_path_trie`, the list
+    schedulers :meth:`~repro.network.routing.RoutingTable.trie`. One
+    earliest-gap query runs per trie node, against the schedule's
+    committed load and without a planner's tentative reservations. Hop
+    durations come from the same ``HeterogeneousSystem.comm_cost`` memo
+    :meth:`LinkPlanner.walk_path` reads, so every float matches the real
+    plan's.
 
     Soundness: under the insertion slot policy ``earliest_gap`` is
     monotone nondecreasing in both the ready time and the reservation
@@ -186,18 +189,15 @@ def committed_arrival_bounds(
     heterogeneous links and skewed bandwidths. It does *not* hold under
     the append policy, whose "last reservation in start order" can move
     earlier once tentative hops are layered on — callers must use it
-    only with shortest routes and insertion.
+    only with insertion.
 
     ``tl_memo`` (channel -> timeline) skips the schedule's stamped
     timeline-cache probe on repeat channels; callers bounding several
     messages against one committed state share one dict across them.
     """
     system = sched.system
-    producer = sched.slots[edge[0]]
-    finish = producer.finish
-    parents, channels, links, dst_node = shortest_path_trie(
-        system.topology, producer.proc
-    )
+    finish = sched.slots[edge[0]].finish
+    parents, channels, links, dst_node = trie
     comm_cache = system._comm_cache
     comm_cost = system.comm_cost
     link_timeline = sched.link_timeline

@@ -38,6 +38,7 @@ from repro.errors import (
     GraphError,
     InvalidScheduleError,
     ReproError,
+    RequestTooLargeError,
     RoutingError,
     SchedulingError,
     TopologyError,
@@ -77,6 +78,7 @@ ERROR_TABLE: Dict[Type[BaseException], ErrorSpec] = {
     RoutingError: ErrorSpec("routing", 8, 422),
     SchedulingError: ErrorSpec("scheduling", 9, 422),
     WorkloadError: ErrorSpec("workload", 10, 400),
+    RequestTooLargeError: ErrorSpec("request-too-large", 12, 413),
     ReproError: ErrorSpec("error", 11, 500),
     OSError: ErrorSpec("io", 3, 400),
 }

@@ -45,7 +45,9 @@ key, cache disposition, wall ms) through :mod:`repro.obs.ndjson`;
 
 Errors are structured everywhere: the body is
 ``{error, kind, detail, violations?}`` from
-:mod:`repro.service.errors`, with the table's HTTP status.
+:mod:`repro.service.errors`, with the table's HTTP status. A POST whose
+``Content-Length`` exceeds :data:`MAX_REQUEST_BODY_BYTES` is answered
+413 without reading the body, and the connection closes.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional
 
 from repro import __version__, obs
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, RequestTooLargeError
 from repro.service.errors import error_payload, http_status_for
 from repro.service.pipeline import execute
 from repro.service.requests import (
@@ -74,6 +76,11 @@ __all__ = ["ReproServer", "make_server", "serve"]
 
 #: default sweep size above which /sweep answers 202 + job id
 DEFAULT_ASYNC_THRESHOLD = 8
+
+#: largest request body the server reads (32 MiB, far above any inline
+#: graph the repository ships); a longer ``Content-Length`` is answered
+#: 413 without reading the body
+MAX_REQUEST_BODY_BYTES = 32 * 1024 * 1024
 
 
 class JobStore:
@@ -203,7 +210,14 @@ class _Handler(BaseHTTPRequestHandler):
         self._send(status, body, headers=headers)
 
     def _send_error_payload(self, exc: BaseException) -> None:
-        self._send_json(http_status_for(exc), error_payload(exc))
+        # a 413 leaves the body unread on the socket, where it would be
+        # parsed as the next request: close the connection instead
+        headers = (
+            {"Connection": "close"}
+            if isinstance(exc, RequestTooLargeError) else None
+        )
+        self._send_json(http_status_for(exc), error_payload(exc),
+                        headers=headers)
 
     def _authorized(self) -> bool:
         key = self.server.api_key
@@ -231,6 +245,11 @@ class _Handler(BaseHTTPRequestHandler):
             length = int(self.headers.get("Content-Length", 0))
         except ValueError:
             length = 0
+        if length > MAX_REQUEST_BODY_BYTES:
+            raise RequestTooLargeError(
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_REQUEST_BODY_BYTES}-byte limit"
+            )
         raw = self.rfile.read(length) if length > 0 else b""
         if not raw:
             raise ConfigurationError("request body is empty; expected JSON")

@@ -5,6 +5,8 @@ import pytest
 from repro import HeterogeneousSystem, TaskGraph, chain, ring
 from repro.baselines.common import ListScheduleBuilder
 from repro.errors import SchedulingError
+from repro.experiments.config import Cell
+from repro.experiments.runner import build_cell_system
 from repro.schedule.validator import schedule_violations
 
 
@@ -89,3 +91,38 @@ class TestBuilderPolicies:
         sched = builder.finish()
         assert schedule_violations(sched) == []
         assert all(r.is_local for r in sched.routes.values())
+
+
+class TestEarliestFinishScreen:
+    @pytest.mark.parametrize("cell", [
+        Cell("regular", "gauss", 60, 1.0, "ring", "x", n_procs=16,
+             graph_seed=3, system_seed=3),
+        Cell("random", "random", 60, 10.0, "random", "x", n_procs=16,
+             link_het=True, graph_seed=5, system_seed=5),
+        Cell("random", "random", 60, 1.0, "torus", "x", n_procs=16,
+             duplex="full", bandwidth_skew=4.0, graph_seed=7, system_seed=7),
+    ], ids=["ring16", "random16-link-het", "torus-fd-skew"])
+    def test_arrival_bounds_never_exceed_planned_arrival(self, cell):
+        """The screen's soundness, step by step: before every placement
+        the committed-load bound is at most the exact planned arrival on
+        every processor, bit for bit."""
+        system = build_cell_system(cell)
+        b = ListScheduleBuilder(system, algorithm="test",
+                                proc_insertion=True)
+        for task in system.graph.topological_order():
+            lbs = b.arrival_bounds(task)
+            for proc in system.topology.processors:
+                da, _ = b.plan_messages(task, proc)
+                assert lbs[proc] <= da
+            b.place_earliest_finish(task)
+        assert schedule_violations(b.finish()) == []
+
+    def test_append_links_evaluate_every_candidate(self, builder):
+        """The committed walk is no bound under the append link policy,
+        so the argmin plans every processor."""
+        b = ListScheduleBuilder(builder.system, algorithm="test",
+                                link_insertion=False)
+        for task in ("x", "y", "z"):
+            b.place_earliest_finish(task)
+        assert b.candidates_evaluated == 9
+        assert b.candidates_pruned == 0

@@ -30,6 +30,7 @@ CURATED_MODULES = [
     "repro.baselines.heft",
     "repro.baselines.cpop",
     "repro.baselines.etf",
+    "repro.baselines.spdecomp",
 ]
 
 

@@ -137,6 +137,38 @@ PINNED_N1000_SHA256 = (
 )
 
 
+#: 16-processor cells for the list schedulers' earliest-finish screen:
+#: ring and random topologies (where routing-table routes differ from
+#: ``shortest_path``), per-message link factors, full duplex with skewed
+#: bandwidth, and fine and coarse granularity
+LIST_SCREEN_CELLS = {
+    "ring16": Cell("regular", "gauss", 100, 1.0, "ring", "x", n_procs=16,
+                   graph_seed=2, system_seed=2),
+    "random16": Cell("random", "random", 100, 1.0, "random", "x",
+                     n_procs=16, graph_seed=4, system_seed=4),
+    "link_het16": Cell("regular", "lu", 100, 1.0, "ring", "x", n_procs=16,
+                       link_het=True, graph_seed=6, system_seed=6),
+    "torus_fd_skew16": Cell("random", "random", 100, 1.0, "torus", "x",
+                            n_procs=16, graph_seed=8, system_seed=8,
+                            duplex="full", bandwidth_skew=4.0),
+    "gran01_16": Cell("regular", "laplace", 100, 0.1, "random", "x",
+                      n_procs=16, graph_seed=10, system_seed=10),
+    "gran10_16": Cell("regular", "mva", 100, 10.0, "ring", "x", n_procs=16,
+                      graph_seed=12, system_seed=12),
+}
+
+ENGINE_MODE_CASES = [
+    (algorithm, suite)
+    for algorithm in ("bsa", "dls", "heft", "cpop", "etf", "spdecomp")
+    for suite in ("regular", "random", "torus", "fattree", "torus_fd",
+                  "fattree_skew")
+] + [
+    (algorithm, suite)
+    for algorithm in ("heft", "cpop", "spdecomp")
+    for suite in LIST_SCREEN_CELLS
+]
+
+
 def _cell(suite: str) -> Cell:
     return {
         "regular": CELL_REGULAR,
@@ -145,6 +177,7 @@ def _cell(suite: str) -> Cell:
         "fattree": CELL_FATTREE,
         "torus_fd": CELL_TORUS_FD,
         "fattree_skew": CELL_FATTREE_SKEW,
+        **LIST_SCREEN_CELLS,
     }[suite]
 
 
@@ -192,12 +225,7 @@ class TestEngineModesIdentical:
     """legacy reference oracle vs the incremental engine —
     byte-identical serialized output."""
 
-    @pytest.mark.parametrize(
-        "suite", ["regular", "random", "torus", "fattree", "torus_fd", "fattree_skew"]
-    )
-    @pytest.mark.parametrize(
-        "algorithm", ["bsa", "dls", "heft", "cpop", "etf", "spdecomp"]
-    )
+    @pytest.mark.parametrize("algorithm,suite", ENGINE_MODE_CASES)
     def test_serialized_schedules_identical(self, suite, algorithm, both_modes):
         blobs = {}
         for mode in MODES:

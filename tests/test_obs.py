@@ -108,6 +108,17 @@ GOLDEN_INCREMENTAL_N40 = {
     "txn.rollbacks": 2,
 }
 
+#: the same pinned cell under HEFT: the earliest-finish screen plans one
+#: candidate exactly per task (40 of 640) and walks a routing-table trie
+#: once per incoming message (64 walks, 15 of them building the trie).
+#: The legacy oracle plans all 640.
+GOLDEN_HEFT_N40 = {
+    "list.candidates_evaluated": 40,
+    "list.candidates_pruned": 600,
+    "route.trie_hits": 49,
+    "route.trie_misses": 15,
+}
+
 
 class TestCounters:
     def test_registry_has_help_text(self):
@@ -141,6 +152,10 @@ class TestCounters:
     def test_golden_snapshot_incremental(self, obs_on, incremental_mode):
         run_cells([_pinned_cell()], use_cache=False)
         assert _engine_counters() == GOLDEN_INCREMENTAL_N40
+
+    def test_golden_snapshot_heft(self, obs_on, incremental_mode):
+        run_cells([_pinned_cell(algorithm="heft")], use_cache=False)
+        assert _engine_counters() == GOLDEN_HEFT_N40
 
     def test_rep_to_rep_identical(self, obs_on, incremental_mode):
         run_cells([_pinned_cell()], use_cache=False)

@@ -4,7 +4,8 @@ import pytest
 
 from repro import RoutingTable, clique, hypercube, ring
 from repro.errors import RoutingError
-from repro.network.routing import shortest_path
+from repro.experiments.runner import build_topology
+from repro.network.routing import shortest_path, shortest_path_trie
 from repro.network.topology import random_topology
 
 
@@ -70,3 +71,62 @@ class TestShortestPath:
 
     def test_same_node(self):
         assert shortest_path(ring(4), 2, 2) == [2]
+
+
+def _trie_route(trie, src, dst):
+    """The processor sequence a route trie stores for ``src -> dst``,
+    rebuilt from its hops; also checks each hop's channel."""
+    parents, channels, links, dst_node = trie
+    nodes = []
+    node = dst_node[dst]
+    while node >= 0:
+        nodes.append(node)
+        node = parents[node]
+    route = [src]
+    for node in reversed(nodes):
+        a, b = links[node]
+        assert route[-1] in (a, b)
+        route.append(b if route[-1] == a else a)
+    return route, [channels[n] for n in reversed(nodes)]
+
+
+TRIE_CASES = [
+    (name, strategy)
+    for name in ("ring", "random", "torus", "fattree", "hypercube")
+    for strategy in ("bfs", "weighted")
+] + [("hypercube", "ecube")]
+
+
+class TestRouteTrie:
+    @pytest.mark.parametrize("name,strategy", TRIE_CASES)
+    def test_table_trie_reproduces_table_paths(self, name, strategy):
+        """The list schedulers' screen walks ``table.trie(src)`` in place
+        of ``table.path(src, dst)``: every route must match hop for hop,
+        channels included."""
+        topo = build_topology(name, 16, seed=0)
+        table = RoutingTable(topo, strategy=strategy)
+        for src in topo.processors:
+            trie = table.trie(src)
+            assert trie is table.trie(src)  # memoized per table
+            for dst in topo.processors:
+                if dst == src:
+                    assert trie[3][dst] == -1
+                    continue
+                route, channels = _trie_route(trie, src, dst)
+                path = table.path(src, dst)
+                assert route == path
+                assert channels == [topo._channel[(a, b)]
+                                    for a, b in zip(path, path[1:])]
+
+    def test_ring16_table_routes_are_not_shortest_path_routes(self):
+        """BFS tables break ties from the destination, ``shortest_path``
+        from the source: on ring-16 some equal-length routes differ, so
+        a trie built from ``shortest_path`` would fail the test above."""
+        topo = ring(16)
+        table = RoutingTable(topo)
+        differ = [(a, b) for a in topo.processors for b in topo.processors
+                  if table.path(a, b) != shortest_path(topo, a, b)]
+        assert differ
+        for a, b in differ:
+            route, _ = _trie_route(shortest_path_trie(topo, a), a, b)
+            assert route != table.path(a, b)

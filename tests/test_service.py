@@ -482,6 +482,23 @@ class TestHttp:
         assert status == 400
         assert json.loads(body)["kind"] == "configuration"
 
+    def test_oversized_body_is_413_and_closes(self, server):
+        """A Content-Length above the limit is refused before the body
+        is read; the connection closes, since the unread bytes would
+        otherwise be parsed as the next request."""
+        from repro.service.http import MAX_REQUEST_BODY_BYTES
+
+        status, headers, body = _request(
+            server, "POST", "/schedule", b"{}",
+            headers={"Content-Length": str(MAX_REQUEST_BODY_BYTES + 1)})
+        doc = json.loads(body)
+        assert status == 413
+        assert doc["kind"] == "request-too-large"
+        assert doc["error"] == "RequestTooLargeError"
+        assert headers["Connection"] == "close"
+        # the server is still healthy on a fresh connection
+        assert _request(server, "GET", "/health")[0] == 200
+
     def test_non_json_body_is_400(self, server):
         status, _, body = _request(server, "POST", "/schedule", b"not json")
         assert status == 400
