@@ -10,23 +10,27 @@ to BSA's substrate, only the route choice differs (table vs incremental).
 HEFT, CPOP and spdecomp share one earliest-finish argmin,
 :meth:`ListScheduleBuilder.place_earliest_finish`, which screens the
 candidate processors with a committed-load lower bound before planning
-any message exactly.
+any message exactly. DLS and ETF share one argmin over ready (task,
+processor) pairs, :meth:`ListScheduleBuilder.place_ready_pairs`, which
+keeps the pairs in a lazy priority queue when links append.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SchedulingError
 from repro.graph.model import TaskId
 from repro.network.routing import RoutingTable
-from repro.network.system import HeterogeneousSystem
+from repro.network.system import HeterogeneousSystem, LinkHeterogeneity
 from repro.network.topology import Proc
 from repro.obs import counters as _obs
 from repro.schedule.events import Edge
 from repro.schedule.linkplan import (
     LinkPlanner,
+    arrival_lower_bound,
     committed_arrival_bounds,
     slot_start,
 )
@@ -60,7 +64,7 @@ class ListScheduleBuilder:
         self.routing = routing or RoutingTable(system.topology)
         self.link_insertion = link_insertion
         self.proc_insertion = proc_insertion
-        #: exact plans / screened-out candidates of place_earliest_finish
+        #: exact plans / skipped candidates of the two argmins
         self.candidates_evaluated = 0
         self.candidates_pruned = 0
 
@@ -138,7 +142,7 @@ class ListScheduleBuilder:
         reservation set; the arrival is a plain max; the sums add the
         same floats), so no slack is needed and the chosen processor is
         the exhaustive loop's. The legacy reference mode, and the
-        append link policy (where the committed walk is no bound),
+        append link policy (which that argument does not cover),
         evaluate every processor in order.
         """
         system = self.system
@@ -176,6 +180,152 @@ class ListScheduleBuilder:
         """Commit ``task`` on ``proc`` at its earliest start there."""
         da, plans = self.plan_messages(task, proc)
         self.commit(task, proc, self.earliest_start(task, proc, da), plans)
+
+    def queue_free_arrival_bounds(self, task: TaskId) -> List[float]:
+        """Per-processor lower bound on ``task``'s data arrival under
+        either link policy (indexed by processor), from
+        :func:`~repro.schedule.linkplan.arrival_lower_bound`: the
+        store-and-forward chain over the table route's hop count when
+        every hop costs its nominal ``c`` (homogeneous link factors and
+        uniform unit bandwidth; a fast link makes a hop cheaper than
+        ``c``), else the latest producer finish."""
+        system = self.system
+        graph = system.graph
+        sched = self.sched
+        pred_info = [
+            (sched.proc_of(k), sched.slots[k].finish, graph.comm_cost(k, task))
+            for k in graph.predecessors(task)
+        ]
+        hop_distance = (
+            self.routing.hop_distance
+            if system.link_mode is LinkHeterogeneity.HOMOGENEOUS
+            and system.topology.uniform_bandwidth else None
+        )
+        return [arrival_lower_bound(pred_info, proc, hop_distance)
+                for proc in system.topology.processors]
+
+    def place_ready_pairs(
+        self, key: Callable[[TaskId, Proc, float], tuple]
+    ) -> None:
+        """Schedule the whole graph greedily: each step commits the ready
+        (task, processor) pair with the smallest ``key(task, proc,
+        start)``, where ``start`` is the pair's planned start
+        ``max(data arrival, proc_available(proc))`` — processors append,
+        as in DLS and ETF.
+
+        ``key`` must be nondecreasing in ``start``, float for float, and
+        distinct for distinct pairs (DLS and ETF end theirs with the
+        task's graph index and the processor).
+
+        With append links, outside the reference mode, the pairs wait in
+        a lazy priority queue (Minoux's accelerated greedy). On an
+        append channel every reservation starts at or after the
+        channel's last finish, so a commit can only delay another pair's
+        planned start, and a key from an earlier step is a lower bound
+        on the pair's current key. A pair enters the queue when its task
+        becomes ready, keyed by :meth:`queue_free_arrival_bounds` maxed
+        with the processor's current finish. Each step pops the smallest
+        key; a key from an earlier step is planned exactly and pushed
+        back, and the first key of the current step wins. It is no
+        larger than any other pair's current key, so the pair, its start
+        and its message plans are the exhaustive loop's.
+
+        Under link insertion a pair's start can drop: a commit can push
+        one message's tentative hop into a later gap and free an earlier
+        gap for another message of the same task. There every step
+        rescans the ready pairs, skipping a pair whose bound key already
+        loses to the best exact key. The reference mode rescans without
+        skipping: it is the oracle.
+        """
+        graph = self.system.graph
+        procs = self.system.topology.processors
+        waiting = {t: graph.in_degree(t) for t in graph.tasks()}
+        ready = [t for t in graph.tasks() if waiting[t] == 0]
+        reference = reference_mode()
+        scan = reference or self.link_insertion
+        # per ready task, the rescan's arrival bounds (None: no skipping)
+        bounds: Dict[TaskId, Optional[List[float]]] = {}
+        # (key, step it was planned at or -1 for a bound, task, proc,
+        # start, plans); keys are distinct, so ties never reach plans
+        heap: list = []
+        # proc_available per processor, refreshed on each commit
+        tf = [self.proc_available(p) for p in procs]
+
+        def enqueue(task: TaskId) -> None:
+            if reference:
+                bounds[task] = None
+                return
+            lbs = self.queue_free_arrival_bounds(task)
+            if scan:
+                bounds[task] = lbs
+                return
+            for p in procs:
+                heapq.heappush(heap, (key(task, p, max(lbs[p], tf[p])), -1,
+                                      task, p, None, None))
+
+        for task in ready:
+            enqueue(task)
+        evaluated_before = self.candidates_evaluated
+        pairs = 0
+        step = 0
+        while ready:
+            pairs += len(ready) * len(procs)
+            if scan:
+                task, proc, start, plans = self._scan_ready_pairs(
+                    key, ready, bounds)
+            else:
+                task, proc, start, plans = self._pop_ready_pair(
+                    key, heap, step, tf)
+            self.commit(task, proc, start, plans)
+            tf[proc] = self.proc_available(proc)
+            step += 1
+            ready.remove(task)
+            bounds.pop(task, None)
+            for s in graph.successors(task):
+                waiting[s] -= 1
+                if waiting[s] == 0:
+                    ready.append(s)
+                    enqueue(s)
+        self.candidates_pruned += pairs - (
+            self.candidates_evaluated - evaluated_before)
+
+    def _plan_start(self, task: TaskId, proc: Proc, tf: float):
+        """Exact plans and append start of one pair (one evaluation)."""
+        da, plans = self.plan_messages(task, proc)
+        self.candidates_evaluated += 1
+        return max(da, tf), plans
+
+    def _scan_ready_pairs(self, key, ready, bounds):
+        """The rescan step of :meth:`place_ready_pairs`: every ready pair
+        in (ready order, processor) order, skipping one whose bound key
+        is no better than the best exact key so far."""
+        procs = self.system.topology.processors
+        best = None  # (key, task, proc, start, plans)
+        for task in ready:
+            lbs = bounds[task]
+            for proc in procs:
+                tf = self.proc_available(proc)
+                if (lbs is not None and best is not None
+                        and key(task, proc, max(lbs[proc], tf)) >= best[0]):
+                    continue
+                start, plans = self._plan_start(task, proc, tf)
+                k = key(task, proc, start)
+                if best is None or k < best[0]:
+                    best = (k, task, proc, start, plans)
+        return best[1:]
+
+    def _pop_ready_pair(self, key, heap, step, tf):
+        """The queue step of :meth:`place_ready_pairs`: pop until the
+        smallest key was planned at this step, re-planning stale ones."""
+        while True:
+            _, planned, task, proc, start, plans = heapq.heappop(heap)
+            if self.sched.is_scheduled(task):
+                continue  # another pair of a task committed earlier
+            if planned == step:
+                return task, proc, start, plans
+            start, plans = self._plan_start(task, proc, tf[proc])
+            heapq.heappush(heap, (key(task, proc, start), step, task, proc,
+                                  start, plans))
 
     def proc_available(self, proc: Proc) -> float:
         """Finish time of the last task on ``proc`` (DLS's ``TF``)."""

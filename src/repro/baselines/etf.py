@@ -11,14 +11,18 @@ followed this paper.
 Messages route over the static shortest-path table with exclusive link
 reservations, identical to our DLS substrate, so all baselines compare on
 equal footing.
+
+The argmin runs in
+:meth:`~repro.baselines.common.ListScheduleBuilder.place_ready_pairs`
+with the key ``(start, -static level, task index, processor)``. Links
+and processors append, so a pair's start only grows as the schedule
+does: the pairs wait in a lazy priority queue, and only those whose
+stale key could still win are planned again.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
-
 from repro.graph.analysis import static_b_levels
-from repro.graph.model import TaskId
 from repro.graph.validation import validate_graph
 from repro.network.routing import RoutingTable
 from repro.network.system import HeterogeneousSystem
@@ -53,23 +57,7 @@ def schedule_etf(system: HeterogeneousSystem) -> Schedule:
     sl = static_b_levels(graph, exec_cost=lambda t: median[t])
     order_index = {t: k for k, t in enumerate(graph.tasks())}
 
-    n_unsched: Dict[TaskId, int] = {t: graph.in_degree(t) for t in graph.tasks()}
-    ready: List[TaskId] = [t for t in graph.tasks() if n_unsched[t] == 0]
-
-    while ready:
-        best = None  # (start, -static level, index, proc, task, plans)
-        for task in ready:
-            for proc in system.topology.processors:
-                da, plans = builder.plan_messages(task, proc)
-                start = max(da, builder.proc_available(proc))
-                key = (start, -sl[task], order_index[task], proc)
-                if best is None or key < best[0]:
-                    best = (key, task, proc, start, plans)
-        _, task, proc, start, plans = best
-        builder.commit(task, proc, start, plans)
-        ready.remove(task)
-        for s in graph.successors(task):
-            n_unsched[s] -= 1
-            if n_unsched[s] == 0:
-                ready.append(s)
+    builder.place_ready_pairs(
+        lambda task, proc, start: (start, -sl[task], order_index[task], proc)
+    )
     return builder.finish()

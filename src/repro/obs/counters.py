@@ -74,9 +74,11 @@ COUNTERS: Dict[str, str] = {
     "txn.rollbacks":
         "schedule transactions rolled back via the undo log",
     "list.candidates_evaluated":
-        "exact (task, processor) plans in the HEFT/CPOP/spdecomp earliest-finish argmin",
+        "exact (task, processor) plans in the list schedulers' argmins "
+        "(HEFT/CPOP/spdecomp earliest finish, DLS/ETF ready pairs)",
     "list.candidates_pruned":
-        "earliest-finish candidates skipped by the committed-load bound",
+        "list-scheduler candidates never planned: skipped by a lower bound "
+        "or left in the DLS/ETF ready-pair queue",
     "route.trie_hits":
         "candidate-screen route-trie cache hits",
     "route.trie_misses":

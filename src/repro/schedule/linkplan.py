@@ -143,8 +143,11 @@ def arrival_lower_bound(
     Without ``hop_distance`` the bound degrades to the latest producer
     finish, which is always valid.
 
-    This and :func:`committed_arrival_bounds` are the soundness-bearing
-    kernels of BSA's and DLS's candidate screens — keep them here so the
+    The bound holds under either link policy, since queueing only delays
+    a hop. It gives BSA's screen its fallback bound, the DLS/ETF
+    ready-pair queue the first key of each pair, and DLS's insertion
+    rescan its screen. This and :func:`committed_arrival_bounds` are the
+    soundness-bearing kernels of those screens — keep them here so the
     float-exactness arguments live in exactly one place.
     """
     lb = 0.0
@@ -186,10 +189,10 @@ def committed_arrival_bounds(
     walk lower-bounds the planned arrival, and equals it whenever no
     tentative reservation shares a channel with this message. Unlike
     :func:`arrival_lower_bound`'s distance chain it holds for
-    heterogeneous links and skewed bandwidths. It does *not* hold under
-    the append policy, whose "last reservation in start order" can move
-    earlier once tentative hops are layered on — callers must use it
-    only with insertion.
+    heterogeneous links and skewed bandwidths. The argument covers the
+    insertion policy only, and callers use the walk only there; the
+    append-policy list schedulers need no bound (see
+    :meth:`~repro.baselines.common.ListScheduleBuilder.place_ready_pairs`).
 
     ``tl_memo`` (channel -> timeline) skips the schedule's stamped
     timeline-cache probe on repeat channels; callers bounding several

@@ -48,6 +48,11 @@ Errors are structured everywhere: the body is
 :mod:`repro.service.errors`, with the table's HTTP status. A POST whose
 ``Content-Length`` exceeds :data:`MAX_REQUEST_BODY_BYTES` is answered
 413 without reading the body, and the connection closes.
+
+A client that stalls for :data:`REQUEST_TIMEOUT_S` on one socket read
+loses its connection: silently while the server waits for a request
+line or headers, with a 400 ``io`` payload and ``Connection: close``
+mid-body.
 """
 
 from __future__ import annotations
@@ -81,6 +86,11 @@ DEFAULT_ASYNC_THRESHOLD = 8
 #: graph the repository ships); a longer ``Content-Length`` is answered
 #: 413 without reading the body
 MAX_REQUEST_BODY_BYTES = 32 * 1024 * 1024
+
+#: seconds a handler thread waits on one socket read before it gives
+#: up on the client: a stalled request line drops the connection, a
+#: stalled body is answered and the connection closes
+REQUEST_TIMEOUT_S = 30.0
 
 
 class JobStore:
@@ -180,6 +190,9 @@ class _Handler(BaseHTTPRequestHandler):
     # _send writes headers and body in two sends; with Nagle's algorithm
     # on, a keep-alive client's delayed ACK stalls the body ~40 ms
     disable_nagle_algorithm = True
+    # without a timeout a client that stops sending holds its handler
+    # thread forever
+    timeout = REQUEST_TIMEOUT_S
 
     # -- plumbing ------------------------------------------------------
     def log_message(self, fmt, *args):  # pragma: no cover - cosmetic
@@ -210,11 +223,12 @@ class _Handler(BaseHTTPRequestHandler):
         self._send(status, body, headers=headers)
 
     def _send_error_payload(self, exc: BaseException) -> None:
-        # a 413 leaves the body unread on the socket, where it would be
-        # parsed as the next request: close the connection instead
+        # a 413 leaves the body unread on the socket, and a read timeout
+        # leaves the rest of it: it would be parsed as the next request,
+        # so close the connection instead
         headers = (
             {"Connection": "close"}
-            if isinstance(exc, RequestTooLargeError) else None
+            if isinstance(exc, (RequestTooLargeError, TimeoutError)) else None
         )
         self._send_json(http_status_for(exc), error_payload(exc),
                         headers=headers)

@@ -1,13 +1,17 @@
 """Tests for the shared list-scheduler scaffolding."""
 
+from collections import defaultdict
+
 import pytest
 
 from repro import HeterogeneousSystem, TaskGraph, chain, ring
 from repro.baselines.common import ListScheduleBuilder
 from repro.errors import SchedulingError
 from repro.experiments.config import Cell
-from repro.experiments.runner import build_cell_system
+from repro.experiments.runner import _SCHEDULERS, build_cell_system
 from repro.schedule.validator import schedule_violations
+from repro.util.intervals import hotpath_mode, set_hotpath_mode
+from tests.test_hotpath_equivalence import LIST_SCREEN_CELLS
 
 
 @pytest.fixture
@@ -118,11 +122,80 @@ class TestEarliestFinishScreen:
         assert schedule_violations(b.finish()) == []
 
     def test_append_links_evaluate_every_candidate(self, builder):
-        """The committed walk is no bound under the append link policy,
-        so the argmin plans every processor."""
+        """The committed walk's soundness argument covers insertion
+        only, so under the append link policy the argmin plans every
+        processor."""
         b = ListScheduleBuilder(builder.system, algorithm="test",
                                 link_insertion=False)
         for task in ("x", "y", "z"):
             b.place_earliest_finish(task)
         assert b.candidates_evaluated == 9
         assert b.candidates_pruned == 0
+
+
+def _start_decreases(monkeypatch, algorithm, cell):
+    """Times a (task, processor) pair's planned start dropped between
+    two plans of it. The legacy oracle plans every ready pair at every
+    step, so each pair's starts are recorded step by step."""
+    starts = defaultdict(list)
+    plan = ListScheduleBuilder.plan_messages
+
+    def recording(self, task, proc):
+        da, plans = plan(self, task, proc)
+        starts[task, proc].append(max(da, self.proc_available(proc)))
+        return da, plans
+
+    monkeypatch.setattr(ListScheduleBuilder, "plan_messages", recording)
+    before = hotpath_mode()
+    set_hotpath_mode("legacy")
+    try:
+        _SCHEDULERS[algorithm](build_cell_system(cell))
+    finally:
+        set_hotpath_mode(before)
+    assert starts
+    return sum(b < a for s in starts.values() for a, b in zip(s, s[1:]))
+
+
+class TestReadyPairQueue:
+    @pytest.mark.parametrize("algorithm,cell", [
+        (algorithm, cell)
+        for algorithm in ("dls", "etf")
+        for cell in LIST_SCREEN_CELLS
+    ])
+    def test_append_planned_start_never_decreases(self, monkeypatch,
+                                                  algorithm, cell):
+        """The lazy queue's invariant: with append links and processors
+        a commit can only delay another pair's planned start, so a key
+        from an earlier step is a lower bound on the current one."""
+        assert _start_decreases(monkeypatch, algorithm,
+                                LIST_SCREEN_CELLS[cell]) == 0
+
+    def test_insertion_planned_start_can_decrease(self, monkeypatch):
+        """Why dls-insertion keeps the rescan: a commit can push one
+        message's tentative hop into a later gap, which frees an earlier
+        gap for a later message of the same task, so the pair's start
+        can drop."""
+        assert _start_decreases(monkeypatch, "dls-insertion",
+                                LIST_SCREEN_CELLS["link_het16"]) > 0
+
+    def test_queue_counts_every_ready_pair(self):
+        """evaluated + pruned is the ready pairs summed over steps, the
+        count the oracle plans; the queue plans only some of them."""
+        cell = LIST_SCREEN_CELLS["ring16"]
+        counts = {}
+        for mode in ("legacy", "incremental"):
+            before = hotpath_mode()
+            set_hotpath_mode(mode)
+            try:
+                system = build_cell_system(cell)
+                b = ListScheduleBuilder(system, algorithm="test",
+                                        link_insertion=False)
+                b.place_ready_pairs(lambda task, proc, start: (start, proc,
+                                                               str(task)))
+            finally:
+                set_hotpath_mode(before)
+            assert schedule_violations(b.finish()) == []
+            counts[mode] = (b.candidates_evaluated, b.candidates_pruned)
+        assert counts["legacy"][1] == 0
+        assert sum(counts["incremental"]) == counts["legacy"][0]
+        assert counts["incremental"][0] < counts["legacy"][0]

@@ -8,6 +8,7 @@ cover every layer, and the bundled corpus EXPERIMENTS.md §7 describes
 must actually ship.
 """
 
+import json
 import os
 import re
 
@@ -22,6 +23,11 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 def _read(name):
     with open(os.path.join(REPO_ROOT, name)) as fh:
         return fh.read()
+
+
+def _load_json(name):
+    with open(os.path.join(REPO_ROOT, name)) as fh:
+        return json.load(fh)
 
 
 def _subparsers(parser):
@@ -210,11 +216,7 @@ class TestExperimentsSection9:
     def test_repair_vs_replan_table_matches_bench(self):
         """The §9 table is generated from BENCH_dynamic.json — both
         artifacts are committed, so they must agree."""
-        import json
-
-        report = json.load(
-            open(os.path.join(REPO_ROOT, "BENCH_dynamic.json"))
-        )
+        report = _load_json("BENCH_dynamic.json")
         section = _read("EXPERIMENTS.md").split("## 9.")[1].split("## 10.")[0]
         assert str(report["repair_speedup"]) in section
         for s in report["scenarios"]:
@@ -236,11 +238,7 @@ class TestExperimentsSection10:
         are committed, so every point (size, the engine's scaled and raw
         medians and scaled reps, the parent engines' medians) must
         agree."""
-        import json
-
-        report = json.load(
-            open(os.path.join(REPO_ROOT, "BENCH_hotpath.json"))
-        )
+        report = _load_json("BENCH_hotpath.json")
         curve = report["scaling_curve"]
         section = _read("EXPERIMENTS.md").split("## 10.")[1]
         for p in curve["points"]:
@@ -286,11 +284,7 @@ class TestExperimentsSection11:
         """The §11 latency table is generated from BENCH_serve.json —
         both artifacts are committed, so every row (case, p50 cold/warm,
         req/s, speedup) must agree."""
-        import json
-
-        report = json.load(
-            open(os.path.join(REPO_ROOT, "BENCH_serve.json"))
-        )
+        report = _load_json("BENCH_serve.json")
         section = _read("EXPERIMENTS.md").split("## 11.")[1]
         squashed = " ".join(section.split())
         for c in report["cases"]:
@@ -318,11 +312,7 @@ class TestExperimentsSection12:
         """The §12 table is generated from BENCH_pareto.json — both
         artifacts are committed, so every row (per-algorithm objective
         vector and front membership) must agree."""
-        import json
-
-        report = json.load(
-            open(os.path.join(REPO_ROOT, "BENCH_pareto.json"))
-        )
+        report = _load_json("BENCH_pareto.json")
         assert report["jobs_identical"], (
             "committed bench violates its own --jobs byte-identity check"
         )
@@ -343,17 +333,13 @@ class TestExperimentsSection12:
         """§12's front must be the same front the golden Pareto pin in
         the equivalence suite enforces."""
         import importlib.util
-        import json
-
         spec = importlib.util.spec_from_file_location(
             "hotpath_equiv",
             os.path.join(REPO_ROOT, "tests", "test_hotpath_equivalence.py"),
         )
         mod = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(mod)
-        report = json.load(
-            open(os.path.join(REPO_ROOT, "BENCH_pareto.json"))
-        )
+        report = _load_json("BENCH_pareto.json")
         assert report["front"] == mod.PINNED_PARETO_FRONT
         assert report["cell"] == mod.CELL_PARETO.key()
 
@@ -399,9 +385,7 @@ class TestExperimentsSection13:
     def test_counter_table_matches_bench(self):
         """The §13 table is generated from BENCH_obs.json — both are
         committed, so every per-mode counter row must agree."""
-        import json
-
-        report = json.load(open(os.path.join(REPO_ROOT, "BENCH_obs.json")))
+        report = _load_json("BENCH_obs.json")
         assert report["reps_identical"], (
             "committed bench violates its own rep-to-rep identity check"
         )
@@ -426,13 +410,11 @@ class TestExperimentsSection13:
         """§13's incremental column must be the same snapshot the
         golden pin in tests/test_obs.py enforces, on the same cell."""
         import importlib.util
-        import json
-
         spec = importlib.util.spec_from_file_location(
             "obs_tests", os.path.join(REPO_ROOT, "tests", "test_obs.py"),
         )
         mod = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(mod)
-        report = json.load(open(os.path.join(REPO_ROOT, "BENCH_obs.json")))
+        report = _load_json("BENCH_obs.json")
         assert report["modes"]["incremental"] == mod.GOLDEN_INCREMENTAL_N40
         assert report["cell"] == mod._pinned_cell().key()

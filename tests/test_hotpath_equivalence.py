@@ -137,10 +137,10 @@ PINNED_N1000_SHA256 = (
 )
 
 
-#: 16-processor cells for the list schedulers' earliest-finish screen:
-#: ring and random topologies (where routing-table routes differ from
-#: ``shortest_path``), per-message link factors, full duplex with skewed
-#: bandwidth, and fine and coarse granularity
+#: 16-processor cells for the list schedulers' earliest-finish screen
+#: and ready-pair queue: ring and random topologies (where routing-table
+#: routes differ from ``shortest_path``), per-message link factors, full
+#: duplex with skewed bandwidth, and fine and coarse granularity
 LIST_SCREEN_CELLS = {
     "ring16": Cell("regular", "gauss", 100, 1.0, "ring", "x", n_procs=16,
                    graph_seed=2, system_seed=2),
@@ -164,7 +164,8 @@ ENGINE_MODE_CASES = [
                   "fattree_skew")
 ] + [
     (algorithm, suite)
-    for algorithm in ("heft", "cpop", "spdecomp")
+    for algorithm in ("heft", "cpop", "spdecomp", "dls", "etf",
+                      "dls-insertion", "dls-weighted")
     for suite in LIST_SCREEN_CELLS
 ]
 

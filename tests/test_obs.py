@@ -119,6 +119,19 @@ GOLDEN_HEFT_N40 = {
     "route.trie_misses": 15,
 }
 
+#: the same cell under DLS and ETF: the ready-pair queue plans 151 of
+#: DLS's 5104 ready (task, processor) pairs (the legacy oracle plans
+#: all of them; the per-step screen it replaced planned 651) and 101 of
+#: ETF's 3728. Neither walks a route trie.
+GOLDEN_DLS_N40 = {
+    "list.candidates_evaluated": 151,
+    "list.candidates_pruned": 4953,
+}
+GOLDEN_ETF_N40 = {
+    "list.candidates_evaluated": 101,
+    "list.candidates_pruned": 3627,
+}
+
 
 class TestCounters:
     def test_registry_has_help_text(self):
@@ -156,6 +169,14 @@ class TestCounters:
     def test_golden_snapshot_heft(self, obs_on, incremental_mode):
         run_cells([_pinned_cell(algorithm="heft")], use_cache=False)
         assert _engine_counters() == GOLDEN_HEFT_N40
+
+    @pytest.mark.parametrize("algorithm,golden", [
+        ("dls", GOLDEN_DLS_N40), ("etf", GOLDEN_ETF_N40),
+    ])
+    def test_golden_snapshot_ready_pair_queue(self, obs_on, incremental_mode,
+                                              algorithm, golden):
+        run_cells([_pinned_cell(algorithm=algorithm)], use_cache=False)
+        assert _engine_counters() == golden
 
     def test_rep_to_rep_identical(self, obs_on, incremental_mode):
         run_cells([_pinned_cell()], use_cache=False)

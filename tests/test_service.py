@@ -16,6 +16,7 @@ The contract under test, in order of importance:
 
 import http.client
 import json
+import socket
 import threading
 import time
 
@@ -54,6 +55,7 @@ from repro.service import (
     http_status_for,
     request_from_dict,
 )
+from repro.service import http as http_mod
 from repro.service.http import make_server
 from repro.util.intervals import HOTPATH_MODES, hotpath_mode, set_hotpath_mode
 
@@ -497,6 +499,45 @@ class TestHttp:
         assert doc["error"] == "RequestTooLargeError"
         assert headers["Connection"] == "close"
         # the server is still healthy on a fresh connection
+        assert _request(server, "GET", "/health")[0] == 200
+
+    @pytest.fixture()
+    def quick_timeout(self, monkeypatch):
+        assert http_mod._Handler.timeout == http_mod.REQUEST_TIMEOUT_S > 0
+        monkeypatch.setattr(http_mod._Handler, "timeout", 0.2)
+
+    @staticmethod
+    def _raw_exchange(server, payload: bytes) -> bytes:
+        """Send ``payload`` on a fresh socket, then read until the
+        server closes it (a server that never closes fails the read)."""
+        with socket.create_connection(server.server_address[:2],
+                                      timeout=5) as sock:
+            sock.sendall(payload)
+            chunks = []
+            while True:
+                data = sock.recv(65536)
+                if not data:
+                    return b"".join(chunks)
+                chunks.append(data)
+
+    def test_stalled_request_line_drops_connection(self, server,
+                                                   quick_timeout):
+        assert self._raw_exchange(server, b"POST /sched") == b""
+        # the handler thread is free and the server still answers
+        assert _request(server, "GET", "/health")[0] == 200
+
+    def test_stalled_body_is_answered_and_closes(self, server, quick_timeout):
+        """A body cut short by a read timeout is answered, and the
+        connection closes: the rest of the body must not be parsed as
+        the next request."""
+        head, _, body = self._raw_exchange(
+            server,
+            b"POST /schedule HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Length: 100\r\n\r\n{\"workload\"",
+        ).partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"\r\nConnection: close" in head
+        assert json.loads(body)["kind"] == "io"
         assert _request(server, "GET", "/health")[0] == 200
 
     def test_non_json_body_is_400(self, server):
