@@ -1,42 +1,43 @@
-"""On-disk memoization of experiment cells.
+"""On-disk memoization of experiment cells and served schedules.
 
 Figures 3/5 (and 4/6) re-aggregate the *same* runs by different axes, and
-re-running benches shouldn't redo minutes of scheduling. Results are tiny
-(a few floats per cell) so JSON keyed by
-:meth:`repro.experiments.config.Cell.key` is plenty.
+re-running benches shouldn't redo minutes of scheduling. Results are
+small JSON objects keyed by :meth:`repro.experiments.config.Cell.key` or
+a service request's idempotency key.
 
-Two layouts:
-
-* **single file** — ``ResultCache("path/to/results.json")``: everything in
-  one JSON blob (the original layout; still used by tests and ad-hoc
-  scripts);
-* **sharded** — ``ResultCache(directory, shards=N)``: keys are hashed
-  (crc32) over ``N`` shard files so a parallel sweep flushes only the
-  shards it touched and a huge grid never rewrites one monolithic file.
-  This is the default layout (``REPRO_CACHE_SHARDS``, default 8, under
-  ``REPRO_CACHE_DIR``) and applies to *any* non-``.json`` path:
-  explicit directories honor ``REPRO_CACHE_SHARDS`` and import a
-  sibling pre-sharding ``<directory>.json`` file exactly like the
-  env-derived default does.
+Layout: ``ResultCache(directory)`` keeps one file per entry,
+``<sha256 of the key>.json`` holding ``{"version", "key", "value"}``. A
+put writes a temp file in the directory and ``os.replace``-s it over
+the entry's file, so processes sharing a directory never drop each
+other's entries and a reader never sees half a file. Every writer of a
+key writes the same result (stamps differ only in ``engine_mode`` and
+cells only in ``runtime_s``, neither of which decides staleness), so
+the conflict policy is simply that the last replace wins. The default
+directory is ``$REPRO_CACHE_DIR/results`` (``.repro_cache/results``).
 
 The cache is versioned: changing the library's algorithmic behavior
 should bump ``CACHE_VERSION`` so stale numbers are never mixed in.
+Entry files are untrusted input: one that is missing, unreadable, not a
+JSON object, from another version or for another key is a miss, never
+an error.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import re
 import sys
 import tempfile
-import zlib
-from typing import Dict, Iterable, Optional, Set, Tuple
+from typing import Dict, Mapping, Optional, Set
 
 from repro.obs import counters as _obs
 
 CACHE_VERSION = 3
 
-DEFAULT_SHARDS = 8
+#: an entry file's name: the key's SHA-256 in hex
+_ENTRY_NAME = re.compile(r"[0-9a-f]{64}\.json")
 
 #: reserved key carrying an entry's provenance stamp. Result
 #: deserializers must ignore ``__``-prefixed keys.
@@ -69,28 +70,35 @@ def provenance_of(value: Optional[dict]) -> Optional[dict]:
     return value.get(PROVENANCE_KEY)
 
 
-def is_stale(value: dict, request_key: str) -> bool:
+def is_stale(value: dict, request_key: str,
+             fields: Optional[Mapping[str, type]] = None) -> bool:
     """True when a cached entry's provenance contradicts the request —
     stale entries are recomputed, never served.
 
     Staleness means a *different library version* wrote the entry, or
-    the entry was written under a *different request key* (a sharding or
-    grammar bug). ``engine_mode`` is recorded but deliberately not a
+    the entry was written under a *different request key* (a key-grammar
+    bug). ``engine_mode`` is recorded but deliberately not a
     criterion: schedules are byte-identical across the ``REPRO_HOTPATH``
     modes by contract, so cross-mode serving is correct (and the corpus
     report stays byte-identical across modes). Entries written before
     provenance existed carry no stamp and are grandfathered —
-    ``CACHE_VERSION`` gates those wholesale.
+    ``CACHE_VERSION`` gates those wholesale. Cache files are untrusted,
+    so a stamp that is not an object is stale, and so is an entry whose
+    value for a name in ``fields`` is not of the mapped type.
     """
     from repro import __version__
 
     prov = provenance_of(value)
-    stale = False
-    if prov is not None:
-        if prov.get("repro_version") != __version__:
-            stale = True
-        elif prov.get("request_key") != request_key:
-            stale = True
+    if prov is None:
+        stale = False
+    elif not isinstance(prov, dict):
+        stale = True
+    else:
+        stale = (prov.get("repro_version") != __version__
+                 or prov.get("request_key") != request_key)
+    if fields and not stale:
+        stale = any(not isinstance(value.get(name), kind)
+                    for name, kind in fields.items())
     if _obs.ACTIVE:
         # every get() that found an entry is followed by exactly one
         # is_stale() at each caller, so hit/stale tally here (misses
@@ -101,169 +109,100 @@ def is_stale(value: dict, request_key: str) -> bool:
 
 
 class ResultCache:
-    """A dict-like JSON cache for cell results (single-file or sharded)."""
+    """A dict-like JSON cache: one atomic file per entry in ``path``."""
 
-    def __init__(self, path: Optional[str] = None, shards: Optional[int] = None):
+    def __init__(self, path: Optional[str] = None):
         if path is None:
             root = os.environ.get("REPRO_CACHE_DIR", ".repro_cache")
             path = os.path.join(root, "results")
-        # A ``.json`` path is the single-file layout; anything else is a
-        # shard directory. Directory construction — default *or*
-        # explicit — honors REPRO_CACHE_SHARDS (explicit ``shards=``
-        # still wins); it used to be honored only for ``path=None``.
-        # Exception: an existing *file* at an extension-less path is a
-        # cache written under the old single-file default for that
-        # spelling — keep reading/writing it as one rather than
-        # shadowing it with a same-named directory.
-        if shards is None and not path.endswith(".json"):
-            if os.path.isfile(path):
-                shards = 1
-            else:
-                try:
-                    shards = int(os.environ.get("REPRO_CACHE_SHARDS",
-                                                DEFAULT_SHARDS))
-                except ValueError:  # typo'd env var — fall back, don't crash
-                    shards = DEFAULT_SHARDS
         self.path = path
-        self.n_shards = max(1, int(shards or 1))
-        self.sharded = self.n_shards > 1
-        self._shards: Dict[int, Dict[str, dict]] = {}
-        self._loaded: Set[int] = set()
-        self._dirty: Set[int] = set()
-        self._flush_warned = False
-        # a pre-sharding single-file cache sits next to the shard
-        # directory under the same stem (<dir>.json) — import it for
-        # explicit directories too, not just the env-derived default
-        legacy_file = path + ".json"
-        if (
-            self.sharded
-            and not os.path.isdir(self.path)
-            and os.path.isfile(legacy_file)
-        ):
-            self._import_legacy(legacy_file)
+        # entries this handle has read or written; misses are never
+        # remembered, so an entry another process writes later is found
+        self._entries: Dict[str, dict] = {}
+        # keys whose last write failed: kept in memory, retried on the
+        # next put
+        self._unwritten: Set[str] = set()
+        self._warned = False
 
-    def _import_legacy(self, legacy_file: str) -> None:
-        """Absorb a pre-sharding single-file cache (same CACHE_VERSION)
-        into the shard maps so old results are not silently recomputed.
-        Entries are marked dirty and persist on the next flush; the old
-        file is left in place untouched."""
-        try:
-            with open(legacy_file) as fh:
-                blob = json.load(fh)
-        except (OSError, ValueError):
-            return
-        if blob.get("version") != CACHE_VERSION:
-            return
-        self._loaded.update(range(self.n_shards))
-        for idx in range(self.n_shards):
-            self._shards.setdefault(idx, {})
-        for key, value in blob.get("results", {}).items():
-            idx = self._shard_of(key)
-            self._shards[idx][key] = value
-            self._dirty.add(idx)
+    def _file(self, key: str) -> str:
+        digest = hashlib.sha256(key.encode("utf-8")).hexdigest()
+        return os.path.join(self.path, digest + ".json")
 
-    # ------------------------------------------------------------------
-    def _shard_of(self, key: str) -> int:
-        if not self.sharded:
-            return 0
-        return zlib.crc32(key.encode("utf-8")) % self.n_shards
-
-    def _shard_path(self, idx: int) -> str:
-        if not self.sharded:
-            return self.path
-        return os.path.join(self.path, f"shard-{idx:02d}.json")
-
-    def _load(self, idx: int) -> Dict[str, dict]:
-        if idx in self._loaded:
-            return self._shards.setdefault(idx, {})
-        self._loaded.add(idx)
-        data: Dict[str, dict] = {}
-        try:
-            with open(self._shard_path(idx)) as fh:
-                blob = json.load(fh)
-            if blob.get("version") == CACHE_VERSION:
-                data = blob.get("results", {})
-        except (OSError, ValueError):
-            pass
-        self._shards[idx] = data
-        return data
-
-    # ------------------------------------------------------------------
     def get(self, key: str) -> Optional[dict]:
-        value = self._load(self._shard_of(key)).get(key)
-        if value is None and _obs.ACTIVE:
-            _obs.inc("cache.misses")
+        value = self._entries.get(key)
+        if value is None:
+            value = self._read(key)
+            if value is not None:
+                self._entries[key] = value
+            elif _obs.ACTIVE:
+                _obs.inc("cache.misses")
         return value
 
-    def put(self, key: str, value: dict, flush: bool = True) -> None:
-        idx = self._shard_of(key)
-        self._load(idx)[key] = value
-        self._dirty.add(idx)
-        if flush:
-            self.flush()
-
-    def put_many(self, items: Iterable[Tuple[str, dict]], flush: bool = True) -> None:
-        """Insert many results, deferring I/O to one flush of the dirty
-        shards — the bulk path used by the parallel runner."""
-        for key, value in items:
-            idx = self._shard_of(key)
-            self._load(idx)[key] = value
-            self._dirty.add(idx)
-        if flush:
-            self.flush()
-
-    def flush(self) -> None:
-        """Write every dirty shard (atomic per shard: tmp file + rename).
-
-        A shard that fails to write (e.g. disk full) *stays dirty* so the
-        next flush retries it — in-memory results are never silently
-        dropped from persistence.
-        """
-        if not self._dirty:
-            return
-        directory = self.path if self.sharded else (os.path.dirname(self.path) or ".")
+    def _read(self, key: str) -> Optional[dict]:
         try:
-            os.makedirs(directory, exist_ok=True)
-        except OSError as exc:
-            self._warn_once(directory, exc)
-            return  # every shard stays dirty; the next flush retries
-        written = []
-        for idx in sorted(self._dirty):
-            blob = {"version": CACHE_VERSION, "results": self._shards.get(idx, {})}
-            try:
-                fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-            except OSError as exc:
-                self._warn_once(directory, exc)
-                continue
-            try:
-                with os.fdopen(fd, "w") as fh:
-                    json.dump(blob, fh)
-                os.replace(tmp, self._shard_path(idx))
-                written.append(idx)
-            except OSError as exc:
-                self._warn_once(directory, exc)
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-        self._dirty.difference_update(written)
+            with open(self._file(key)) as fh:
+                blob = json.load(fh)
+        except (OSError, ValueError, RecursionError):
+            return None
+        if (
+            not isinstance(blob, dict)
+            or blob.get("version") != CACHE_VERSION
+            or blob.get("key") != key
+        ):
+            return None
+        value = blob.get("value")
+        return value if isinstance(value, dict) else None
 
-    def _warn_once(self, directory: str, exc: OSError) -> None:
-        """A persistently failing flush must not be silent: results stay
-        in memory and every flush retries, but the operator should know
+    def put(self, key: str, value: dict) -> None:
+        """Store ``value`` in memory and write its file, retrying any
+        earlier write that failed."""
+        self._entries[key] = value
+        self._unwritten.add(key)
+        for pending in list(self._unwritten):
+            if self._write(pending):
+                self._unwritten.discard(pending)
+
+    def _write(self, key: str) -> bool:
+        blob = {"version": CACHE_VERSION, "key": key, "value": self._entries[key]}
+        try:
+            os.makedirs(self.path, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=self.path, suffix=".tmp")
+        except OSError as exc:
+            self._warn_once(exc)
+            return False
+        try:
+            with os.fdopen(fd, "w") as fh:
+                json.dump(blob, fh)
+            os.replace(tmp, self._file(key))
+        except OSError as exc:
+            self._warn_once(exc)
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            return False
+        return True
+
+    def _warn_once(self, exc: OSError) -> None:
+        """A persistently failing write must not be silent: results stay
+        in memory and every put retries, but the operator should know
         persistence is off. One warning per cache instance."""
-        if not self._flush_warned:
-            self._flush_warned = True
+        if not self._warned:
+            self._warned = True
             sys.stderr.write(
-                f"repro: result-cache flush to {directory!r} failed "
+                f"repro: result-cache write to {self.path!r} failed "
                 f"({exc}); results kept in memory, will retry on the "
-                f"next flush\n"
+                f"next put\n"
             )
 
     def __len__(self) -> int:
-        return sum(
-            len(self._load(idx)) for idx in range(self.n_shards)
-        )
+        """Entry files in the directory plus entries not yet written."""
+        try:
+            names = {n for n in os.listdir(self.path) if _ENTRY_NAME.fullmatch(n)}
+        except OSError:
+            names = set()
+        names.update(os.path.basename(self._file(k)) for k in self._unwritten)
+        return len(names)
 
 
 #: process-wide default cache instance

@@ -8,9 +8,9 @@ contention model would be meaningless.
 deduplicates cells, serves cache hits, and fans the misses out over a
 ``concurrent.futures`` process pool in deterministic chunks. Workers never
 touch the on-disk cache — results flow back to the parent, which writes
-them through the sharded cache in one flush per chunk — so a sweep's
-outcome is bit-for-bit independent of ``jobs`` (each cell is a pure
-function of its own seeds; see ``tests/test_parallel_determinism.py``).
+each one to the cache as it arrives — so a sweep's outcome is
+bit-for-bit independent of ``jobs`` (each cell is a pure function of
+its own seeds; see ``tests/test_parallel_determinism.py``).
 """
 
 from __future__ import annotations
@@ -409,16 +409,14 @@ def _run_cells_impl(
         say(f"cache: {len(results)}/{len(unique)} cells already present")
 
     def _absorb(pairs: List[Tuple[str, dict]]) -> None:
-        good = []
         for key, payload in pairs:
             if "__error__" in payload:
                 report.failures.append((key, payload["__error__"]))
                 continue
             results[key] = CellResult.from_dict(payload)
-            good.append((key, stamp_provenance(payload, key)))
             report.computed += 1
-        if use_cache and good:
-            cache.put_many(good, flush=True)
+            if use_cache:
+                cache.put(key, stamp_provenance(payload, key))
 
     if misses:
         if jobs <= 1:

@@ -54,7 +54,7 @@ COUNTERS: Dict[str, str] = {
     "bsa.candidates_evaluated":
         "exact candidate (task, processor) evaluations",
     "bsa.candidates_pruned":
-        "candidates skipped by lower-bound / vectorized mask pruning",
+        "candidates skipped by the finish-time lower-bound screen",
     "bsa.migrations":
         "committed task migrations",
     "bsa.vip_migrations":

@@ -29,7 +29,9 @@ Endpoints
   byte-identical to ``repro pareto`` stdout for the same request.
 * ``GET /jobs/<id>`` — poll an async job: status, then the full result
   payload (with cache/provenance metadata) once done, plus the job's
-  ``wall_ms``.
+  ``wall_ms``. The server keeps the newest :data:`MAX_FINISHED_JOBS`
+  finished jobs; polling one it has dropped answers 410
+  ``job-evicted``.
 * ``GET /metrics`` — Prometheus text exposition of the deterministic
   engine counters (:mod:`repro.obs.promtext`) plus transport gauges.
   Like ``/health`` it is never auth-gated: it is a monitoring surface,
@@ -57,9 +59,11 @@ mid-body.
 
 from __future__ import annotations
 
+import collections
 import hmac
 import json
 import queue
+import re
 import sys
 import threading
 import time
@@ -92,18 +96,28 @@ MAX_REQUEST_BODY_BYTES = 32 * 1024 * 1024
 #: stalled body is answered and the connection closes
 REQUEST_TIMEOUT_S = 30.0
 
+#: finished async jobs (done or failed) the server keeps, with their
+#: result payloads; past this the oldest finished job is dropped
+MAX_FINISHED_JOBS = 256
+
+#: the ids :meth:`JobStore.submit` issues: job-0001 ... job-9999, job-10000 ...
+_JOB_ID = re.compile(r"job-([0-9]{4}|[1-9][0-9]{4,})")
+
 
 class JobStore:
     """Async sweep jobs: one daemon worker drains a FIFO queue.
 
     A single worker is deliberate — sweeps parallelize *internally*
     through the runner's process pool, so running two large grids
-    concurrently would just thrash the same cores.
+    concurrently would just thrash the same cores. Queued and running
+    jobs are always kept; finished ones only up to
+    :data:`MAX_FINISHED_JOBS`.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._jobs: Dict[str, Dict[str, Any]] = {}
+        self._finished: "collections.deque[str]" = collections.deque()
         self._queue: "queue.Queue" = queue.Queue()
         self._count = 0
         self._worker = threading.Thread(
@@ -131,6 +145,22 @@ class JobStore:
             job = self._jobs.get(job_id)
             return dict(job) if job is not None else None
 
+    def dropped(self, job_id: str) -> bool:
+        """True for an id this store issued and has since dropped."""
+        match = _JOB_ID.fullmatch(job_id)
+        with self._lock:
+            return (match is not None and job_id not in self._jobs
+                    and 0 < int(match.group(1)) <= self._count)
+
+    def _finish(self, job_id: str, **fields: Any) -> None:
+        """Record a finished job, then drop the oldest finished jobs
+        beyond :data:`MAX_FINISHED_JOBS`."""
+        with self._lock:
+            self._jobs[job_id].update(fields)
+            self._finished.append(job_id)
+            while len(self._finished) > MAX_FINISHED_JOBS:
+                del self._jobs[self._finished.popleft()]
+
     def _run(self) -> None:
         while True:
             job_id, fn = self._queue.get()
@@ -140,18 +170,12 @@ class JobStore:
                 with obs.span("job.sweep", job_id=job_id) as sp:
                     response = fn()
             except Exception as exc:  # noqa: BLE001 - reported to the poller
-                with self._lock:
-                    self._jobs[job_id]["status"] = "failed"
-                    self._jobs[job_id]["error"] = error_payload(exc)
+                self._finish(job_id, status="failed", error=error_payload(exc))
             else:
-                with self._lock:
-                    self._jobs[job_id]["status"] = "done"
-                    self._jobs[job_id]["result"] = response.to_dict()
-                    # surfaced in the poll payload; wall time is
-                    # telemetry, so it rides beside the result, not in it
-                    self._jobs[job_id]["wall_ms"] = round(
-                        sp.elapsed_s * 1000.0, 3
-                    )
+                # surfaced in the poll payload; wall time is telemetry,
+                # so it rides beside the result, not in it
+                self._finish(job_id, status="done", result=response.to_dict(),
+                             wall_ms=round(sp.elapsed_s * 1000.0, 3))
 
 
 class ReproServer(ThreadingHTTPServer):
@@ -358,8 +382,17 @@ class _Handler(BaseHTTPRequestHandler):
             return
         if self.path.startswith("/jobs/"):
             job_id = self.path[len("/jobs/"):]
-            job = self.server.job_store.get(job_id)
-            if job is None:
+            store = self.server.job_store
+            job = store.get(job_id)
+            if job is None and store.dropped(job_id):
+                self._send_json(410, {
+                    "error": "Gone",
+                    "kind": "job-evicted",
+                    "detail": f"job {job_id!r} finished and was dropped; "
+                              f"the server keeps the newest "
+                              f"{MAX_FINISHED_JOBS} finished jobs",
+                })
+            elif job is None:
                 self._not_found(f"no such job {job_id!r}")
             else:
                 self._log_fields["request_key"] = job.get("request_key")

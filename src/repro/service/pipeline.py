@@ -233,7 +233,9 @@ def _execute_schedule(req: ScheduleRequest, cache, use_cache: bool,
     if use_cache and not want_schedule:
         with _cache_lock:
             hit = cache.get(key)
-        if hit is not None and not is_stale(hit, key):
+        # cache files are untrusted: a malformed entry is stale
+        if hit is not None and not is_stale(
+                hit, key, {"bundle": str, "summary": dict}):
             return ServiceResponse(
                 kind=req.TYPE, request_key=key, cache="hit",
                 summary=dict(hit["summary"]), bundle_text=hit["bundle"],

@@ -4,7 +4,7 @@ A graph file imported through :mod:`repro.graph.interchange` becomes a
 regular citizen of the experiment harness: :func:`external_cell` wraps
 it in a :class:`~repro.experiments.config.Cell` with ``suite
 ="external"``, so it flows through ``run_cell`` / ``run_cells`` (and
-the sharded :class:`~repro.experiments.cache.ResultCache`) exactly like
+the :class:`~repro.experiments.cache.ResultCache`) exactly like
 the generated suites.
 
 Cache correctness hinges on the *app token*:

@@ -1,5 +1,7 @@
 """Tests for the experiment harness (cells, cache, figures, reporting)."""
 
+import hashlib
+import json
 import os
 
 import pytest
@@ -52,31 +54,63 @@ class TestScale:
         assert current_scale().name == "default"
 
 
+def _entry_file(directory, key):
+    """Where the cache keeps ``key``: the key's SHA-256, in ``directory``."""
+    return directory / (hashlib.sha256(key.encode("utf-8")).hexdigest() + ".json")
+
+
 class TestCache:
     def test_round_trip(self, tmp_path):
-        cache = ResultCache(str(tmp_path / "r.json"))
+        cache = ResultCache(str(tmp_path / "r"))
         cache.put("k", {"schedule_length": 1.0})
-        reloaded = ResultCache(str(tmp_path / "r.json"))
+        reloaded = ResultCache(str(tmp_path / "r"))
         assert reloaded.get("k") == {"schedule_length": 1.0}
         assert len(reloaded) == 1
+        assert json.loads(_entry_file(tmp_path / "r", "k").read_text()) == {
+            "version": CACHE_VERSION, "key": "k",
+            "value": {"schedule_length": 1.0},
+        }
 
     def test_missing_key(self, tmp_path):
-        cache = ResultCache(str(tmp_path / "r.json"))
+        cache = ResultCache(str(tmp_path / "r"))
         assert cache.get("nope") is None
+        assert len(cache) == 0
 
     def test_version_mismatch_discards(self, tmp_path):
-        path = tmp_path / "r.json"
-        path.write_text('{"version": -1, "results": {"k": {}}}')
-        cache = ResultCache(str(path))
-        assert cache.get("k") is None
-
-    def test_corrupt_file_tolerated(self, tmp_path):
-        path = tmp_path / "r.json"
-        path.write_text("{ not json")
-        cache = ResultCache(str(path))
+        path = _entry_file(tmp_path, "k")
+        path.write_text(json.dumps({"version": -1, "key": "k", "value": {}}))
+        cache = ResultCache(str(tmp_path))
         assert cache.get("k") is None
         cache.put("k", {"a": 1})
-        assert ResultCache(str(path)).get("k") == {"a": 1}
+        assert ResultCache(str(tmp_path)).get("k") == {"a": 1}
+
+    @pytest.mark.parametrize("text", [
+        "{ not json",
+        "[]",
+        '"k"',
+        '{"version": %d, "key": "other", "value": {}}' % CACHE_VERSION,
+        '{"version": %d, "key": "k", "value": [1]}' % CACHE_VERSION,
+        '{"version": %d, "key": "k"}' % CACHE_VERSION,
+        "[" * 100000,
+    ])
+    def test_corrupt_file_tolerated(self, tmp_path, text):
+        """An entry file is untrusted: anything but this version's
+        object for this key is a miss, and the next put overwrites it."""
+        _entry_file(tmp_path, "k").write_text(text)
+        cache = ResultCache(str(tmp_path))
+        assert cache.get("k") is None
+        cache.put("k", {"a": 1})
+        assert ResultCache(str(tmp_path)).get("k") == {"a": 1}
+
+    def test_old_layout_files_ignored(self, tmp_path):
+        """Shard and single-file caches of earlier layouts are neither
+        read nor counted: their cells are recomputed once."""
+        old = json.dumps({"version": CACHE_VERSION, "results": {"k": {"a": 1}}})
+        (tmp_path / "shard-00.json").write_text(old)
+        (tmp_path / "results.json").write_text(old)
+        cache = ResultCache(str(tmp_path))
+        assert cache.get("k") is None
+        assert len(cache) == 0
 
 
 class TestRunner:
@@ -103,7 +137,7 @@ class TestRunner:
         assert system.topology.n_procs == 4
 
     def test_run_cell_and_cache(self, tmp_path):
-        cache = ResultCache(str(tmp_path / "r.json"))
+        cache = ResultCache(str(tmp_path / "r"))
         cell = Cell("random", "random", 20, 1.0, "ring", "bsa", n_procs=4)
         r1 = run_cell(cell, cache=cache)
         assert r1.schedule_length > 0
@@ -113,14 +147,14 @@ class TestRunner:
         assert r2 == r1
 
     def test_run_cell_all_algorithms(self, tmp_path):
-        cache = ResultCache(str(tmp_path / "r.json"))
+        cache = ResultCache(str(tmp_path / "r"))
         for algo in ("bsa", "dls", "heft", "cpop"):
             cell = Cell("random", "random", 20, 1.0, "clique", algo, n_procs=4)
             result = run_cell(cell, cache=cache)
             assert result.schedule_length > 0
 
     def test_unknown_algorithm_rejected(self, tmp_path):
-        cache = ResultCache(str(tmp_path / "r.json"))
+        cache = ResultCache(str(tmp_path / "r"))
         cell = Cell("random", "random", 20, 1.0, "ring", "magic", n_procs=4)
         with pytest.raises(ConfigurationError):
             run_cell(cell, cache=cache)

@@ -36,7 +36,7 @@ TINY = Scale(
 
 @pytest.fixture
 def tiny_cache(tmp_path):
-    return ResultCache(str(tmp_path / "cells.json"))
+    return ResultCache(str(tmp_path / "cells"))
 
 
 class TestFigurePipeline:

@@ -214,6 +214,18 @@ class TestCounters:
         assert snap["cache.misses"] == 1
         assert snap["cache.stale"] == 0
 
+    def test_malformed_schedule_entry_counts_once_as_stale(self, obs_on,
+                                                           tmp_path):
+        req = ScheduleRequest(workload="gauss", size=18, topology="ring",
+                              n_procs=4, algorithm="heft")
+        key = req.idempotency_key()
+        cache = cache_mod.ResultCache(str(tmp_path / "cache"))
+        cache.put(key, cache_mod.stamp_provenance({"summary": {}}, key))
+        assert execute(req, cache=cache).cache == "miss"
+        snap = obs.snapshot()
+        assert (snap["cache.hits"], snap["cache.misses"],
+                snap["cache.stale"]) == (0, 0, 1)
+
 
 # ----------------------------------------------------------------------
 # spans

@@ -1,4 +1,5 @@
-"""The parallel sweep engine: sharding, reporting, and determinism.
+"""The parallel sweep engine: the shared result cache, reporting, and
+determinism.
 
 The headline guarantee: the same sweep run with ``--jobs 1`` and
 ``--jobs 4`` produces identical cached results (modulo measured wall
@@ -9,6 +10,8 @@ its own seeds and workers never touch shared state.
 from __future__ import annotations
 
 import dataclasses
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -50,87 +53,62 @@ def _stable(result):
     return d
 
 
-class TestShardedCache:
-    def test_sharded_round_trip(self, tmp_path):
-        cache = ResultCache(str(tmp_path / "shards"), shards=4)
+def _write_keys(directory, worker, n_keys):
+    """One writer process: ``n_keys`` entries no other writer touches."""
+    cache = ResultCache(directory)
+    for i in range(n_keys):
+        cache.put(f"w{worker}/k{i}", {"worker": worker, "i": i})
+
+
+class TestResultCache:
+    def test_round_trip_across_handles(self, tmp_path):
+        cache = ResultCache(str(tmp_path / "cache"))
         keys = [f"cell/{i}" for i in range(20)]
         for i, key in enumerate(keys):
-            cache.put(key, {"schedule_length": float(i)}, flush=False)
-        cache.flush()
-        reloaded = ResultCache(str(tmp_path / "shards"), shards=4)
+            cache.put(key, {"schedule_length": float(i)})
+        reloaded = ResultCache(str(tmp_path / "cache"))
         assert len(reloaded) == 20
         for i, key in enumerate(keys):
             assert reloaded.get(key) == {"schedule_length": float(i)}
-        shard_files = list((tmp_path / "shards").glob("shard-*.json"))
-        assert 1 < len(shard_files) <= 4
+        assert len(list((tmp_path / "cache").glob("*.json"))) == 20
 
-    def test_put_many_single_flush(self, tmp_path):
-        cache = ResultCache(str(tmp_path / "shards"), shards=2)
-        cache.put_many([(f"k{i}", {"v": i}) for i in range(6)])
-        assert len(ResultCache(str(tmp_path / "shards"), shards=2)) == 6
+    def test_miss_is_not_remembered(self, tmp_path):
+        """A key one handle missed is found once another handle (another
+        process, in a sweep or a server) writes it."""
+        reader = ResultCache(str(tmp_path / "cache"))
+        assert reader.get("k") is None
+        ResultCache(str(tmp_path / "cache")).put("k", {"v": 1})
+        assert reader.get("k") == {"v": 1}
 
-    def test_default_cache_is_sharded(self, tmp_path, monkeypatch):
+    def test_concurrent_writers_keep_every_entry(self, tmp_path):
+        """Writers sharing one directory never drop each other's
+        entries: each entry is its own file, replaced atomically."""
+        directory = str(tmp_path / "cache")
+        with ProcessPoolExecutor(
+                max_workers=4,
+                mp_context=multiprocessing.get_context("spawn")) as pool:
+            for fut in [pool.submit(_write_keys, directory, w, 40)
+                        for w in range(4)]:
+                fut.result(timeout=120)
+        cache = ResultCache(directory)
+        assert len(cache) == 160
+        for w in range(4):
+            for i in range(40):
+                assert cache.get(f"w{w}/k{i}") == {"worker": w, "i": i}
+
+    def test_default_cache_under_cache_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         cache = ResultCache()
-        assert cache.sharded
+        assert cache.path == str(tmp_path / "results")
         cache.put("k", {"v": 1})
         assert ResultCache().get("k") == {"v": 1}
 
-    def test_legacy_single_file_imported(self, tmp_path, monkeypatch):
-        """A pre-sharding results.json is absorbed into the shard layout
-        instead of being silently orphaned."""
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        legacy = ResultCache(str(tmp_path / "results.json"))
-        legacy.put("old-cell", {"schedule_length": 5.0})
-
-        cache = ResultCache()  # default sharded layout, no dir yet
-        assert cache.get("old-cell") == {"schedule_length": 5.0}
-        cache.flush()
-        assert (tmp_path / "results").is_dir()
-        # a fresh handle reads it from the shards (no import path taken)
-        assert ResultCache().get("old-cell") == {"schedule_length": 5.0}
-
-    def test_bad_shards_env_falls_back(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        monkeypatch.setenv("REPRO_CACHE_SHARDS", "eight")
-        cache = ResultCache()
-        assert cache.sharded  # fell back to the default shard count
-
-    def test_explicit_directory_honors_shards_env(self, tmp_path, monkeypatch):
-        """REPRO_CACHE_SHARDS applies to explicit directories too, not
-        only the env-derived default (it used to be read iff path=None)."""
-        monkeypatch.setenv("REPRO_CACHE_SHARDS", "3")
-        cache = ResultCache(str(tmp_path / "mycache"))
-        assert cache.sharded and cache.n_shards == 3
-        for i in range(12):
-            cache.put(f"k{i}", {"v": i}, flush=False)
-        cache.flush()
-        files = sorted(p.name for p in (tmp_path / "mycache").glob("shard-*.json"))
-        assert files and all(f in {f"shard-{j:02d}.json" for j in range(3)}
-                             for f in files)
-        # explicit shards= still beats the env
-        assert ResultCache(str(tmp_path / "other"), shards=5).n_shards == 5
-        # a .json path stays a single-file cache
-        assert not ResultCache(str(tmp_path / "single.json")).sharded
-
-    def test_explicit_directory_imports_legacy_file(self, tmp_path):
-        """A pre-sharding <dir>.json sibling is absorbed for explicit
-        directories exactly like the default layout does."""
-        legacy = ResultCache(str(tmp_path / "mycache.json"))
-        legacy.put("old-cell", {"schedule_length": 7.0})
-        cache = ResultCache(str(tmp_path / "mycache"), shards=4)
-        assert cache.get("old-cell") == {"schedule_length": 7.0}
-        cache.flush()
-        assert ResultCache(str(tmp_path / "mycache"), shards=4).get(
-            "old-cell") == {"schedule_length": 7.0}
-
-    def test_failed_flush_is_retried(self, tmp_path, monkeypatch):
-        """A shard whose write fails (disk error) stays dirty and really
-        is persisted by the next flush, as the docstring promises."""
+    def test_failed_write_is_retried(self, tmp_path, monkeypatch):
+        """An entry whose write fails (disk error) stays in memory and
+        really is persisted by the next put."""
         import os as _os
 
-        cache = ResultCache(str(tmp_path / "shards"), shards=2)
-        cache.put("k", {"v": 1}, flush=False)
+        cache = ResultCache(str(tmp_path / "cache"))
         real_replace = _os.replace
 
         def failing_replace(src, dst):
@@ -138,56 +116,39 @@ class TestShardedCache:
 
         monkeypatch.setattr("repro.experiments.cache.os.replace",
                             failing_replace)
-        cache.flush()
-        assert cache._dirty  # nothing was persisted, nothing forgotten
-        assert ResultCache(str(tmp_path / "shards"), shards=2).get("k") is None
+        cache.put("k", {"v": 1})
+        assert cache.get("k") == {"v": 1}  # nothing persisted, nothing lost
+        assert len(cache) == 1
+        assert ResultCache(str(tmp_path / "cache")).get("k") is None
+        assert not list((tmp_path / "cache").glob("*.tmp"))
 
         monkeypatch.setattr("repro.experiments.cache.os.replace", real_replace)
-        cache.flush()
-        assert not cache._dirty
-        assert ResultCache(str(tmp_path / "shards"), shards=2).get(
-            "k") == {"v": 1}
+        cache.put("k2", {"v": 2})
+        reloaded = ResultCache(str(tmp_path / "cache"))
+        assert reloaded.get("k") == {"v": 1}
+        assert reloaded.get("k2") == {"v": 2}
 
-    def test_unwritable_directory_flush_is_retried(self, tmp_path, capsys):
-        """makedirs failing (path blocked by a file) must not crash the
-        flush nor drop the dirty set — and must warn, once, that
-        persistence is off."""
+    def test_unwritable_directory_warns_once(self, tmp_path, capsys):
+        """A directory that cannot be created (path blocked by a file)
+        must not crash a put nor drop the entry, and must warn, once,
+        that persistence is off."""
         blocker = tmp_path / "blocked"
         blocker.write_text("not a directory")
-        cache = ResultCache(str(blocker), shards=2)
-        cache.put("k", {"v": 2}, flush=False)
-        cache.flush()  # keeps the shard dirty
-        assert cache._dirty
-        cache.flush()
-        assert capsys.readouterr().err.count("result-cache flush") == 1  # once
+        cache = ResultCache(str(blocker))
+        cache.put("k", {"v": 2})
+        cache.put("k2", {"v": 3})
+        assert cache.get("k") == {"v": 2}
+        assert capsys.readouterr().err.count("result-cache write") == 1
         blocker.unlink()
-        cache.flush()
-        assert not cache._dirty
-        assert ResultCache(str(blocker), shards=2).get("k") == {"v": 2}
-
-    def test_existing_single_file_at_bare_path_stays_single_file(self, tmp_path):
-        """A pre-sharding cache written to an extension-less path (the
-        old shards=None default for any explicit path) keeps its
-        single-file layout instead of being shadowed by a same-named
-        shard directory that could never flush."""
-        bare = tmp_path / "mycache"
-        old = ResultCache(str(bare), shards=1)
-        old.put("old-cell", {"schedule_length": 3.0})
-        assert bare.is_file()
-
-        cache = ResultCache(str(bare))  # would default to sharded if new
-        assert not cache.sharded
-        assert cache.get("old-cell") == {"schedule_length": 3.0}
-        cache.put("new-cell", {"schedule_length": 4.0})
-        reread = ResultCache(str(bare))
-        assert reread.get("old-cell") == {"schedule_length": 3.0}
-        assert reread.get("new-cell") == {"schedule_length": 4.0}
-        assert bare.is_file()
+        cache.put("k3", {"v": 4})
+        reloaded = ResultCache(str(blocker))
+        assert [reloaded.get(k) for k in ("k", "k2", "k3")] == [
+            {"v": 2}, {"v": 3}, {"v": 4}]
 
 
 class TestRunCells:
     def test_serial_report(self, tmp_path):
-        cache = ResultCache(str(tmp_path / "c.json"))
+        cache = ResultCache(str(tmp_path / "cache"))
         cells = _tiny_cells()
         results, report = run_cells(cells, jobs=1, cache=cache)
         assert report.total == len(cells)
@@ -203,7 +164,7 @@ class TestRunCells:
         assert "cache hits" in report2.summary()
 
     def test_duplicates_deduplicated(self, tmp_path):
-        cache = ResultCache(str(tmp_path / "c.json"))
+        cache = ResultCache(str(tmp_path / "cache"))
         cell = _tiny_cells()[0]
         results, report = run_cells([cell, cell, cell], cache=cache)
         assert report.total == 3
@@ -211,7 +172,7 @@ class TestRunCells:
         assert report.computed == 1
 
     def test_failures_reported(self, tmp_path):
-        cache = ResultCache(str(tmp_path / "c.json"))
+        cache = ResultCache(str(tmp_path / "cache"))
         bad = Cell("random", "random", 20, 1.0, "ring", "no-such-algo",
                    n_procs=4)
         with pytest.raises(ConfigurationError):
@@ -221,7 +182,7 @@ class TestRunCells:
         assert "no-such-algo" in report.failures[0][0]
 
     def test_progress_callback(self, tmp_path):
-        cache = ResultCache(str(tmp_path / "c.json"))
+        cache = ResultCache(str(tmp_path / "cache"))
         lines = []
         run_cells(_tiny_cells()[:2], cache=cache, progress=lines.append)
         assert lines
@@ -230,8 +191,8 @@ class TestRunCells:
 class TestParallelDeterminism:
     def test_jobs1_vs_jobs4_identical_results(self, tmp_path):
         cells = _tiny_cells()
-        cache1 = ResultCache(str(tmp_path / "jobs1"), shards=4)
-        cache4 = ResultCache(str(tmp_path / "jobs4"), shards=4)
+        cache1 = ResultCache(str(tmp_path / "jobs1"))
+        cache4 = ResultCache(str(tmp_path / "jobs4"))
 
         results1, report1 = run_cells(cells, jobs=1, cache=cache1)
         results4, report4 = run_cells(cells, jobs=4, cache=cache4)
@@ -242,8 +203,8 @@ class TestParallelDeterminism:
             assert _stable(results1[key]) == _stable(results4[key]), key
         # the caches agree too (parent-side writes only)
         for cell in cells:
-            a = ResultCache(str(tmp_path / "jobs1"), shards=4).get(cell.key())
-            b = ResultCache(str(tmp_path / "jobs4"), shards=4).get(cell.key())
+            a = ResultCache(str(tmp_path / "jobs1")).get(cell.key())
+            b = ResultCache(str(tmp_path / "jobs4")).get(cell.key())
             a.pop("runtime_s"), b.pop("runtime_s")
             assert a == b
 
@@ -251,7 +212,7 @@ class TestParallelDeterminism:
         """Aggregate figure tables are byte-identical across job counts."""
         tables = {}
         for jobs in (1, 4):
-            cache = ResultCache(str(tmp_path / f"fig-jobs{jobs}"), shards=4)
+            cache = ResultCache(str(tmp_path / f"fig-jobs{jobs}"))
             panels = figure3(scale=TINY_SCALE, cache=cache, jobs=jobs)
             tables[jobs] = render_panels(panels)
         assert tables[1] == tables[4]
@@ -260,7 +221,7 @@ class TestParallelDeterminism:
         cells = _tiny_cells()
         outs = []
         for chunk_size in (1, 3, len(cells)):
-            cache = ResultCache(str(tmp_path / f"chunk{chunk_size}"), shards=2)
+            cache = ResultCache(str(tmp_path / f"chunk{chunk_size}"))
             results, _ = run_cells(cells, jobs=2, cache=cache,
                                    chunk_size=chunk_size)
             outs.append({k: _stable(v) for k, v in results.items()})

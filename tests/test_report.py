@@ -9,7 +9,7 @@ from tests.test_integration import TINY
 
 @pytest.fixture
 def tiny_cache(tmp_path):
-    return ResultCache(str(tmp_path / "cells.json"))
+    return ResultCache(str(tmp_path / "cells"))
 
 
 class TestReport:

@@ -14,6 +14,7 @@ The contract under test, in order of importance:
    table's HTTP status (and, at the CLI, the table's exit code).
 """
 
+import hashlib
 import http.client
 import json
 import socket
@@ -77,6 +78,30 @@ CONNECTED_STG = """\
 3 30 1 1
 4 0 2 2 3
 """
+
+
+#: shapes of cache entry file that must be recomputed, never served
+MALFORMED_ENTRIES = ("list-file", "stamp-not-object", "no-bundle",
+                     "summary-not-object")
+
+
+def _plant_malformed_entry(directory, key, shape):
+    """Write a malformed entry file for ``key`` into cache ``directory``."""
+    if shape == "list-file":
+        text = "[]"
+    else:
+        value = {
+            "stamp-not-object": {"summary": {}, "bundle": "{}\n",
+                                 PROVENANCE_KEY: "0.0.1"},
+            "no-bundle": stamp_provenance({"summary": {}}, key),
+            "summary-not-object": stamp_provenance(
+                {"summary": [], "bundle": "{}\n"}, key),
+        }[shape]
+        text = json.dumps({"version": cache_mod.CACHE_VERSION, "key": key,
+                           "value": value})
+    directory.mkdir(parents=True, exist_ok=True)
+    name = hashlib.sha256(key.encode("utf-8")).hexdigest() + ".json"
+    (directory / name).write_text(text)
 
 
 @pytest.fixture()
@@ -249,7 +274,7 @@ class TestPipeline:
                           n_procs=4, algorithm="heft")
 
     def test_miss_then_hit_same_bytes(self, tmp_path):
-        cache = ResultCache(str(tmp_path / "c.json"))
+        cache = ResultCache(str(tmp_path / "cache"))
         first = execute(self.REQ, cache=cache)
         second = execute(self.REQ, cache=cache)
         assert first.cache == "miss"
@@ -258,7 +283,7 @@ class TestPipeline:
         assert first.summary == second.summary
 
     def test_provenance_stamp(self, tmp_path):
-        cache = ResultCache(str(tmp_path / "c.json"))
+        cache = ResultCache(str(tmp_path / "cache"))
         resp = execute(self.REQ, cache=cache)
         prov = provenance_of(cache.get(resp.request_key))
         assert prov == {
@@ -269,7 +294,7 @@ class TestPipeline:
         assert resp.provenance == prov
 
     def test_stale_version_recomputes(self, tmp_path):
-        cache = ResultCache(str(tmp_path / "c.json"))
+        cache = ResultCache(str(tmp_path / "cache"))
         resp = execute(self.REQ, cache=cache)
         key = resp.request_key
         entry = cache.get(key)
@@ -291,7 +316,7 @@ class TestPipeline:
     def test_engine_mode_is_not_a_staleness_criterion(self, tmp_path):
         # schedules are byte-identical across modes by contract, so a
         # bundle cached under one mode is served under all of them
-        cache = ResultCache(str(tmp_path / "c.json"))
+        cache = ResultCache(str(tmp_path / "cache"))
         initial = hotpath_mode()
         try:
             set_hotpath_mode("legacy")
@@ -302,8 +327,18 @@ class TestPipeline:
             set_hotpath_mode(initial)
         assert (first.cache, second.cache) == ("miss", "hit")
 
+    @pytest.mark.parametrize("shape", MALFORMED_ENTRIES)
+    def test_malformed_entry_is_recomputed(self, tmp_path, shape):
+        _plant_malformed_entry(tmp_path / "cache", self.REQ.idempotency_key(),
+                               shape)
+        first = execute(self.REQ, cache=ResultCache(str(tmp_path / "cache")))
+        again = execute(self.REQ, cache=ResultCache(str(tmp_path / "cache")))
+        assert (first.cache, again.cache) == ("miss", "hit")
+        assert again.bundle_text == first.bundle_text == execute(
+            self.REQ, use_cache=False).bundle_text
+
     def test_want_schedule_bypasses_cache(self, tmp_path):
-        cache = ResultCache(str(tmp_path / "c.json"))
+        cache = ResultCache(str(tmp_path / "cache"))
         execute(self.REQ, cache=cache)
         live = execute(self.REQ, cache=cache, want_schedule=True)
         assert live.cache == "miss"
@@ -311,7 +346,7 @@ class TestPipeline:
             live.summary["schedule_length"]
 
     def test_no_cache_mode(self, tmp_path):
-        cache = ResultCache(str(tmp_path / "c.json"))
+        cache = ResultCache(str(tmp_path / "cache"))
         resp = execute(self.REQ, cache=cache, use_cache=False)
         assert resp.cache == "off"
         assert cache.get(resp.request_key) is None
@@ -375,6 +410,22 @@ class TestByteIdentity:
         assert body1 == body2
         assert headers1["X-Repro-Request-Key"] == \
             headers2["X-Repro-Request-Key"]
+
+    @pytest.mark.parametrize("shape", MALFORMED_ENTRIES)
+    def test_malformed_entry_is_a_miss_then_a_hit(self, server, tmp_path,
+                                                  shape):
+        request = ScheduleRequest.from_dict(self.PAYLOAD)
+        _plant_malformed_entry(tmp_path / "cache" / "results",
+                               request.idempotency_key(), shape)
+        status1, headers1, body1 = _request(
+            server, "POST", "/schedule", self.PAYLOAD)
+        status2, headers2, body2 = _request(
+            server, "POST", "/schedule", self.PAYLOAD)
+        assert (status1, status2) == (200, 200)
+        assert headers1["X-Repro-Cache"] == "miss"
+        assert headers2["X-Repro-Cache"] == "hit"
+        assert body1 == body2 == execute(
+            request, use_cache=False).bundle_text.encode("utf-8")
 
     def test_bundle_replays(self, server, tmp_path, capsys):
         from repro.cli import main
@@ -594,24 +645,29 @@ class TestHttp:
         assert doc["summary"]["report"]["computed"] == 1
         assert doc["provenance"]["repro_version"] == __version__
 
-    def test_async_sweep_polls_to_done(self, server):
+    @staticmethod
+    def _async_sweep(server, payload):
+        """POST an async sweep and poll it until it finishes."""
         server.async_threshold = 0  # force the async path
-        payload = {"sizes": [18, 20], "topologies": ["ring"], "n_procs": 4,
-                   "algorithms": ["heft", "dls"]}
         status, _, body = _request(server, "POST", "/sweep", payload)
         doc = json.loads(body)
         assert status == 202
-        assert doc["n_cells"] == 4
-        job_id = doc["job_id"]
         deadline = time.time() + 120
         while True:
             status, _, body = _request(server, "GET", doc["poll"])
             assert status == 200
             job = json.loads(body)
             if job["status"] in ("done", "failed"):
-                break
+                return doc, job
             assert time.time() < deadline, "job never finished"
             time.sleep(0.1)
+
+    def test_async_sweep_polls_to_done(self, server):
+        payload = {"sizes": [18, 20], "topologies": ["ring"], "n_procs": 4,
+                   "algorithms": ["heft", "dls"]}
+        doc, job = self._async_sweep(server, payload)
+        assert doc["n_cells"] == 4
+        job_id = doc["job_id"]
         assert job["status"] == "done"
         assert job["id"] == job_id
         report = job["result"]["summary"]["report"]
@@ -623,6 +679,27 @@ class TestHttp:
     def test_job_not_found(self, server):
         status, _, body = _request(server, "GET", "/jobs/job-9999")
         assert status == 404
+
+    def test_oldest_finished_job_is_dropped(self, server, monkeypatch):
+        """The server keeps MAX_FINISHED_JOBS finished jobs: a dropped
+        id answers 410, an id it never issued still 404."""
+        monkeypatch.setattr(http_mod, "MAX_FINISHED_JOBS", 1)
+        ids = []
+        for size in (18, 20):
+            doc, job = self._async_sweep(server, {
+                "sizes": [size], "topologies": ["ring"], "n_procs": 4,
+                "algorithms": ["heft"]})
+            assert job["status"] == "done"
+            ids.append(doc["job_id"])
+        status, _, body = _request(server, "GET", f"/jobs/{ids[0]}")
+        assert status == 410
+        assert json.loads(body)["kind"] == "job-evicted"
+        status, _, body = _request(server, "GET", f"/jobs/{ids[1]}")
+        assert status == 200
+        assert json.loads(body)["status"] == "done"
+        for never_issued in ("job-9999", "job-0000", "job-01", "job-00001"):
+            status, _, body = _request(server, "GET", f"/jobs/{never_issued}")
+            assert status == 404, never_issued
 
     def test_connections_disable_nagle(self, server, monkeypatch):
         """Headers and body go out in two sends, so every accepted
