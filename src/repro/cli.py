@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 
 from repro import __version__
 from repro.errors import ReproError
@@ -955,12 +956,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ReproError, OSError) as exc:
+    except Exception as exc:
         # every library failure exits through the service error table:
         # one documented exit code per error class, and an optional
-        # machine-readable payload (repro --json ...)
+        # machine-readable payload (repro --json ...); anything else is
+        # a bug, reported with its traceback and exit 70, kind "internal"
         from repro.service.errors import error_payload, exit_code_for
 
+        if not isinstance(exc, (ReproError, OSError)):
+            traceback.print_exc()
         payload = error_payload(exc)
         if getattr(args, "json_errors", False):
             import json

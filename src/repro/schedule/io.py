@@ -20,6 +20,7 @@ Two export granularities:
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from typing import Any, Dict, Optional
 
 from repro.errors import SchedulingError
@@ -30,6 +31,36 @@ _FORMAT_VERSION = 1
 
 BUNDLE_FORMAT = "repro-schedule-bundle"
 BUNDLE_VERSION = 1
+
+_NUMBER = (int, float)
+_KIND_NAMES = {
+    dict: "an object", list: "a list", str: "a string", int: "an integer",
+    bool: "true or false", _NUMBER: "a number",
+}
+
+
+def _expect(value, kind, field: str):
+    """``value`` when it is a ``kind`` (a bool passes only as a bool),
+    else a :class:`SchedulingError` naming the bundle ``field``: bundles
+    are untrusted input, so a malformed one fails typed, not with a
+    ``KeyError`` or ``TypeError`` from deep inside the rebuild."""
+    if isinstance(value, kind) and (kind is bool or type(value) is not bool):
+        return value
+    raise SchedulingError(
+        f"bundle field {field} must be {_KIND_NAMES[kind]}, got {value!r:.60}"
+    )
+
+
+def _numbers(value, field: str, length: int):
+    """``value`` when it is a list of ``length`` numbers."""
+    _expect(value, list, field)
+    if len(value) != length:
+        raise SchedulingError(
+            f"bundle field {field} must hold {length} numbers, got {len(value)}"
+        )
+    for i, x in enumerate(value):
+        _expect(x, _NUMBER, f"{field}[{i}]")
+    return value
 
 
 def schedule_to_dict(schedule: Schedule) -> Dict[str, Any]:
@@ -78,26 +109,49 @@ def schedule_from_dict(data: Dict[str, Any], system: HeterogeneousSystem) -> Sch
     Task ids are matched by repr against the system's graph (ints and
     strings round-trip; other id types need a custom loader).
     """
+    _expect(data, dict, "schedule")
     if data.get("version") != _FORMAT_VERSION:
         raise SchedulingError(f"unsupported schedule format {data.get('version')!r}")
     by_repr = {repr(t): t for t in system.graph.tasks()}
+    n_procs = system.n_procs
 
-    sched = Schedule(system, algorithm=data.get("algorithm", "imported"))
-    for entry in data["tasks"]:
-        task = by_repr.get(entry["task"])
+    sched = Schedule(system, algorithm=_expect(
+        data.get("algorithm", "imported"), str, "schedule.algorithm"))
+    for i, entry in enumerate(_expect(data.get("tasks"), list, "schedule.tasks")):
+        field = f"schedule.tasks[{i}]"
+        _expect(entry, dict, field)
+        task = by_repr.get(_expect(entry.get("task"), str, f"{field}.task"))
         if task is None:
             raise SchedulingError(f"unknown task {entry['task']!r} in import")
-        sched.place_task(task, entry["proc"], start=entry["start"])
-    for msg in data["messages"]:
-        u = by_repr.get(msg["edge"][0])
-        v = by_repr.get(msg["edge"][1])
+        proc = _expect(entry.get("proc"), int, f"{field}.proc")
+        if not 0 <= proc < n_procs:
+            raise SchedulingError(
+                f"bundle field {field}.proc names processor {proc} of {n_procs}"
+            )
+        sched.place_task(task, proc, start=_expect(
+            entry.get("start"), _NUMBER, f"{field}.start"))
+    for i, msg in enumerate(_expect(data.get("messages"), list, "schedule.messages")):
+        field = f"schedule.messages[{i}]"
+        _expect(msg, dict, field)
+        edge = _expect(msg.get("edge"), list, f"{field}.edge")
+        if len(edge) != 2:
+            raise SchedulingError(f"bundle field {field}.edge must name 2 tasks")
+        u, v = (by_repr.get(_expect(t, str, f"{field}.edge")) for t in edge)
         if u is None or v is None:
-            raise SchedulingError(f"unknown edge {msg['edge']} in import")
-        if msg["local"] or not msg["hops"]:
+            raise SchedulingError(f"unknown edge {edge} in import")
+        local = _expect(msg.get("local"), bool, f"{field}.local")
+        hops = _expect(msg.get("hops"), list, f"{field}.hops")
+        for j, hop in enumerate(hops):
+            where = f"{field}.hops[{j}]"
+            _expect(hop, dict, where)
+            _expect(hop.get("src"), int, f"{where}.src")
+            _expect(hop.get("dst"), int, f"{where}.dst")
+            _expect(hop.get("start"), _NUMBER, f"{where}.start")
+        if local or not hops:
             sched.mark_local((u, v))
         else:
-            path = [msg["hops"][0]["src"]] + [h["dst"] for h in msg["hops"]]
-            starts = [h["start"] for h in msg["hops"]]
+            path = [hops[0]["src"]] + [h["dst"] for h in hops]
+            starts = [h["start"] for h in hops]
             sched.set_route((u, v), path, hop_starts=starts)
     return sched
 
@@ -163,41 +217,44 @@ def bundle_from_dict(data: Dict[str, Any]) -> Schedule:
         raise SchedulingError(
             f"unsupported bundle version {data.get('version')!r}"
         )
-    workload = trace_from_dict(data["graph"])
+    workload = trace_from_dict(_expect(data.get("graph"), dict, "graph"))
     if workload.exec_costs is None:
         raise SchedulingError("bundle graph carries no exec-cost vectors")
     graph = workload.graph
     nominal = data.get("nominal_costs")
     if nominal is not None:
-        if len(nominal) != graph.n_tasks:
-            raise SchedulingError(
-                f"bundle has {len(nominal)} nominal costs for "
-                f"{graph.n_tasks} tasks"
-            )
+        _numbers(nominal, "nominal_costs", graph.n_tasks)
         for t, cost in zip(graph.tasks(), nominal):
             graph.set_task_cost(t, cost)
-    topology = Topology.from_dict(data["topology"])
-    lm = data.get("link_model") or {}
+    topology = Topology.from_dict(_expect(data.get("topology"), dict, "topology"))
+    lm = _expect(data.get("link_model", {}), dict, "link_model")
     try:
-        mode = LinkHeterogeneity[lm.get("mode", "HOMOGENEOUS")]
+        mode = LinkHeterogeneity[
+            _expect(lm.get("mode", "HOMOGENEOUS"), str, "link_model.mode")]
     except KeyError:
         raise SchedulingError(
             f"unknown link heterogeneity mode {lm.get('mode')!r}"
         ) from None
-    per_link = {
-        tuple(int(p) for p in key.split("-")): factor
-        for key, factor in (lm.get("per_link") or {}).items()
-    }
+    per_link = {}
+    for key, factor in _expect(lm.get("per_link", {}), dict, "link_model.per_link").items():
+        a, _, b = key.partition("-")
+        if not (a.isdecimal() and b.isdecimal()):
+            raise SchedulingError(
+                f"bundle field link_model.per_link key {key!r} is not '<proc>-<proc>'"
+            )
+        per_link[int(a), int(b)] = _expect(
+            factor, _NUMBER, f"link_model.per_link[{key!r}]")
     system = HeterogeneousSystem.from_exec_table(
         graph,
         topology,
         workload.exec_costs,
         link_mode=mode,
         per_link_factors=per_link or None,
-        link_factor_range=tuple(lm.get("factor_range", (1.0, 1.0))),
-        link_seed=lm.get("seed", 0),
+        link_factor_range=tuple(_numbers(
+            lm.get("factor_range", [1.0, 1.0]), "link_model.factor_range", 2)),
+        link_seed=_expect(lm.get("seed", 0), int, "link_model.seed"),
     )
-    return schedule_from_dict(data["schedule"], system)
+    return schedule_from_dict(data.get("schedule"), system)
 
 
 def relabel_schedule(schedule: Schedule) -> Schedule:
@@ -259,8 +316,172 @@ def relabel_schedule(schedule: Schedule) -> Schedule:
     return out
 
 
+# ----------------------------------------------------------------------
+# the canonical indent=2 text, written without the pure-Python encoder
+# ----------------------------------------------------------------------
+# CPython serves json.dumps from its C encoder only when indent is None,
+# and four lists hold most of a bundle's bytes: graph.tasks,
+# graph.edges, schedule.tasks and schedule.messages (one record per
+# hop). Each has a writer for its fixed shape that emits exactly what
+# json.dumps(indent=2) emits at its depth; every other value still goes
+# through json.dumps(indent=2), re-indented to its depth (safe: the
+# ensure_ascii output never holds a raw newline). An entry off its
+# shape sends the whole document back to json.dumps(indent=2), which
+# stays the oracle the tests compare against.
+
+class _OffShape(Exception):
+    """A bulk-list entry does not have the shape its writer emits."""
+
+
+_INF = float("inf")
+_float_repr = float.__repr__
+_int_repr = int.__repr__
+
+
+def _number(x) -> str:
+    """json's text for an exact int or float (NaN/Infinity spelled as
+    json spells them); anything else, bool included, is off shape."""
+    kind = type(x)
+    if kind is float:
+        if -_INF < x < _INF:
+            return _float_repr(x)
+        return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
+    if kind is int:
+        return _int_repr(x)
+    raise _OffShape
+
+
+def _id(x) -> str:
+    """json's text for an exact str or int task id."""
+    kind = type(x)
+    if kind is str:
+        return encode_basestring_ascii(x)
+    if kind is int:
+        return _int_repr(x)
+    raise _OffShape
+
+
+def _list(items, level: int) -> str:
+    """A list of already-written items whose lines sit at ``level``."""
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * level
+    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * (level - 1) + "]"
+
+
+def _entry_template(keys, level: int) -> str:
+    """``%``-template of a dict with ``keys`` written as an item at ``level``."""
+    pad = "\n" + "  " * (level + 1)
+    fields = ",".join(f"{pad}{encode_basestring_ascii(k)}: %s" for k in keys)
+    return "{" + fields + "\n" + "  " * level + "}"
+
+
+def _rows(entries, keys):
+    """The values of each entry of a list of dicts keyed exactly ``keys``."""
+    if type(entries) is not list:
+        raise _OffShape
+    for entry in entries:
+        if type(entry) is not dict or tuple(entry) != keys:
+            raise _OffShape
+        yield entry.values()
+
+
+# the four lists' items sit at level 3: bundle -> section -> list -> item
+_GRAPH_TASK_KEYS = ("id", "costs")
+_GRAPH_EDGE_KEYS = ("src", "dst", "comm")
+_TASK_KEYS = ("task", "proc", "start", "finish")
+_MESSAGE_KEYS = ("edge", "local", "hops")
+_HOP_KEYS = ("src", "dst", "start", "finish")
+_GRAPH_TASK = _entry_template(_GRAPH_TASK_KEYS, 3)
+_GRAPH_EDGE = _entry_template(_GRAPH_EDGE_KEYS, 3)
+_TASK = _entry_template(_TASK_KEYS, 3)
+_MESSAGE = _entry_template(_MESSAGE_KEYS, 3)
+_HOP = _entry_template(_HOP_KEYS, 5)
+
+
+def _graph_tasks(tasks) -> str:
+    out = []
+    for tid, costs in _rows(tasks, _GRAPH_TASK_KEYS):
+        if type(costs) is not list:
+            raise _OffShape
+        out.append(_GRAPH_TASK % (_id(tid), _list([*map(_number, costs)], 5)))
+    return _list(out, 3)
+
+
+def _graph_edges(edges) -> str:
+    return _list([
+        _GRAPH_EDGE % (_id(u), _id(v), _number(comm))
+        for u, v, comm in _rows(edges, _GRAPH_EDGE_KEYS)
+    ], 3)
+
+
+def _schedule_tasks(tasks) -> str:
+    return _list([
+        _TASK % (_id(task), _number(proc), _number(start), _number(finish))
+        for task, proc, start, finish in _rows(tasks, _TASK_KEYS)
+    ], 3)
+
+
+def _schedule_messages(messages) -> str:
+    out = []
+    for edge, local, hops in _rows(messages, _MESSAGE_KEYS):
+        if type(edge) is not list or type(local) is not bool:
+            raise _OffShape
+        out.append(_MESSAGE % (
+            _list([*map(_id, edge)], 5),
+            "true" if local else "false",
+            _list([
+                _HOP % (_number(a), _number(b), _number(start), _number(finish))
+                for a, b, start, finish in _rows(hops, _HOP_KEYS)
+            ], 5),
+        ))
+    return _list(out, 3)
+
+
+def _object(obj, level: int, writers) -> str:
+    """A dict whose keys sit at ``level``: keys named in ``writers`` go
+    through their writer, every other value through json.dumps(indent=2)."""
+    if type(obj) is not dict:
+        raise _OffShape
+    if not obj:
+        return "{}"
+    pad = "\n" + "  " * level
+    parts = []
+    for key, value in obj.items():
+        if type(key) is not str:
+            raise _OffShape
+        write = writers.get(key)
+        text = write(value) if write else json.dumps(value, indent=2).replace("\n", pad)
+        parts.append(f"{pad}{encode_basestring_ascii(key)}: {text}")
+    return "{" + ",".join(parts) + "\n" + "  " * (level - 1) + "}"
+
+
+_SECTION_WRITERS = {
+    "graph": lambda graph: _object(
+        graph, 2, {"tasks": _graph_tasks, "edges": _graph_edges}),
+    "schedule": lambda sched: _object(
+        sched, 2, {"tasks": _schedule_tasks, "messages": _schedule_messages}),
+}
+
+
+def _bundle_text(doc) -> Optional[str]:
+    """``json.dumps(doc, indent=2)`` for a :func:`bundle_to_dict` document,
+    or None when some part of it is off the writers' fixed shapes."""
+    try:
+        return _object(doc, 1, _SECTION_WRITERS)
+    except _OffShape:
+        return None
+
+
 def bundle_to_json(schedule: Schedule, indent: Optional[int] = None) -> str:
-    return json.dumps(bundle_to_dict(schedule), indent=indent)
+    """The bundle as JSON text; ``indent=2`` is the canonical artifact,
+    written by the fixed-shape writers above with json.dumps as fallback."""
+    doc = bundle_to_dict(schedule)
+    if indent == 2:
+        text = _bundle_text(doc)
+        if text is not None:
+            return text
+    return json.dumps(doc, indent=indent)
 
 
 def bundle_from_json(text: str) -> Schedule:

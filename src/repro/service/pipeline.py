@@ -7,7 +7,10 @@ the sweep engine. Now the CLI and the HTTP server both call
 :func:`execute`, so for the same request their outputs are
 *byte-identical by construction*: the canonical schedule artifact is a
 single string — ``bundle_to_json(relabel_schedule(schedule), indent=2)
-+ "\\n"`` — and both transports emit it verbatim.
++ "\\n"`` — and both transports emit it verbatim. Its bytes are
+``json.dumps(bundle_to_dict(...), indent=2)``; ``bundle_to_json`` writes
+the four bulk lists with fixed-shape writers and falls back to
+``json.dumps`` for a document off their shapes.
 
 Caching. Schedule responses are memoized in the
 :class:`~repro.experiments.cache.ResultCache` under the request's
@@ -221,6 +224,8 @@ def _execute_schedule(req: ScheduleRequest, cache, use_cache: bool,
         is_stale,
         stamp_provenance,
     )
+    # looked up per call, not at import: perfbench's encode layer
+    # wraps these two names on repro.schedule.io
     from repro.schedule.io import bundle_to_json, relabel_schedule
     from repro.schedule.metrics import compute_metrics
 

@@ -278,6 +278,31 @@ class TestSimulateReplay:
         assert main(["replay", str(bad)]) == 9  # SchedulingError
         assert "repro replay:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit", [
+        '"schedule": []',
+        '"proc": "x"',
+        '"edge": ["x"]',
+    ])
+    def test_replay_rejects_malformed_bundle(self, tmp_path, capsys, edit):
+        """A malformed bundle is a typed SchedulingError (rc 9), not a
+        traceback with rc 1, the code for a failed audit."""
+        import json
+
+        bundle = tmp_path / "b.json"
+        assert main(["schedule", "-w", "gauss", "-n", "20", "-t", "ring",
+                     "-p", "4", "--export-bundle", str(bundle)]) == 0
+        capsys.readouterr()
+        doc = json.loads(bundle.read_text())
+        key, value = json.loads("{" + edit + "}").popitem()
+        target = {"schedule": doc, "proc": doc["schedule"]["tasks"][0],
+                  "edge": doc["schedule"]["messages"][0]}[key]
+        target[key] = value
+        bundle.write_text(json.dumps(doc))
+        assert main(["replay", str(bundle)]) == 9
+        err = capsys.readouterr().err
+        assert "repro replay: bundle field" in err
+        assert "Traceback" not in err
+
     def test_replay_flags_corrupted_schedule(self, tmp_path, capsys):
         """Tampered times must fail the replay audit (rc 1)."""
         import json
@@ -301,6 +326,29 @@ class TestSimulateReplay:
         capsys.readouterr()
         assert main(["replay", str(bundle)]) == 0
         assert "replay OK" in capsys.readouterr().out
+
+
+class TestUnexpectedErrors:
+    def test_a_bug_exits_70_as_internal(self, monkeypatch, capsys):
+        """An exception outside the error table is a bug: traceback on
+        stderr, exit 70, kind "internal" under --json."""
+        import json
+
+        import repro.cli as cli
+
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "_cmd_info", broken)
+        assert main(["info"]) == 70
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "RuntimeError: boom" in err
+        assert "repro info: boom" in err
+        assert main(["--json", "info"]) == 70
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == {
+            "error": "RuntimeError", "kind": "internal", "detail": "boom"}
+        assert "RuntimeError: boom" in captured.err
 
 
 class TestTraceProfile:

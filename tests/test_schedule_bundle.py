@@ -2,6 +2,7 @@
 without the generating code, and replay through the strict validator.
 """
 
+import copy
 import json
 
 import pytest
@@ -100,7 +101,74 @@ class TestGoldenReplay:
         validate_schedule(replay)
 
 
+def _first_routed(blob):
+    return next(m for m in blob["schedule"]["messages"] if m["hops"])
+
+
+#: (id, mutation of a valid bundle dict, the field the error must name)
+MALFORMED = [
+    ("no-schedule", lambda b: b.pop("schedule"), "schedule must be an object"),
+    ("list-schedule", lambda b: b.update(schedule=[]),
+     "schedule must be an object"),
+    ("no-schedule-tasks", lambda b: b["schedule"].pop("tasks"),
+     "schedule.tasks must be a list"),
+    ("task-not-object", lambda b: b["schedule"]["tasks"].insert(0, 3),
+     r"schedule.tasks\[0\] must be an object"),
+    ("start-string", lambda b: b["schedule"]["tasks"][0].update(start="x"),
+     r"schedule.tasks\[0\].start must be a number"),
+    ("start-bool", lambda b: b["schedule"]["tasks"][0].update(start=True),
+     r"schedule.tasks\[0\].start must be a number"),
+    ("no-proc", lambda b: b["schedule"]["tasks"][0].pop("proc"),
+     r"schedule.tasks\[0\].proc must be an integer"),
+    ("proc-string", lambda b: b["schedule"]["tasks"][0].update(proc="x"),
+     r"schedule.tasks\[0\].proc must be an integer"),
+    ("proc-out-of-range", lambda b: b["schedule"]["tasks"][0].update(proc=-1),
+     r"schedule.tasks\[0\].proc names processor -1"),
+    ("edge-one-task", lambda b: b["schedule"]["messages"][0].update(edge=["x"]),
+     r"schedule.messages\[0\].edge must name 2 tasks"),
+    ("no-local", lambda b: b["schedule"]["messages"][0].pop("local"),
+     r"schedule.messages\[0\].local must be true or false"),
+    ("hops-object", lambda b: _first_routed(b).update(hops={}),
+     r"hops must be a list"),
+    ("hop-no-dst", lambda b: _first_routed(b)["hops"][0].pop("dst"),
+     r"hops\[0\].dst must be an integer"),
+    ("hop-start-string", lambda b: _first_routed(b)["hops"][0].update(start="x"),
+     r"hops\[0\].start must be a number"),
+    ("nominal-nulls",
+     lambda b: b.update(nominal_costs=[None] * len(b["nominal_costs"])),
+     r"nominal_costs\[0\] must be a number"),
+    ("no-graph", lambda b: b.pop("graph"), "graph must be an object"),
+    ("no-topology", lambda b: b.pop("topology"), "topology must be an object"),
+    ("link-model-list", lambda b: b.update(link_model=[1]),
+     "link_model must be an object"),
+    ("link-mode-list", lambda b: b["link_model"].update(mode=[]),
+     "link_model.mode must be a string"),
+    ("factor-range-scalar", lambda b: b["link_model"].update(factor_range=5),
+     "link_model.factor_range must be a list"),
+    ("per-link-key", lambda b: b["link_model"].update(per_link={"a-b": 1.0}),
+     "link_model.per_link key 'a-b'"),
+]
+
+
+@pytest.fixture(scope="module")
+def bundle_blob():
+    return bundle_to_dict(_bsa_schedule())
+
+
 class TestErrorPaths:
+    @pytest.mark.parametrize("mutate,field", [m[1:] for m in MALFORMED],
+                             ids=[m[0] for m in MALFORMED])
+    def test_malformed_section_names_the_field(self, bundle_blob, mutate, field):
+        """Bundles are untrusted: every malformed section fails as a
+        SchedulingError naming its field (exit 9), never as a KeyError,
+        TypeError, IndexError or AttributeError."""
+        blob = copy.deepcopy(bundle_blob)
+        mutate(blob)
+        with pytest.raises(SchedulingError, match=field):
+            bundle_from_dict(copy.deepcopy(blob))
+        with pytest.raises(SchedulingError, match=field):
+            bundle_from_json(json.dumps(blob))
+
     def test_wrong_format_and_version(self):
         with pytest.raises(SchedulingError, match="not a repro-schedule-bundle"):
             bundle_from_dict({})
