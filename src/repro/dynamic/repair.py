@@ -127,7 +127,8 @@ def tail_settle(schedule: Schedule, frontier: float) -> Schedule:
     a time are recorded in the open transaction's undo log, so callers
     can roll back an entire failed repair exactly.  Occupant orders are
     **not** resorted here: resorts are not undo-logged, so the caller
-    must resort only after committing the transaction.
+    must resort only after committing the transaction. The write-back
+    does not patch the schedule's live timelines; it drops them.
     """
     system = schedule.system
     graph = system.graph
@@ -262,6 +263,7 @@ def tail_settle(schedule: Schedule, frontier: float) -> Schedule:
                 times_append((obj, obj.start, obj.finish))
             obj.start = s
             obj.finish = f
+    schedule.drop_timelines()
     return schedule
 
 

@@ -38,6 +38,11 @@ Link = Tuple[int, int]
 DUPLEX_MODES = ("half", "full")
 
 
+def _is_int(value) -> bool:
+    """An int that is not a bool (JSON ``true`` parses to one)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def link_id(x: Proc, y: Proc) -> Link:
     """Canonical (sorted) identifier of the undirected link between x and y.
 
@@ -76,7 +81,20 @@ class LinkSpec:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "LinkSpec":
-        return cls(bandwidth=d.get("bandwidth", 1.0), duplex=d.get("duplex", "half"))
+        """Rebuild a spec exported by :meth:`to_dict`; a malformed field
+        raises :class:`TopologyError` naming it."""
+        if not isinstance(d, Mapping):
+            raise TopologyError(
+                f"link spec must be an object, got {type(d).__name__}")
+        bandwidth = d.get("bandwidth", 1.0)
+        if isinstance(bandwidth, bool) or not isinstance(bandwidth, (int, float)):
+            raise TopologyError(
+                f"link spec field 'bandwidth' must be a number, got {bandwidth!r}")
+        duplex = d.get("duplex", "half")
+        if not isinstance(duplex, str):
+            raise TopologyError(
+                f"link spec field 'duplex' must be a string, got {duplex!r}")
+        return cls(bandwidth=bandwidth, duplex=duplex)
 
 
 #: the paper's uniform link: unit bandwidth, half duplex
@@ -294,15 +312,62 @@ class Topology:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "Topology":
-        """Rebuild a topology exported by :meth:`to_dict`."""
+        """Rebuild a topology exported by :meth:`to_dict`.
+
+        The dict is untrusted input (an inline ``topology_spec``, a
+        topology file, a bundle), so every field is checked and a
+        malformed one raises :class:`TopologyError` naming it.
+        """
+        if not isinstance(d, Mapping):
+            raise TopologyError(
+                f"topology must be an object, got {type(d).__name__}")
+        n_procs = d.get("n_procs")
+        if not _is_int(n_procs):
+            raise TopologyError(
+                f"topology field 'n_procs' must be an integer, got {n_procs!r}")
+        links = d.get("links")
+        if not isinstance(links, list):
+            raise TopologyError(
+                f"topology field 'links' must be a list of processor pairs, "
+                f"got {links!r}")
+        for k, pair in enumerate(links):
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                    and _is_int(pair[0]) and _is_int(pair[1])):
+                raise TopologyError(
+                    f"topology field 'links[{k}]' must be a pair of processor "
+                    f"ids, got {pair!r}")
+        # a connected network of n processors has at least n - 1 links;
+        # checked first, so a huge n_procs never sizes per-processor state
+        if n_procs > len(links) + 1:
+            raise TopologyError(
+                f"topology field 'n_procs' is {n_procs}, but {len(links)} "
+                f"links connect at most {len(links) + 1} processors")
+        name = d.get("name", "topology")
+        if not isinstance(name, str):
+            raise TopologyError(
+                f"topology field 'name' must be a string, got {name!r}")
+        raw_specs = d.get("link_specs")
+        if raw_specs is None:
+            raw_specs = {}
+        if not isinstance(raw_specs, Mapping):
+            raise TopologyError(
+                f"topology field 'link_specs' must be an object, got {raw_specs!r}")
         specs: Dict[Link, LinkSpec] = {}
-        for key, spec in (d.get("link_specs") or {}).items():
-            a, b = key.split("-")
-            specs[(int(a), int(b))] = LinkSpec.from_dict(spec)
+        for key, spec in raw_specs.items():
+            a, sep, b = key.partition("-") if isinstance(key, str) else ("", "", "")
+            if not (sep and a.isdecimal() and b.isdecimal()):
+                raise TopologyError(
+                    f"topology field 'link_specs' has key {key!r}; "
+                    f"expected 'A-B' with processor ids A and B")
+            try:
+                specs[(int(a), int(b))] = LinkSpec.from_dict(spec)
+            except TopologyError as exc:
+                raise TopologyError(
+                    f"topology field 'link_specs[{key!r}]': {exc}") from None
         return cls(
-            d["n_procs"],
-            [tuple(l) for l in d["links"]],
-            name=d.get("name", "topology"),
+            n_procs,
+            [tuple(pair) for pair in links],
+            name=name,
             link_specs=specs or None,
         )
 

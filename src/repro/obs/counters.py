@@ -73,6 +73,10 @@ COUNTERS: Dict[str, str] = {
         "full Kahn settle passes (settle() calls and incremental fallbacks)",
     "txn.rollbacks":
         "schedule transactions rolled back via the undo log",
+    "timeline.rebuilds":
+        "processor/link timelines built from their order on a cache miss",
+    "timeline.patches":
+        "cached timeline entries inserted, deleted or rewritten in place",
     "list.candidates_evaluated":
         "exact (task, processor) plans in the list schedulers' argmins "
         "(HEFT/CPOP/spdecomp earliest finish, DLS/ETF ready pairs)",

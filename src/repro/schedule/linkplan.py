@@ -194,9 +194,11 @@ def committed_arrival_bounds(
     append-policy list schedulers need no bound (see
     :meth:`~repro.baselines.common.ListScheduleBuilder.place_ready_pairs`).
 
-    ``tl_memo`` (channel -> timeline) skips the schedule's stamped
-    timeline-cache probe on repeat channels; callers bounding several
-    messages against one committed state share one dict across them.
+    ``tl_memo`` (channel -> timeline) skips the schedule's timeline
+    lookup on repeat channels; callers bounding several messages
+    against one committed state share one dict across them, and must
+    not keep it across a mutation, which edits or drops the timelines
+    it holds.
     """
     system = sched.system
     finish = sched.slots[edge[0]].finish

@@ -70,22 +70,22 @@ class Schedule:
         self.link_order: Dict[Link, List[MessageHop]] = {
             ch: [] for ch in system.topology.channels()
         }
-        # Lazily built per-resource Timeline indexes (see timeline docs
-        # in repro.util.intervals), invalidated at *resource*
-        # granularity: every mutator bumps the version of exactly the
-        # processors/channels it touched, so a commit that rearranges
-        # two processors and three links leaves every other resource's
-        # cached timeline valid. ``_epoch`` covers wholesale changes
-        # (full resort, restore, rollback). BSA evaluates hundreds of
-        # candidate moves between mutations, so the caches are hit far
-        # more than rebuilt.
-        self._epoch: int = 0
-        self._res_version: Dict[Tuple[str, object], int] = {}
-        self._tl_cache: Dict[Tuple[str, object], Tuple[Tuple[int, int], Timeline]] = {}
+        # Per-resource Timeline indexes (see repro.util.intervals), built
+        # on a resource's first query and then kept live: every mutator
+        # and the incremental settle's write-back edit the cached
+        # timeline in place at the order index they already know, so a
+        # cached timeline always equals Timeline.from_items over its
+        # order. Only wholesale changes drop entries: a full resort, an
+        # order resort_partial actually re-sorts, a rollback, a restore
+        # and the dynamic tail settle.
+        self._proc_tl: Dict[Proc, Timeline] = {}
+        self._link_tl: Dict[Link, Timeline] = {}
         # Occupant-position indexes for the incremental settle engine,
         # versioned by *order* changes only (a settle rewrites times on
         # the pivot every commit but rarely reorders it, so these maps
-        # survive most commits; timelines, which depend on times, do not).
+        # survive most commits). ``_epoch`` covers wholesale order
+        # changes (full resort, restore, rollback).
+        self._epoch: int = 0
         self._ord_version: Dict[Tuple[str, object], int] = {}
         self._pos_cache: Dict[Tuple[str, object], Tuple[Tuple[int, int], Dict]] = {}
         # Open transaction (undo log + incremental-settle seed set); see
@@ -127,33 +127,40 @@ class Schedule:
         return self.link_order[link]
 
     def proc_timeline(self, proc: Proc) -> Timeline:
-        """Cached :class:`Timeline` over ``proc``'s busy slots.
+        """Live :class:`Timeline` over ``proc``'s busy slots.
 
-        The returned object is shared and must not be mutated — tentative
+        The schedule edits the returned object in place on every later
+        mutation of ``proc``, so read it before mutating the schedule,
+        not across a mutation. Callers must not mutate it — tentative
         planners layer their reservations over it with
         :meth:`Timeline.earliest_gap_merged` instead.
         """
-        key = ("p", proc)
-        stamp = (self._epoch, self._res_version.get(key, 0))
-        hit = self._tl_cache.get(key)
-        if hit is not None and hit[0] == stamp:
-            return hit[1]
-        slots = self.slots
-        tl = Timeline.from_items([slots[t] for t in self.proc_order[proc]])
-        self._tl_cache[key] = (stamp, tl)
+        tl = self._proc_tl.get(proc)
+        if tl is None:
+            if _obs.ACTIVE:
+                _obs.inc("timeline.rebuilds")
+            slots = self.slots
+            tl = self._proc_tl[proc] = Timeline.from_items(
+                [slots[t] for t in self.proc_order[proc]])
         return tl
 
     def link_timeline(self, link: Link) -> Timeline:
-        """Cached :class:`Timeline` over the given link channel's busy
-        hops (shared — do not mutate; copy first)."""
-        key = ("l", link)
-        stamp = (self._epoch, self._res_version.get(key, 0))
-        hit = self._tl_cache.get(key)
-        if hit is not None and hit[0] == stamp:
-            return hit[1]
-        tl = Timeline.from_items(self.link_order[link])
-        self._tl_cache[key] = (stamp, tl)
+        """Live :class:`Timeline` over the given link channel's busy hops
+        (edited in place by later mutations, like :meth:`proc_timeline`;
+        callers must not mutate it)."""
+        tl = self._link_tl.get(link)
+        if tl is None:
+            if _obs.ACTIVE:
+                _obs.inc("timeline.rebuilds")
+            tl = self._link_tl[link] = Timeline.from_items(self.link_order[link])
         return tl
+
+    def drop_timelines(self) -> None:
+        """Forget every cached timeline, for changes too wholesale to
+        patch (resorts, restores, rollbacks, the dynamic tail settle);
+        the next query of a resource rebuilds its timeline."""
+        self._proc_tl.clear()
+        self._link_tl.clear()
 
     def proc_positions(self, proc: Proc) -> Dict[TaskId, int]:
         """Cached ``task -> index`` map over ``proc_order[proc]`` (shared
@@ -216,9 +223,12 @@ class Schedule:
         self.slots[task] = slot
         if self._txn is not None:
             self._txn.record_place(task, proc, position, order)
+        tl = self._proc_tl.get(proc)
+        if tl is not None:
+            tl.insert(position, slot.start, slot.finish)
+            if _obs.ACTIVE:
+                _obs.inc("timeline.patches")
         key = ("p", proc)
-        rv = self._res_version
-        rv[key] = rv.get(key, 0) + 1
         ov = self._ord_version
         ov[key] = ov.get(key, 0) + 1
         return slot
@@ -243,9 +253,12 @@ class Schedule:
         order.pop(pos)
         if self._txn is not None:
             self._txn.record_remove(task, slot, pos, order)
+        tl = self._proc_tl.get(slot.proc)
+        if tl is not None:
+            tl.delete(pos)
+            if _obs.ACTIVE:
+                _obs.inc("timeline.patches")
         key = ("p", slot.proc)
-        rv = self._res_version
-        rv[key] = rv.get(key, 0) + 1
         ov = self._ord_version
         ov[key] = ov.get(key, 0) + 1
         return slot
@@ -271,6 +284,7 @@ class Schedule:
         self.clear_route(edge)
         topology = self.system.topology
         txn = self._txn
+        link_tl = self._link_tl
         hops: List[MessageHop] = []
         entries: List[Tuple[Link, int]] = []
         for i, (a, b) in enumerate(zip(proc_path, proc_path[1:])):
@@ -288,8 +302,6 @@ class Schedule:
             hop._chan = channel
             order = self.link_order[channel]
             rkey = ("l", channel)
-            rv = self._res_version
-            rv[rkey] = rv.get(rkey, 0) + 1
             ov = self._ord_version
             ov[rkey] = ov.get(rkey, 0) + 1
             if hop_starts:
@@ -298,6 +310,11 @@ class Schedule:
             else:
                 pos = len(order)
                 order.append(hop)
+            tl = link_tl.get(channel)
+            if tl is not None:
+                tl.insert(pos, hop.start, hop.finish)
+                if _obs.ACTIVE:
+                    _obs.inc("timeline.patches")
             if txn is not None:
                 entries.append((channel, pos))
                 nxt = order[pos + 1] if pos + 1 < len(order) else None
@@ -329,12 +346,11 @@ class Schedule:
         channel = self.system.topology.channel
         txn = self._txn
         entries: List[Tuple[Link, int]] = []
-        rv = self._res_version
         ov = self._ord_version
+        link_tl = self._link_tl
         for hop in route.hops:
             ch = channel(hop.src, hop.dst)
             rkey = ("l", ch)
-            rv[rkey] = rv.get(rkey, 0) + 1
             ov[rkey] = ov.get(rkey, 0) + 1
             order = self.link_order[ch]
             # identity removal: dataclass __eq__ could match a different
@@ -345,6 +361,11 @@ class Schedule:
             else:  # pragma: no cover - container invariant violated
                 raise SchedulingError(f"hop of {edge} missing from link order")
             order.pop(pos)
+            tl = link_tl.get(ch)
+            if tl is not None:
+                tl.delete(pos)
+                if _obs.ACTIVE:
+                    _obs.inc("timeline.patches")
             if txn is not None:
                 entries.append((ch, pos))
                 if pos < len(order):
@@ -399,6 +420,7 @@ class Schedule:
         for l, hops in self.link_order.items():
             hops.sort(key=lambda h: (h.start, h.finish))
         self._epoch += 1  # every resource may have changed
+        self.drop_timelines()
 
     def resort_partial(self, procs: Iterable[Proc], channels: Iterable[Link]) -> None:
         """Re-sort only the given processor/link orders by settled start.
@@ -410,10 +432,11 @@ class Schedule:
         :meth:`resort_orders`. Settled times almost always leave even
         the touched orders sorted (chain constraints force
         ``start_next >= finish_prev``), so a linear sortedness check
-        runs first and the stable sort only when it actually fails.
+        runs first and the stable sort only when it actually fails. A
+        re-sorted order drops its cached timeline; every other cached
+        timeline already carries the settled times.
         """
         slots = self.slots
-        rv = self._res_version
         ov = self._ord_version
         for p in procs:
             order = self.proc_order[p]
@@ -425,10 +448,9 @@ class Schedule:
                     order.sort(key=lambda t: (slots[t].start, slots[t].finish))
                     key = ("p", p)
                     ov[key] = ov.get(key, 0) + 1
+                    self._proc_tl.pop(p, None)
                     break
                 ps, pf = ss, sf
-            key = ("p", p)
-            rv[key] = rv.get(key, 0) + 1
         for ch in channels:
             hops = self.link_order[ch]
             ps = pf = float("-inf")
@@ -438,10 +460,9 @@ class Schedule:
                     hops.sort(key=lambda h: (h.start, h.finish))
                     key = ("l", ch)
                     ov[key] = ov.get(key, 0) + 1
+                    self._link_tl.pop(ch, None)
                     break
                 ps, pf = ss, sf
-            key = ("l", ch)
-            rv[key] = rv.get(key, 0) + 1
 
     def copy(self) -> "Schedule":
         """Deep copy (fresh slot/hop objects, shared system)."""
@@ -480,7 +501,7 @@ class Schedule:
         self.routes = snapshot.routes
         self.link_order = snapshot.link_order
         self._epoch += 1
-        self._tl_cache.clear()
+        self.drop_timelines()
 
     def stats_summary(self) -> str:
         """One-line human summary used by the CLI and examples."""
@@ -606,4 +627,4 @@ class ScheduleTxn:
         sched.routes = {e: routes[e] for e in self._route_keys}
         sched._txn = None
         sched._epoch += 1
-        sched._tl_cache.clear()
+        sched.drop_timelines()

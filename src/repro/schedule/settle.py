@@ -50,7 +50,7 @@ from typing import Dict, List, Tuple
 from repro.errors import CycleError, SchedulingError
 from repro.obs import counters as _obs
 from repro.schedule.schedule import Schedule
-from repro.util.intervals import reference_mode
+from repro.util.intervals import Timeline, reference_mode
 
 
 def settle(schedule: Schedule) -> Schedule:
@@ -234,6 +234,16 @@ def settle_incremental(schedule: Schedule, seed_tasks, seed_hops) -> Schedule:
     lp_get = link_pos.get
     sched_ppos = schedule.proc_positions
     sched_lpos = schedule.link_positions
+    # Live timelines: each write-back is rewritten into the resource's
+    # cached Timeline (if it has one) at the order position looked up
+    # per pop; ``stale`` keeps the rewritten index span per timeline so
+    # its running maximum is refreshed once, after the loop. The early
+    # exits (full-pass fallback, CycleError) drop the timelines instead.
+    proc_tl_get = schedule._proc_tl.get
+    link_tl_get = schedule._link_tl.get
+    stale: Dict[Timeline, List[int]] = {}
+    stale_get = stale.get
+    patches = 0
 
     # -- worklist ---------------------------------------------------------
     heap: List[tuple] = []
@@ -285,6 +295,8 @@ def settle_incremental(schedule: Schedule, seed_tasks, seed_hops) -> Schedule:
             if _obs.ACTIVE:
                 _obs.inc("settle.budget_fallbacks")
                 _obs.inc("settle.cone_pops", pops)
+                _obs.inc("timeline.patches", patches)
+            schedule.drop_timelines()
             return _settle_fast(schedule)
         _, _, is_hop, obj = heappop(heap)
         pending.discard(id(obj))
@@ -344,6 +356,17 @@ def settle_incremental(schedule: Schedule, seed_tasks, seed_hops) -> Schedule:
         obj.start = new_start
         new_finish = new_start + duration
         obj.finish = new_finish
+        tl = link_tl_get(ch) if is_hop else proc_tl_get(p)
+        if tl is not None:
+            tl.rewrite(i, new_start, new_finish)
+            patches += 1
+            span = stale_get(tl)
+            if span is None:
+                stale[tl] = [i, i]
+            elif i < span[0]:
+                span[0] = i
+            elif i > span[1]:
+                span[1] = i
 
         # Propagate to constraint successors — but only where this
         # node's finish can actually move them. A successor's start is
@@ -367,6 +390,7 @@ def settle_incremental(schedule: Schedule, seed_tasks, seed_hops) -> Schedule:
                 # not depend on processing order; a cycle elsewhere is
                 # caught by its own members' growth or the pop budget).
                 if _reaches_itself(schedule, obj, is_hop):
+                    schedule.drop_timelines()
                     desc = (
                         f"hop {obj.edge} {obj.src}->{obj.dst}" if is_hop
                         else f"task {obj.task!r}@P{obj.proc}"
@@ -437,9 +461,12 @@ def settle_incremental(schedule: Schedule, seed_tasks, seed_hops) -> Schedule:
     for hop in live_seed_hops:
         touched_channels.add(hop._chan)
 
+    for tl, (lo, hi) in stale.items():
+        tl.refresh_maxf(lo, hi)
     if _obs.ACTIVE:
         _obs.inc("settle.incremental_runs")
         _obs.inc("settle.cone_pops", pops)
+        _obs.inc("timeline.patches", patches)
     schedule.resort_partial(touched_procs, touched_channels)
     return schedule
 

@@ -177,6 +177,12 @@ class Timeline:
     tail. Skipped reservations finish at or before the scan time ``t``,
     so (for positive-duration queries) they can neither host the item nor
     advance ``t``: results are bit-identical to the legacy full scan.
+
+    A schedule keeps one Timeline per resource live: :meth:`insert` and
+    :meth:`delete` edit one entry in place, :meth:`rewrite` a batch of
+    entries followed by one :meth:`refresh_maxf`, and each leaves all
+    three lists exactly as :meth:`from_items` would build them over the
+    edited reservations.
     """
 
     __slots__ = ("starts", "finishes", "_maxf")
@@ -185,8 +191,8 @@ class Timeline:
                  finishes: Optional[List[float]] = None):
         self.starts = starts if starts is not None else []
         self.finishes = finishes if finishes is not None else []
-        # running maximum at C speed — this constructor runs once per
-        # (resource, mutation) cache miss on the hottest planning path
+        # running maximum at C speed — this constructor builds a
+        # resource's index the first time it is queried
         self._maxf: List[float] = list(accumulate(self.finishes, max))
 
     @classmethod
@@ -196,6 +202,57 @@ class Timeline:
 
     def __len__(self) -> int:
         return len(self.starts)
+
+    # -- in-place edits ----------------------------------------------------
+    def insert(self, i: int, start: float, finish: float) -> None:
+        """Insert the reservation ``[start, finish)`` at index ``i``."""
+        self.starts.insert(i, start)
+        self.finishes.insert(i, finish)
+        self._maxf.insert(i, finish)
+        self.refresh_maxf(i, i)
+
+    def delete(self, i: int) -> None:
+        """Remove the reservation at index ``i``."""
+        del self.starts[i]
+        del self.finishes[i]
+        del self._maxf[i]
+        self.refresh_maxf(i, i - 1)
+
+    def rewrite(self, i: int, start: float, finish: float) -> None:
+        """Give the reservation at index ``i`` new times, leaving the
+        running maximum to :meth:`refresh_maxf`: a settle rewrites a
+        batch of entries and refreshes each timeline once."""
+        self.starts[i] = start
+        self.finishes[i] = finish
+
+    def refresh_maxf(self, lo: int, hi: int) -> None:
+        """Bring ``_maxf`` up to date after edits at indices ``lo..hi``.
+
+        Entries ``lo..hi`` are recomputed unconditionally (an insert
+        passes ``hi == lo``: its slot holds a placeholder; a delete
+        passes ``hi == lo - 1``). Past ``hi`` each stored entry is an
+        old running maximum that takes the same step as the new one, so
+        the walk stops at the first entry whose value does not change.
+        ``f > m`` mirrors ``max(m, f)``, the step
+        :func:`itertools.accumulate` takes in :meth:`__init__`.
+        """
+        finishes, maxf = self.finishes, self._maxf
+        n = len(finishes)
+        if lo >= n:
+            return
+        if lo == 0:
+            m = finishes[0]
+            maxf[0] = m
+            lo = 1
+        else:
+            m = maxf[lo - 1]
+        for k in range(lo, n):
+            f = finishes[k]
+            if f > m:
+                m = f
+            if k > hi and maxf[k] == m:
+                return
+            maxf[k] = m
 
     def last_finish(self) -> float:
         """Finish of the last reservation in start order (0 when empty)."""

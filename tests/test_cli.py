@@ -303,6 +303,33 @@ class TestSimulateReplay:
         assert "repro replay: bundle field" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("field,value", [
+        ("n_procs", None),
+        ("n_procs", "4"),
+        ("links", 7),
+        ("link_specs", {"0_1": {"bandwidth": 2.0}}),
+    ])
+    def test_replay_rejects_malformed_topology(self, tmp_path, capsys,
+                                               field, value):
+        """A bundle topology with a malformed field is a TopologyError
+        (rc 7) naming it, not a KeyError surfacing as rc 70 internal."""
+        import json
+
+        bundle = tmp_path / "b.json"
+        assert main(["schedule", "-w", "gauss", "-n", "20", "-t", "ring",
+                     "-p", "4", "--export-bundle", str(bundle)]) == 0
+        capsys.readouterr()
+        doc = json.loads(bundle.read_text())
+        if value is None:
+            del doc["topology"][field]
+        else:
+            doc["topology"][field] = value
+        bundle.write_text(json.dumps(doc))
+        assert main(["replay", str(bundle)]) == 7
+        err = capsys.readouterr().err
+        assert f"topology field '{field}'" in err
+        assert "Traceback" not in err
+
     def test_replay_flags_corrupted_schedule(self, tmp_path, capsys):
         """Tampered times must fail the replay audit (rc 1)."""
         import json

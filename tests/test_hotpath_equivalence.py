@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
@@ -30,7 +31,7 @@ from repro.experiments.pareto import pareto_to_json, run_pareto
 from repro.experiments.runner import _SCHEDULERS, build_cell_system
 from repro.objectives import evaluate_objectives
 from repro.schedule.io import schedule_to_json
-from repro.util.intervals import hotpath_mode, set_hotpath_mode
+from repro.util.intervals import Timeline, hotpath_mode, set_hotpath_mode
 
 MODES = ("legacy", "incremental")
 
@@ -397,3 +398,191 @@ class TestGoldenPareto:
             set_hotpath_mode(mode)
             blobs[mode] = pareto_to_json(self._run())
         assert blobs["legacy"] == blobs["incremental"]
+
+
+# ----------------------------------------------------------------------
+# live timelines
+# ----------------------------------------------------------------------
+def _assert_timelines_live(sched, seen) -> None:
+    """Every cached timeline equals a fresh build over its live order:
+    starts, finishes and the running maximum."""
+    for proc, tl in sched._proc_tl.items():
+        ref = Timeline.from_items([sched.slots[t] for t in sched.proc_order[proc]])
+        assert (tl.starts, tl.finishes, tl._maxf) == (
+            ref.starts, ref.finishes, ref._maxf), f"processor {proc}"
+    for ch, tl in sched._link_tl.items():
+        ref = Timeline.from_items(sched.link_order[ch])
+        assert (tl.starts, tl.finishes, tl._maxf) == (
+            ref.starts, ref.finishes, ref._maxf), f"channel {ch}"
+        if tl._maxf != tl.finishes:
+            seen["non_monotone"] += 1
+    seen["timelines"] += len(sched._proc_tl) + len(sched._link_tl)
+
+
+@pytest.fixture
+def live_timelines(monkeypatch, both_modes):
+    """Run the incremental engine with the live-timeline invariant
+    checked after every mutator, commit, rollback, incremental settle
+    and dynamic cone repair. Yields a tally of what the checks saw."""
+    import importlib
+
+    import repro.core.migration as migration
+    from repro.schedule.schedule import Schedule, ScheduleTxn
+
+    # the package re-exports a function named ``simulate``
+    simulate_mod = importlib.import_module("repro.dynamic.simulate")
+
+    set_hotpath_mode("incremental")
+    seen = Counter()
+
+    def checked(fn, sched_of):
+        def wrapper(*args, **kwargs):
+            sched = sched_of(args)
+            out = fn(*args, **kwargs)
+            _assert_timelines_live(sched, seen)
+            seen[fn.__name__] += 1
+            return out
+        return wrapper
+
+    for name in ("place_task", "remove_task", "set_route", "clear_route",
+                 "commit_txn", "resort_partial"):
+        monkeypatch.setattr(Schedule, name,
+                            checked(getattr(Schedule, name), lambda a: a[0]))
+    monkeypatch.setattr(ScheduleTxn, "rollback",
+                        checked(ScheduleTxn.rollback, lambda a: a[0].sched))
+    monkeypatch.setattr(migration, "settle_incremental",
+                        checked(migration.settle_incremental, lambda a: a[0]))
+    monkeypatch.setattr(simulate_mod, "cone_repair",
+                        checked(simulate_mod.cone_repair, lambda a: a[0]))
+
+    delete = Timeline.delete
+
+    def tallying_delete(tl, i):
+        # the deleted entry alone holds the running maximum over a
+        # later entry that finishes earlier, so _maxf must fall
+        f = tl.finishes[i]
+        if ((i == 0 or tl._maxf[i - 1] < f)
+                and i + 1 < len(tl) and tl.finishes[i + 1] < f):
+            seen["max_deleted"] += 1
+        delete(tl, i)
+
+    monkeypatch.setattr(Timeline, "delete", tallying_delete)
+    yield seen
+
+
+def _zero_cost_system(seed: int, topology):
+    """A random graph with every third message free: its hops take no
+    link time, so they sit inside other reservations' spans and make
+    link finishes non-monotone."""
+    from repro.network.system import HeterogeneousSystem
+    from repro.workloads.suites import random_graph
+
+    graph = random_graph(30, granularity=1.0, seed=seed)
+    for k, (u, v) in enumerate(graph.edges()):
+        if k % 3 == 0:
+            graph.set_edge_cost(u, v, 0.0)
+    return HeterogeneousSystem.sample(graph, topology, het_range=(1, 10),
+                                      seed=seed)
+
+
+#: the randomized sweep: (scheduler, cell) pairs over both suites, full
+#: duplex and skewed bandwidth, and the rejection-heavy BSA cell whose
+#: rollbacks drop and rebuild timelines mid-run
+LIVE_TIMELINE_CASES = [
+    (algorithm, suite)
+    for algorithm in ("bsa", "heft", "dls", "etf", "cpop", "spdecomp")
+    for suite in ("random", "torus")
+] + [("bsa", "rejection_heavy"), ("dls-insertion", "random16"),
+     ("heft", "link_het16")]
+
+
+class TestLiveTimelines:
+    """Committed timelines are patched in place, never rebuilt on
+    mutation: after each step every cached one must equal a rebuild."""
+
+    @pytest.mark.parametrize("algorithm,suite", LIVE_TIMELINE_CASES)
+    def test_sweep(self, algorithm, suite, live_timelines):
+        cell = (Cell("regular", "gauss", 60, 0.1, "hypercube", "bsa",
+                     n_procs=8, graph_seed=1, system_seed=1)
+                if suite == "rejection_heavy" else _cell(suite))
+        sched = _SCHEDULERS[algorithm](build_cell_system(cell))
+        _assert_timelines_live(sched, live_timelines)
+        assert live_timelines["timelines"] > 0
+        if algorithm == "bsa":
+            assert live_timelines["settle_incremental"] > 0
+        if suite == "rejection_heavy":
+            assert live_timelines["rollback"] > 0
+
+    @pytest.mark.parametrize("algorithm", ["bsa", "heft", "dls", "etf"])
+    @pytest.mark.parametrize("seed,topology", [(11, "hypercube"),
+                                               (24, "ring")])
+    def test_zero_cost_messages(self, algorithm, seed, topology,
+                                live_timelines):
+        """Free messages: HEFT's insertion policy leaves their
+        zero-duration hops inside other hops' spans, and BSA on these
+        seeds deletes a hop that alone holds a link's running maximum
+        mid-commit."""
+        from repro.network.topology import hypercube, ring
+
+        net = hypercube(8) if topology == "hypercube" else ring(4)
+        sched = _SCHEDULERS[algorithm](_zero_cost_system(seed, net))
+        _assert_timelines_live(sched, live_timelines)
+        assert live_timelines["timelines"] > 0
+        if algorithm == "heft":
+            assert live_timelines["non_monotone"] > 0
+        if algorithm == "bsa":
+            assert live_timelines["max_deleted"] > 0
+
+    def test_resort_partial_drops_a_resorted_order(self, live_timelines):
+        """Settled times leave orders sorted in every cell above, so
+        force the other branch: times that invert an order make
+        ``resort_partial`` re-sort it, and its cached timelines (built
+        in the old order) must not survive."""
+        from repro.graph.model import TaskGraph
+        from repro.network.system import HeterogeneousSystem
+        from repro.network.topology import chain
+        from repro.schedule.schedule import Schedule
+
+        g = TaskGraph("swap")
+        for t in "abcd":
+            g.add_task(t, 2.0)
+        g.add_edge("a", "c", 1.0)
+        g.add_edge("b", "d", 1.0)
+        system = HeterogeneousSystem.from_exec_table(
+            g, chain(2), {t: (2.0, 2.0) for t in "abcd"})
+        sched = Schedule(system)
+        sched.place_task("a", 0, start=0.0)
+        sched.place_task("b", 0, start=2.0)
+        sched.set_route(("a", "c"), [0, 1], hop_starts=[2.0])
+        sched.set_route(("b", "d"), [0, 1], hop_starts=[4.0])
+        sched.place_task("c", 1, start=3.0)
+        sched.place_task("d", 1, start=5.0)
+        ch = system.topology.channel(0, 1)
+        proc_tl, link_tl = sched.proc_timeline(0), sched.link_timeline(ch)
+        # swap the times of the two tasks on P0 and of the two hops,
+        # patching the cached timelines as a settle write-back does
+        slots = sched.slots
+        hops = sched.link_order[ch]
+        for k, (obj, s) in enumerate([(slots["a"], 2.0), (slots["b"], 0.0)]):
+            obj.start, obj.finish = s, s + 2.0
+            proc_tl.rewrite(k, obj.start, obj.finish)
+        for k, (hop, s) in enumerate([(hops[0], 4.0), (hops[1], 2.0)]):
+            hop.start, hop.finish = s, s + 1.0
+            link_tl.rewrite(k, hop.start, hop.finish)
+        sched.resort_partial([0], [ch])
+        assert sched.proc_order[0] == ["b", "a"]
+        assert [h.edge for h in sched.link_order[ch]] == [("b", "d"), ("a", "c")]
+        _assert_timelines_live(sched, live_timelines)
+        assert sched.proc_timeline(0).starts == [0.0, 2.0]
+        assert sched.link_timeline(ch).starts == [2.0, 4.0]
+
+    def test_dynamic_cone_repair(self, live_timelines):
+        from repro.dynamic import simulate_scenario
+
+        cell = Cell("regular", "gauss", 40, 1.0, "ring", "bsa",
+                    n_procs=8, graph_seed=3, system_seed=3)
+        system = build_cell_system(cell)
+        sched = schedule_bsa(system, BSAOptions())
+        sim = simulate_scenario(system, sched, "f1l1a2s7")
+        assert live_timelines["cone_repair"] > 0
+        _assert_timelines_live(sim.schedule, live_timelines)

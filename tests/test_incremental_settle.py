@@ -222,3 +222,51 @@ class TestSettleIncrementalDirect:
             settle(s)
         with pytest.raises(CycleError):
             settle_incremental(s, set(s.slots), [])
+
+    @pytest.mark.parametrize("n", [4, 100], ids=["short-cycle",
+                                              "long-cycle-pop-budget"])
+    def test_contradiction_leaves_no_stale_timeline(self, n,
+                                                    incremental_mode,
+                                                    monkeypatch):
+        """The incremental settle rewrites cached timelines as it goes
+        and refreshes their running maximum at the end; when a cycle
+        cuts it short, no cached timeline may disagree with its order.
+        A chain t0 -> ... -> t(n-1) on one processor ordered
+        [t(n-1), t0, ..., t(n-2)] closes one cycle through every task:
+        a short one is caught by the regrow check, a long one exhausts
+        the pop budget first and falls back to the full pass."""
+        import importlib
+
+        from repro.graph.model import TaskGraph
+        from repro.network.system import HeterogeneousSystem
+        from repro.network.topology import chain
+        from repro.schedule.schedule import Schedule
+        from repro.util.intervals import Timeline
+
+        settle_mod = importlib.import_module("repro.schedule.settle")
+
+        g = TaskGraph("loop")
+        tasks = [f"t{k}" for k in range(n)]
+        for t in tasks:
+            g.add_task(t, 2.0)
+        for u, v in zip(tasks, tasks[1:]):
+            g.add_edge(u, v, 1.0)
+        system = HeterogeneousSystem.from_exec_table(
+            g, chain(2), {t: (2.0, 2.0) for t in tasks})
+        s = Schedule(system)
+        for pos, t in enumerate([tasks[-1]] + tasks[:-1]):
+            s.place_task(t, 0, start=2.0 * pos, position=pos)
+        before = list(s.proc_timeline(0).finishes)
+        full_passes = []
+        fast = settle_mod._settle_fast
+        monkeypatch.setattr(settle_mod, "_settle_fast",
+                            lambda sched: full_passes.append(1) or fast(sched))
+        with pytest.raises(CycleError):
+            settle_incremental(s, set(s.slots), [])
+        assert len(full_passes) == (n > 4)
+        after = [s.slots[t].finish for t in s.proc_order[0]]
+        assert after != before  # times were written before the cycle
+        tl = s.proc_timeline(0)
+        fresh = Timeline.from_items([s.slots[t] for t in s.proc_order[0]])
+        assert (tl.starts, tl.finishes, tl._maxf) == (
+            fresh.starts, fresh.finishes, fresh._maxf)

@@ -48,6 +48,16 @@ class TestLinkSpec:
         spec = LinkSpec(bandwidth=3.5, duplex="full")
         assert LinkSpec.from_dict(spec.to_dict()) == spec
 
+    @pytest.mark.parametrize("doc,field", [
+        ([2.0, "half"], "link spec must be an object"),
+        ({"bandwidth": "2"}, "'bandwidth'"),
+        ({"bandwidth": True}, "'bandwidth'"),
+        ({"duplex": 5}, "'duplex'"),
+    ])
+    def test_from_dict_names_the_field(self, doc, field):
+        with pytest.raises(TopologyError, match=field):
+            LinkSpec.from_dict(doc)
+
 
 class TestTopologySpecs:
     def test_default_specs_uniform(self):
@@ -109,6 +119,27 @@ class TestTopologySpecs:
         assert t2.spec(1, 2) == DEFAULT_LINK_SPEC
         # default specs are omitted from the export
         assert "1-2" not in (t.to_dict().get("link_specs") or {})
+
+    @pytest.mark.parametrize("edit,field", [
+        ({"n_procs": 2.0}, "'n_procs'"),
+        ({"n_procs": True}, "'n_procs'"),
+        ({"n_procs": 10 ** 12}, "'n_procs' is 1000000000000, but 4 links"),
+        ({"links": [[0, True]]}, r"'links\[0\]'"),
+        ({"links": [[0, 1, 2]]}, r"'links\[0\]'"),
+        ({"name": 3}, "'name'"),
+        ({"link_specs": []}, "'link_specs'"),
+        ({"link_specs": {"0-x": {}}}, "'link_specs'"),
+        ({"link_specs": {"0-1": {"duplex": "simplex"}}},
+         r"'link_specs\['0-1'\]': duplex must be one of"),
+    ])
+    def test_from_dict_names_the_field(self, edit, field):
+        doc = {**ring(4).to_dict(), **edit}
+        with pytest.raises(TopologyError, match=field):
+            Topology.from_dict(doc)
+
+    def test_from_dict_rejects_a_non_object(self):
+        with pytest.raises(TopologyError, match="must be an object"):
+            Topology.from_dict([4, [[0, 1]]])
 
 
 # ----------------------------------------------------------------------

@@ -92,7 +92,10 @@ def _engine_counters() -> dict:
 #: test for *how* the schedule is found, which makespan pins cannot
 #: see. Any engine change that moves these must be deliberate.
 #: The candidate counts and route-trie lookups are the committed-load
-#: screen's (69 exact evaluations out of 2370 candidates).
+#: screen's (69 exact evaluations out of 2370 candidates). Timelines
+#: are built on first query after the initial full settle pass (30) and
+#: again after each of the 2 rollbacks drops them (19 + 16); every
+#: other change reaches a cached timeline as an in-place patch.
 GOLDEN_INCREMENTAL_N40 = {
     "bsa.candidates_evaluated": 69,
     "bsa.candidates_pruned": 2301,
@@ -105,31 +108,41 @@ GOLDEN_INCREMENTAL_N40 = {
     "settle.cone_pops": 2210,
     "settle.full_passes": 1,
     "settle.incremental_runs": 39,
+    "timeline.patches": 1806,
+    "timeline.rebuilds": 65,
     "txn.rollbacks": 2,
 }
 
 #: the same pinned cell under HEFT: the earliest-finish screen plans one
 #: candidate exactly per task (40 of 640) and walks a routing-table trie
 #: once per incoming message (64 walks, 15 of them building the trie).
-#: The legacy oracle plans all 640.
+#: The legacy oracle plans all 640. Each of the 16 processor and 16
+#: link timelines is built once; every placement after that patches it.
 GOLDEN_HEFT_N40 = {
     "list.candidates_evaluated": 40,
     "list.candidates_pruned": 600,
     "route.trie_hits": 49,
     "route.trie_misses": 15,
+    "timeline.patches": 249,
+    "timeline.rebuilds": 32,
 }
 
 #: the same cell under DLS and ETF: the ready-pair queue plans 151 of
 #: DLS's 5104 ready (task, processor) pairs (the legacy oracle plans
 #: all of them; the per-step screen it replaced planned 651) and 101 of
-#: ETF's 3728. Neither walks a route trie.
+#: ETF's 3728. Neither walks a route trie; both build each of the 32
+#: timelines once and patch it from then on.
 GOLDEN_DLS_N40 = {
     "list.candidates_evaluated": 151,
     "list.candidates_pruned": 4953,
+    "timeline.patches": 239,
+    "timeline.rebuilds": 32,
 }
 GOLDEN_ETF_N40 = {
     "list.candidates_evaluated": 101,
     "list.candidates_pruned": 3627,
+    "timeline.patches": 131,
+    "timeline.rebuilds": 32,
 }
 
 

@@ -17,6 +17,7 @@ The contract under test, in order of importance:
 import hashlib
 import http.client
 import json
+import re
 import socket
 import threading
 import time
@@ -83,6 +84,22 @@ CONNECTED_STG = """\
 #: shapes of cache entry file that must be recomputed, never served
 MALFORMED_ENTRIES = ("list-file", "stamp-not-object", "no-bundle",
                      "summary-not-object")
+
+
+#: inline ``topology_spec`` shapes that escaped ``Topology.from_dict`` as
+#: KeyError/TypeError/ValueError/AttributeError (HTTP 500 ``internal``);
+#: each must be a TopologyError naming the field (HTTP 400 ``topology``)
+MALFORMED_TOPOLOGY_SPECS = {
+    "empty": ({}, "'n_procs'"),
+    "no-links": ({"n_procs": 4}, "'links'"),
+    "n-procs-string": ({"n_procs": "4", "links": [[0, 1]]}, "'n_procs'"),
+    "short-pair": ({"n_procs": 2, "links": [[0]]}, "'links[0]'"),
+    "links-not-list": ({"n_procs": 2, "links": 7}, "'links'"),
+    "spec-key": ({"n_procs": 2, "links": [[0, 1]],
+                  "link_specs": {"0_1": {"bandwidth": 2.0}}}, "'link_specs'"),
+    "spec-value": ({"n_procs": 2, "links": [[0, 1]],
+                    "link_specs": {"0-1": 5}}, "'link_specs['0-1']'"),
+}
 
 
 def _plant_malformed_entry(directory, key, shape):
@@ -272,6 +289,14 @@ class TestErrorTable:
 class TestPipeline:
     REQ = ScheduleRequest(workload="gauss", size=18, topology="ring",
                           n_procs=4, algorithm="heft")
+
+    @pytest.mark.parametrize("shape", sorted(MALFORMED_TOPOLOGY_SPECS))
+    def test_malformed_topology_spec_names_the_field(self, tmp_path, shape):
+        spec, field = MALFORMED_TOPOLOGY_SPECS[shape]
+        req = ScheduleRequest(workload="gauss", size=18, algorithm="heft",
+                              topology_spec=spec)
+        with pytest.raises(TopologyError, match=re.escape(field)):
+            execute(req, cache=ResultCache(str(tmp_path / "cache")))
 
     def test_miss_then_hit_same_bytes(self, tmp_path):
         cache = ResultCache(str(tmp_path / "cache"))
@@ -610,6 +635,18 @@ class TestHttp:
         assert status == 400
         assert doc["kind"] == "disconnected"
         assert "bridge" in doc["detail"]
+
+    @pytest.mark.parametrize("shape", sorted(MALFORMED_TOPOLOGY_SPECS))
+    def test_malformed_topology_spec_is_structured_400(self, server, shape):
+        spec, field = MALFORMED_TOPOLOGY_SPECS[shape]
+        status, _, body = _request(server, "POST", "/schedule",
+                                   {"workload": "gauss", "size": 18,
+                                    "algorithm": "heft",
+                                    "topology_spec": spec})
+        doc = json.loads(body)
+        assert status == 400
+        assert doc["kind"] == "topology"
+        assert field in doc["detail"]
 
     def test_bridge_epsilon_repairs_over_http(self, server):
         status, _, _ = _request(server, "POST", "/schedule",

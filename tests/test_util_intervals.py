@@ -198,6 +198,121 @@ class TestTimeline:
             Timeline().earliest_gap(0.0, -1.0)
 
 
+def _lists(tl):
+    return tl.starts, tl.finishes, tl._maxf
+
+
+#: a timeline whose running maximum is held by a long reservation with
+#: zero-duration entries inside its span (finishes 2 and 3 < 10)
+_SPANNED = [(0.0, 1.0), (1.0, 10.0), (2.0, 2.0), (3.0, 3.0), (10.0, 12.0)]
+
+
+class TestTimelineEdits:
+    """In-place edits (rewrites followed by their refresh) leave starts,
+    finishes and the running maximum exactly as
+    :meth:`Timeline.from_items` builds them over the edited
+    reservations."""
+
+    @staticmethod
+    def _check(tl, items):
+        fresh = Timeline.from_items([Interval(s, f) for s, f in items])
+        assert _lists(tl) == _lists(fresh)
+
+    @pytest.mark.parametrize("where", ["head", "middle", "tail"])
+    @pytest.mark.parametrize("entry", [(0.0, 0.0), (2.5, 2.5), (5.0, 20.0)],
+                             ids=["zero-at-0", "zero-inside", "new-max"])
+    def test_insert(self, where, entry):
+        items = list(_SPANNED)
+        i = {"head": 0, "middle": 2, "tail": len(items)}[where]
+        tl = Timeline.from_items([Interval(s, f) for s, f in items])
+        tl.insert(i, *entry)
+        items.insert(i, entry)
+        self._check(tl, items)
+
+    @pytest.mark.parametrize("i", [0, 1, 2, 4], ids=["head", "max-holder",
+                                                   "middle", "tail"])
+    def test_delete(self, i):
+        items = list(_SPANNED)
+        tl = Timeline.from_items([Interval(s, f) for s, f in items])
+        tl.delete(i)
+        del items[i]
+        self._check(tl, items)
+
+    def test_delete_max_holder_lowers_the_running_maximum(self):
+        tl = Timeline.from_items([Interval(s, f) for s, f in _SPANNED])
+        assert tl._maxf == [1.0, 10.0, 10.0, 10.0, 12.0]
+        tl.delete(1)
+        assert tl._maxf == [1.0, 2.0, 3.0, 12.0]
+
+    @pytest.mark.parametrize("where", ["head", "middle", "tail"])
+    @pytest.mark.parametrize("shift", [-0.5, 0.0, 4.0],
+                             ids=["earlier", "same", "later"])
+    def test_rewrite(self, where, shift):
+        items = list(_SPANNED)
+        i = {"head": 0, "middle": 1, "tail": len(items) - 1}[where]
+        s, f = items[i]
+        entry = (max(s + shift, 0.0), max(f + shift, 0.0))
+        tl = Timeline.from_items([Interval(a, b) for a, b in items])
+        tl.rewrite(i, *entry)
+        tl.refresh_maxf(i, i)
+        items[i] = entry
+        self._check(tl, items)
+
+    def test_rewrite_batch_then_one_refresh(self):
+        """A settle rewrites several entries, then refreshes the span."""
+        items = list(_SPANNED)
+        tl = Timeline.from_items([Interval(s, f) for s, f in items])
+        for i, entry in [(3, (3.0, 3.5)), (1, (1.0, 2.0)), (2, (2.0, 2.0))]:
+            tl.rewrite(i, *entry)
+            items[i] = entry
+        tl.refresh_maxf(1, 3)
+        self._check(tl, items)
+        assert tl._maxf == [1.0, 2.0, 2.0, 3.5, 12.0]
+
+    def test_empty_and_single(self):
+        tl = Timeline()
+        tl.insert(0, 1.0, 2.0)
+        self._check(tl, [(1.0, 2.0)])
+        tl.rewrite(0, 0.0, 0.0)
+        tl.refresh_maxf(0, 0)
+        self._check(tl, [(0.0, 0.0)])
+        tl.delete(0)
+        self._check(tl, [])
+
+    def test_randomized_edit_sequences(self):
+        """Long random runs of inserts, deletes and rewrites, with
+        zero-duration entries so finishes are often non-monotone."""
+        import random
+        rng = random.Random(17)
+        for trial in range(60):
+            items = [(iv.start, iv.finish)
+                     for iv in _random_busy(rng, rng.randrange(0, 10))]
+            tl = Timeline.from_items([Interval(s, f) for s, f in items])
+            for _ in range(40):
+                op = rng.random()
+                if op < 0.4 or not items:
+                    s = rng.random() * 30
+                    entry = (s, s if rng.random() < 0.3 else s + rng.random() * 8)
+                    i = rng.randrange(len(items) + 1)
+                    tl.insert(i, *entry)
+                    items.insert(i, entry)
+                elif op < 0.7:
+                    i = rng.randrange(len(items))
+                    tl.delete(i)
+                    del items[i]
+                else:
+                    # a batch of rewrites, then one refresh of their span
+                    written = rng.sample(range(len(items)),
+                                         rng.randint(1, min(3, len(items))))
+                    for i in written:
+                        s = rng.random() * 30
+                        entry = (s, s + rng.random() * 8)
+                        tl.rewrite(i, *entry)
+                        items[i] = entry
+                    tl.refresh_maxf(min(written), max(written))
+                self._check(tl, items)
+
+
 class TestHotpathMode:
     def test_mode_round_trip(self):
         assert hotpath_mode() in HOTPATH_MODES
