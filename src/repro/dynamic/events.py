@@ -28,6 +28,7 @@ hand-written or recorded traces as well as injected ones.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -326,32 +327,46 @@ def events_to_dict(events: Sequence[Event]) -> Dict:
 
 def _task_id_from_json(tid):
     """JSON has no tuples, so list task ids (the generated workloads'
-    ``('U', 1, 2)`` style) come back as lists — restore them."""
+    ``('U', 1, 2)`` style) come back as lists — restore them. Only a
+    str, an int or a flat list of them is a task id."""
+    parts = tid if isinstance(tid, list) else [tid]
+    for part in parts:
+        if isinstance(part, bool) or not isinstance(part, (str, int)):
+            raise TypeError(
+                f"task id {tid!r} is not a str, an int or a flat list of them")
     return tuple(tid) if isinstance(tid, list) else tid
+
+
+def _finite(name: str, value) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return x
 
 
 def _event_from_dict(doc: Dict) -> Event:
     try:
         etype = doc["type"]
-        time = float(doc["time"])
+        time = _finite("time", doc["time"])
         if etype == "arrival":
             exec_row = doc.get("exec_row")
             return TaskArrival(
                 time=time,
                 task=_task_id_from_json(doc["task"]),
-                cost=float(doc["cost"]),
+                cost=_finite("cost", doc["cost"]),
                 deps=tuple(
-                    (_task_id_from_json(u), float(c))
+                    (_task_id_from_json(u), _finite("dependency cost", c))
                     for u, c in doc.get("deps", [])
                 ),
-                exec_row=tuple(float(c) for c in exec_row) if exec_row else None,
+                exec_row=tuple(_finite("exec_row entry", c) for c in exec_row)
+                if exec_row else None,
             )
         if etype == "proc_failure":
             return ProcFailure(time=time, proc=int(doc["proc"]))
         if etype == "link_failure":
             a, b = doc["link"]
             return LinkFailure(time=time, link=link_id(int(a), int(b)))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"malformed event record {doc!r}: {exc}") from None
     raise ConfigurationError(f"unknown event type {etype!r}")
 

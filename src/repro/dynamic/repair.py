@@ -8,11 +8,11 @@ before ``T``.
 
 The engine has three layers:
 
-* :func:`tail_settle` — a frontier-aware variant of the full Kahn pass
-  in :mod:`repro.schedule.settle`: frozen nodes contribute their
-  current ``finish`` as constants and are never recomputed, every tail
-  node is floored at the frontier, and each time write-back is
-  recorded in the open :class:`~repro.schedule.schedule.ScheduleTxn`
+* :func:`tail_settle` — the frontier form of the one Kahn pass,
+  :func:`repro.schedule.settle.kahn_settle`: frozen nodes contribute
+  their current ``finish`` as constants and are never recomputed,
+  every tail node is floored at the frontier, and each time write-back
+  is recorded in the open :class:`~repro.schedule.schedule.ScheduleTxn`
   so a rejected repair rolls back bit-for-bit.  It deliberately does
   **not** resort occupant orders (resorts are not undo-logged); the
   caller resorts only after committing;
@@ -37,13 +37,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
 from repro.errors import CycleError, RoutingError, SchedulingError
 from repro.network.topology import Proc, Topology, link_id
 from repro.schedule.linkplan import LinkPlanner, slot_start
 from repro.schedule.schedule import Schedule
-from repro.schedule.settle import _extract_cycle
+from repro.schedule.settle import kahn_settle
 from repro.schedule.validator import schedule_violations
 
 __all__ = [
@@ -130,141 +130,7 @@ def tail_settle(schedule: Schedule, frontier: float) -> Schedule:
     must resort only after committing the transaction. The write-back
     does not patch the schedule's live timelines; it drops them.
     """
-    system = schedule.system
-    graph = system.graph
-    exec_cost = system.exec_cost
-    comm_cost = system.comm_cost
-    slots = schedule.slots
-    routes = schedule.routes
-
-    objs: List[object] = []
-    duration: List[float] = []
-    task_ids: Dict[object, int] = {}
-    hop_ids: Dict[int, int] = {}
-    i = 0
-    for task, slot in slots.items():
-        if slot.start < frontier:
-            continue
-        task_ids[task] = i
-        objs.append(slot)
-        c = slot.cost
-        duration.append(c if c is not None else exec_cost(task, slot.proc))
-        i += 1
-    for route in routes.values():
-        for hop in route.hops:
-            if hop.start < frontier:
-                continue
-            hop_ids[id(hop)] = i
-            objs.append(hop)
-            c = hop.cost
-            duration.append(c if c is not None else comm_cost(hop.edge, hop.link))
-            i += 1
-
-    n = i
-    succ: List[List[int]] = [[] for _ in range(n)]
-    indeg: List[int] = [0] * n
-    start = [frontier] * n
-
-    def dep(a: int, b: int) -> None:
-        succ[a].append(b)
-        indeg[b] += 1
-
-    # processor order chains (frozen predecessors become floors)
-    for order in schedule.proc_order.values():
-        for a, b in zip(order, order[1:]):
-            ib = task_ids.get(b)
-            if ib is None:
-                continue
-            ia = task_ids.get(a)
-            if ia is not None:
-                dep(ia, ib)
-            else:
-                f = slots[a].finish
-                if f > start[ib]:
-                    start[ib] = f
-
-    # link order chains
-    for hops in schedule.link_order.values():
-        for a, b in zip(hops, hops[1:]):
-            ib = hop_ids.get(id(b))
-            if ib is None:
-                continue
-            ia = hop_ids.get(id(a))
-            if ia is not None:
-                dep(ia, ib)
-            else:
-                f = a.finish
-                if f > start[ib]:
-                    start[ib] = f
-
-    # message chains & task precedence
-    slots_get = slots.get
-    routes_get = routes.get
-    for u, vs in graph._succ.items():
-        u_slot = slots_get(u)
-        if u_slot is None:
-            continue
-        for v in vs:
-            v_slot = slots_get(v)
-            if v_slot is None:
-                continue
-            prev_node = task_ids.get(u)
-            prev_finish = u_slot.finish
-            route = routes_get((u, v))
-            if route is not None:
-                for hop in route.hops:
-                    hb = hop_ids.get(id(hop))
-                    if hb is None:
-                        prev_node = None
-                        prev_finish = hop.finish
-                        continue
-                    if prev_node is not None:
-                        dep(prev_node, hb)
-                    elif prev_finish > start[hb]:
-                        start[hb] = prev_finish
-                    prev_node = hb
-            iv = task_ids.get(v)
-            if iv is None:
-                continue  # edge into the committed prefix: dropped
-            if prev_node is not None:
-                dep(prev_node, iv)
-            elif prev_finish > start[iv]:
-                start[iv] = prev_finish
-
-    ready = [k for k in range(n) if indeg[k] == 0]
-    head = 0
-    while head < len(ready):
-        k = ready[head]
-        head += 1
-        finish = start[k] + duration[k]
-        for j in succ[k]:
-            if finish > start[j]:
-                start[j] = finish
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                ready.append(j)
-    if head != n:
-        blocked = [k for k in range(n) if indeg[k] > 0]
-        cycle = _extract_cycle(succ, blocked, objs, schedule)
-        raise CycleError(
-            f"contradictory tail orders ({len(blocked)} nodes blocked); "
-            f"cycle: {cycle}",
-            blocked,
-        )
-
-    txn = schedule._txn
-    times_append = txn.times.append if txn is not None else None
-    for k in range(n):
-        obj = objs[k]
-        s = start[k]
-        f = s + duration[k]
-        if obj.start != s or obj.finish != f:
-            if times_append is not None:
-                times_append((obj, obj.start, obj.finish))
-            obj.start = s
-            obj.finish = f
-    schedule.drop_timelines()
-    return schedule
+    return kahn_settle(schedule, frontier)
 
 
 # ---------------------------------------------------------------------------

@@ -80,14 +80,13 @@ class Schedule:
         # and the dynamic tail settle.
         self._proc_tl: Dict[Proc, Timeline] = {}
         self._link_tl: Dict[Link, Timeline] = {}
-        # Occupant-position indexes for the incremental settle engine,
-        # versioned by *order* changes only (a settle rewrites times on
-        # the pivot every commit but rarely reorders it, so these maps
-        # survive most commits). ``_epoch`` covers wholesale order
-        # changes (full resort, restore, rollback).
-        self._epoch: int = 0
-        self._ord_version: Dict[Tuple[str, object], int] = {}
-        self._pos_cache: Dict[Tuple[str, object], Tuple[Tuple[int, int], Dict]] = {}
+        # Occupant-position maps for the incremental settle engine,
+        # under the timeline cache's rule: built on a resource's first
+        # query, popped wherever that resource's order changes, cleared
+        # by wholesale order changes. A settle rewrites times but rarely
+        # reorders, so these maps survive most commits.
+        self._proc_pos: Dict[Proc, Dict[TaskId, int]] = {}
+        self._link_pos: Dict[Link, Dict[int, int]] = {}
         # Open transaction (undo log + incremental-settle seed set); see
         # begin_txn. None outside a transactional commit.
         self._txn: Optional["ScheduleTxn"] = None
@@ -165,25 +164,19 @@ class Schedule:
     def proc_positions(self, proc: Proc) -> Dict[TaskId, int]:
         """Cached ``task -> index`` map over ``proc_order[proc]`` (shared
         — do not mutate). Valid until the order structurally changes."""
-        key = ("p", proc)
-        stamp = (self._epoch, self._ord_version.get(key, 0))
-        hit = self._pos_cache.get(key)
-        if hit is not None and hit[0] == stamp:
-            return hit[1]
-        m = {t: i for i, t in enumerate(self.proc_order[proc])}
-        self._pos_cache[key] = (stamp, m)
+        m = self._proc_pos.get(proc)
+        if m is None:
+            m = self._proc_pos[proc] = {
+                t: i for i, t in enumerate(self.proc_order[proc])}
         return m
 
     def link_positions(self, channel: Link) -> Dict[int, int]:
         """Cached ``id(hop) -> index`` map over the channel's hop order
         (shared — do not mutate). Valid until the order changes."""
-        key = ("l", channel)
-        stamp = (self._epoch, self._ord_version.get(key, 0))
-        hit = self._pos_cache.get(key)
-        if hit is not None and hit[0] == stamp:
-            return hit[1]
-        m = {id(h): i for i, h in enumerate(self.link_order[channel])}
-        self._pos_cache[key] = (stamp, m)
+        m = self._link_pos.get(channel)
+        if m is None:
+            m = self._link_pos[channel] = {
+                id(h): i for i, h in enumerate(self.link_order[channel])}
         return m
 
     def route_of(self, edge: Edge) -> Optional[Route]:
@@ -228,9 +221,7 @@ class Schedule:
             tl.insert(position, slot.start, slot.finish)
             if _obs.ACTIVE:
                 _obs.inc("timeline.patches")
-        key = ("p", proc)
-        ov = self._ord_version
-        ov[key] = ov.get(key, 0) + 1
+        self._proc_pos.pop(proc, None)
         return slot
 
     def _bisect_by_start(self, order: List[TaskId], start: float) -> int:
@@ -258,9 +249,7 @@ class Schedule:
             tl.delete(pos)
             if _obs.ACTIVE:
                 _obs.inc("timeline.patches")
-        key = ("p", slot.proc)
-        ov = self._ord_version
-        ov[key] = ov.get(key, 0) + 1
+        self._proc_pos.pop(slot.proc, None)
         return slot
 
     # ------------------------------------------------------------------
@@ -285,6 +274,7 @@ class Schedule:
         topology = self.system.topology
         txn = self._txn
         link_tl = self._link_tl
+        link_pos = self._link_pos
         hops: List[MessageHop] = []
         entries: List[Tuple[Link, int]] = []
         for i, (a, b) in enumerate(zip(proc_path, proc_path[1:])):
@@ -301,9 +291,7 @@ class Schedule:
             channel = topology.channel(a, b)
             hop._chan = channel
             order = self.link_order[channel]
-            rkey = ("l", channel)
-            ov = self._ord_version
-            ov[rkey] = ov.get(rkey, 0) + 1
+            link_pos.pop(channel, None)
             if hop_starts:
                 pos = self._bisect_hops(order, start)
                 order.insert(pos, hop)
@@ -346,12 +334,11 @@ class Schedule:
         channel = self.system.topology.channel
         txn = self._txn
         entries: List[Tuple[Link, int]] = []
-        ov = self._ord_version
         link_tl = self._link_tl
+        link_pos = self._link_pos
         for hop in route.hops:
             ch = channel(hop.src, hop.dst)
-            rkey = ("l", ch)
-            ov[rkey] = ov.get(rkey, 0) + 1
+            link_pos.pop(ch, None)
             order = self.link_order[ch]
             # identity removal: dataclass __eq__ could match a different
             # but value-equal hop of another message on the same channel
@@ -387,7 +374,7 @@ class Schedule:
     # ------------------------------------------------------------------
     def begin_txn(self) -> "ScheduleTxn":
         """Open a transaction: record every structural mutation (and any
-        time write-back the incremental settle performs) in an undo log
+        time write-back a settle performs) in an undo log
         so a failed commit can be reversed in O(#mutations) instead of
         restoring a whole-schedule :meth:`copy`. Also accumulates the seed
         set the incremental settle engine recomputes from.
@@ -419,7 +406,8 @@ class Schedule:
             order.sort(key=lambda t: (self.slots[t].start, self.slots[t].finish))
         for l, hops in self.link_order.items():
             hops.sort(key=lambda h: (h.start, h.finish))
-        self._epoch += 1  # every resource may have changed
+        self._proc_pos.clear()
+        self._link_pos.clear()
         self.drop_timelines()
 
     def resort_partial(self, procs: Iterable[Proc], channels: Iterable[Link]) -> None:
@@ -437,7 +425,6 @@ class Schedule:
         timeline already carries the settled times.
         """
         slots = self.slots
-        ov = self._ord_version
         for p in procs:
             order = self.proc_order[p]
             ps = pf = float("-inf")
@@ -446,8 +433,7 @@ class Schedule:
                 ss, sf = s.start, s.finish
                 if ss < ps or (ss == ps and sf < pf):
                     order.sort(key=lambda t: (slots[t].start, slots[t].finish))
-                    key = ("p", p)
-                    ov[key] = ov.get(key, 0) + 1
+                    self._proc_pos.pop(p, None)
                     self._proc_tl.pop(p, None)
                     break
                 ps, pf = ss, sf
@@ -458,8 +444,7 @@ class Schedule:
                 ss, sf = h.start, h.finish
                 if ss < ps or (ss == ps and sf < pf):
                     hops.sort(key=lambda h: (h.start, h.finish))
-                    key = ("l", ch)
-                    ov[key] = ov.get(key, 0) + 1
+                    self._link_pos.pop(ch, None)
                     self._link_tl.pop(ch, None)
                     break
                 ps, pf = ss, sf
@@ -500,7 +485,8 @@ class Schedule:
         self.slots = snapshot.slots
         self.routes = snapshot.routes
         self.link_order = snapshot.link_order
-        self._epoch += 1
+        self._proc_pos.clear()
+        self._link_pos.clear()
         self.drop_timelines()
 
     def stats_summary(self) -> str:
@@ -531,10 +517,11 @@ class ScheduleTxn:
     in LIFO order, which restores each container to the exact state it
     had before the op (later mutations of the same list have already
     been reversed when an op replays, so recorded indices are valid).
-    Time write-backs the incremental settle performs are recorded via
-    :meth:`record_time` and restored the same way. Compared to a
-    :meth:`Schedule.copy` per commit this costs O(actual mutations)
-    instead of O(tasks + hops) — and commits vastly outnumber rollbacks.
+    Every time a settle writes (the incremental worklist or the Kahn
+    pass) is recorded in ``times`` first and restored the same way.
+    Compared to a :meth:`Schedule.copy` per commit this costs O(actual
+    mutations) instead of O(tasks + hops) — and commits vastly
+    outnumber rollbacks.
 
     The *seed sets* accumulate every node whose constraint predecessors
     changed (moved/new tasks, order successors of removed or inserted
@@ -626,5 +613,6 @@ class ScheduleTxn:
         sched.slots = {t: slots[t] for t in self._slot_keys}
         sched.routes = {e: routes[e] for e in self._route_keys}
         sched._txn = None
-        sched._epoch += 1
+        sched._proc_pos.clear()
+        sched._link_pos.clear()
         sched.drop_timelines()

@@ -26,13 +26,16 @@ Implementation note: this runs after every committed migration, so it is
 the hottest loop in BSA. Nodes are mapped to dense integer ids and the
 Kahn pass runs over plain lists.
 
-Three implementations coexist:
+Two engines and an oracle:
 
 * :func:`_settle_legacy` — the original closure-per-dependency code
   (the reference oracle, hot-path mode ``legacy``);
-* :func:`_settle_fast` — the same full Kahn pass with flattened loops
-  (what :func:`settle` runs in the production engine, and the exact
-  fallback of the incremental engine);
+* :func:`kahn_settle` — the one production Kahn pass, with flattened
+  loops. Without a frontier it is the full pass (what :func:`settle`
+  runs in the production engine, and the exact fallback of the
+  incremental engine); with one it settles only the nodes at or after
+  it, treating earlier ones as constants (the dynamic repair's
+  :func:`repro.dynamic.repair.tail_settle`);
 * :func:`settle_incremental` — the change-driven engine: instead of
   rebuilding the whole constraint DAG it starts from the *seed set* a
   :class:`~repro.schedule.schedule.ScheduleTxn` collected during the
@@ -45,34 +48,50 @@ Three implementations coexist:
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional
 
-from repro.errors import CycleError, SchedulingError
+from repro.errors import CycleError
 from repro.obs import counters as _obs
 from repro.schedule.schedule import Schedule
 from repro.util.intervals import Timeline, reference_mode
+
+_NEG_INF = float("-inf")
 
 
 def settle(schedule: Schedule) -> Schedule:
     """Recompute all start/finish times in place; returns the schedule."""
     if reference_mode():
         return _settle_legacy(schedule)
-    return _settle_fast(schedule)
+    return kahn_settle(schedule)
 
 
-def _settle_fast(schedule: Schedule) -> Schedule:
-    """Same longest-path computation as :func:`_settle_legacy` with the
-    inner loops flattened (no closure per dependency, hoisted lookups).
-    Times are identical: node durations and the precedence structure are
-    the same, and Kahn's algorithm computes each start as a max over
-    predecessors independent of traversal order.
+def kahn_settle(schedule: Schedule, frontier: Optional[float] = None) -> Schedule:
+    """One Kahn longest-path pass over the constraint DAG, in place.
+
+    Without a ``frontier`` this is the full pass: every node is
+    numbered, starts are floored at 0, and every occupant order is
+    re-sorted afterwards. With one, only the tail (``start >= frontier``)
+    is numbered, and the cached timelines are dropped instead of
+    re-sorting; :func:`repro.dynamic.repair.tail_settle` states that
+    contract.
+
+    Raises :class:`~repro.errors.CycleError` before writing any time,
+    and records each time it changes in the open transaction first.
+    Times are identical to :func:`_settle_legacy`: Kahn's algorithm
+    computes each start as a max over predecessors, whatever the
+    traversal order.
     """
-    if _obs.ACTIVE:
-        _obs.inc("settle.full_passes")
+    if frontier is None:
+        if _obs.ACTIVE:
+            _obs.inc("settle.full_passes")
+        floor, cut = 0.0, _NEG_INF
+    else:
+        floor = cut = frontier
     system = schedule.system
-    graph = system.graph
     exec_cost = system.exec_cost
     comm_cost = system.comm_cost
+    slots = schedule.slots
+    routes = schedule.routes
 
     objs: List[object] = []
     duration: List[float] = []
@@ -81,15 +100,19 @@ def _settle_fast(schedule: Schedule) -> Schedule:
 
     task_ids: Dict[object, int] = {}
     i = 0
-    for task, slot in schedule.slots.items():
+    for task, slot in slots.items():
+        if slot.start < cut:
+            continue
         task_ids[task] = i
         append_obj(slot)
         c = slot.cost
         append_dur(c if c is not None else exec_cost(task, slot.proc))
         i += 1
     hop_ids: Dict[int, int] = {}
-    for route in schedule.routes.values():
+    for route in routes.values():
         for hop in route.hops:
+            if hop.start < cut:
+                continue
             hop_ids[id(hop)] = i
             append_obj(hop)
             c = hop.cost
@@ -99,49 +122,75 @@ def _settle_fast(schedule: Schedule) -> Schedule:
     n = i
     succ: List[List[int]] = [[] for _ in range(n)]
     indeg: List[int] = [0] * n
+    start = [floor] * n
+    task_get = task_ids.get
+    hop_get = hop_ids.get
 
+    # Every chain links each numbered node to its predecessor: an edge
+    # when the predecessor is numbered too, else the predecessor's
+    # finish as a floor. A full pass numbers every node, so it only
+    # takes edges.
     for order in schedule.proc_order.values():
         if len(order) > 1:
-            a = task_ids[order[0]]
-            for t in order[1:]:
-                b = task_ids[t]
-                succ[a].append(b)
-                indeg[b] += 1
-                a = b
+            a = order[0]
+            ia = task_get(a)
+            for b in order[1:]:
+                ib = task_get(b)
+                if ib is not None:
+                    if ia is not None:
+                        succ[ia].append(ib)
+                        indeg[ib] += 1
+                    elif slots[a].finish > start[ib]:
+                        start[ib] = slots[a].finish
+                a, ia = b, ib
 
     for hops in schedule.link_order.values():
         if len(hops) > 1:
-            a = hop_ids[id(hops[0])]
-            for h in hops[1:]:
-                b = hop_ids[id(h)]
-                succ[a].append(b)
-                indeg[b] += 1
-                a = b
+            a = hops[0]
+            ia = hop_get(id(a))
+            for b in hops[1:]:
+                ib = hop_get(id(b))
+                if ib is not None:
+                    if ia is not None:
+                        succ[ia].append(ib)
+                        indeg[ib] += 1
+                    elif a.finish > start[ib]:
+                        start[ib] = a.finish
+                a, ia = b, ib
 
-    routes = schedule.routes
-    get_route = routes.get
+    slots_get = slots.get
+    routes_get = routes.get
     # direct adjacency iteration — graph.edges() would build a fresh
     # tuple list on a path hit hundreds of times per schedule
-    for u, vs in graph._succ.items():
-        iu = task_ids.get(u)
-        if iu is None:
+    for u, vs in system.graph._succ.items():
+        u_slot = slots_get(u)
+        if u_slot is None:
             continue  # partial schedule: constraint not yet active
+        iu = task_get(u)
         for v in vs:
-            iv = task_ids.get(v)
-            if iv is None:
+            iv = task_get(v)
+            if iv is None and v not in slots:
                 continue
-            route = get_route((u, v))
-            a = iu
+            a, ia = u_slot, iu
+            route = routes_get((u, v))
             if route is not None:
-                for hop in route.hops:
-                    b = hop_ids[id(hop)]
-                    succ[a].append(b)
-                    indeg[b] += 1
-                    a = b
-            succ[a].append(iv)
-            indeg[iv] += 1
+                for b in route.hops:
+                    ib = hop_get(id(b))
+                    if ib is not None:
+                        if ia is not None:
+                            succ[ia].append(ib)
+                            indeg[ib] += 1
+                        elif a.finish > start[ib]:
+                            start[ib] = a.finish
+                    a, ia = b, ib
+            if iv is None:
+                continue  # edge into a frozen node: dropped
+            if ia is not None:
+                succ[ia].append(iv)
+                indeg[iv] += 1
+            elif a.finish > start[iv]:
+                start[iv] = a.finish
 
-    start = [0.0] * n
     ready = [k for k in range(n) if indeg[k] == 0]
     head = 0
     while head < len(ready):
@@ -157,19 +206,28 @@ def _settle_fast(schedule: Schedule) -> Schedule:
     if head != n:
         blocked = [k for k in range(n) if indeg[k] > 0]
         cycle = _extract_cycle(succ, blocked, objs, schedule)
+        what = "schedule" if frontier is None else "tail"
         raise CycleError(
-            f"contradictory schedule orders ({len(blocked)} nodes blocked); "
+            f"contradictory {what} orders ({len(blocked)} nodes blocked); "
             f"cycle: {cycle}",
             blocked,
         )
 
+    txn = schedule._txn
+    times_append = txn.times.append if txn is not None else None
     for k in range(n):
         obj = objs[k]
         s = start[k]
+        f = s + duration[k]
+        if times_append is not None and (obj.start != s or obj.finish != f):
+            times_append((obj, obj.start, obj.finish))
         obj.start = s
-        obj.finish = s + duration[k]
+        obj.finish = f
 
-    schedule.resort_orders()
+    if frontier is None:
+        schedule.resort_orders()
+    else:
+        schedule.drop_timelines()
     return schedule
 
 
@@ -201,14 +259,14 @@ def settle_incremental(schedule: Schedule, seed_tasks, seed_hops) -> Schedule:
     restores the pre-commit times exactly.
 
     The fixpoint is unique and max() involves no arithmetic, so the
-    resulting times are bit-identical to :func:`_settle_fast` — enforced
+    resulting times are bit-identical to :func:`kahn_settle` — enforced
     across the whole randomized invariant sweep by
     ``tests/test_hotpath_equivalence.py`` and ``benchmarks/bench_hotpath.py``.
     """
     system = schedule.system
     graph = system.graph
     if graph.has_zero_cost_edge():
-        return _settle_fast(schedule)
+        return kahn_settle(schedule)
 
     slots = schedule.slots
     routes = schedule.routes
@@ -297,7 +355,7 @@ def settle_incremental(schedule: Schedule, seed_tasks, seed_hops) -> Schedule:
                 _obs.inc("settle.cone_pops", pops)
                 _obs.inc("timeline.patches", patches)
             schedule.drop_timelines()
-            return _settle_fast(schedule)
+            return kahn_settle(schedule)
         _, _, is_hop, obj = heappop(heap)
         pending.discard(id(obj))
 

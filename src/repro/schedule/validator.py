@@ -65,10 +65,12 @@ def schedule_violations(schedule: Schedule) -> List[str]:
         if not (0 <= slot.proc < topo.n_procs):
             v.append(f"task {task!r} on invalid processor {slot.proc}")
             continue
-        if slot.start < -_TOL:
+        # written so a NaN time fails (every comparison with NaN is
+        # false); an infinite one fails the duration check
+        if not slot.start >= -_TOL:
             v.append(f"task {task!r} starts before time 0 ({slot.start})")
         expected = system.exec_cost(task, slot.proc)
-        if abs(slot.duration - expected) > _TOL:
+        if not abs(slot.duration - expected) <= _TOL:
             v.append(
                 f"task {task!r} duration {slot.duration:.6f} != "
                 f"exec cost {expected:.6f} on P{slot.proc}"
@@ -156,7 +158,7 @@ def schedule_violations(schedule: Schedule) -> List[str]:
                 v.append(f"message {edge} hop {k} uses missing link ({hop.src},{hop.dst})")
                 continue
             expected = system.comm_cost(edge, hop.link)
-            if abs(hop.duration - expected) > _TOL:
+            if not abs(hop.duration - expected) <= _TOL:
                 v.append(
                     f"message {edge} hop {k} duration {hop.duration:.6f} != "
                     f"comm cost {expected:.6f} on link {hop.link}"

@@ -44,6 +44,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Type
 
@@ -84,8 +85,11 @@ def _want(kind: str, name: str, value, types, extra: str = ""):
 
 def _positive(kind: str, name: str, value) -> float:
     _want(kind, name, value, (int, float))
-    if value <= 0:
-        raise ConfigurationError(f"{kind}.{name} must be > 0, got {value!r}")
+    # json.loads parses NaN, Infinity and ints too large for a float;
+    # none of them passes
+    if not 0 < value <= sys.float_info.max:
+        raise ConfigurationError(
+            f"{kind}.{name} must be a finite number > 0, got {value!r}")
     return float(value)
 
 
@@ -411,6 +415,8 @@ class SweepRequest(_RequestBase):
                 )
             for v in value:
                 _want(kind, f"{name}[]", v, elem)
+        for g in self.granularities:
+            _positive(kind, "granularities[]", g)
         for t in self.topologies:
             _choice(kind, "topologies[]", t, TOPOLOGY_NAMES)
         for a in self.algorithms:

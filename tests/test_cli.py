@@ -264,6 +264,39 @@ class TestSimulateReplay:
         out = capsys.readouterr().out
         assert "2 event(s)" in out and str(trace) in out
 
+    _ARRIVAL = {"type": "arrival", "time": 50.0, "task": "hotfix",
+                "cost": 20.0, "deps": [[["U", 1, 2], 4.0]]}
+
+    @pytest.mark.parametrize("event", [
+        dict(_ARRIVAL, time="nan"),
+        dict(_ARRIVAL, time=float("nan")),
+        dict(_ARRIVAL, time=float("inf")),
+        dict(_ARRIVAL, cost=float("-inf")),
+        dict(_ARRIVAL, deps=[[["U", 1, 2], float("nan")]]),
+        dict(_ARRIVAL, exec_row=[20.0] * 7 + [float("inf")]),
+        dict(_ARRIVAL, task={"a": 1}),
+        dict(_ARRIVAL, task=[1, [2]]),
+        dict(_ARRIVAL, deps=[[{"a": 1}, 4.0]]),
+        {"type": "proc_failure", "time": "nan", "proc": 3},
+        {"type": "proc_failure", "time": 900.0, "proc": float("inf")},
+    ], ids=["time-nan-string", "time-nan", "time-inf", "cost-neg-inf",
+            "dep-cost-nan", "exec-row-inf", "task-object", "task-nested-list",
+            "dep-task-object", "failure-time-nan", "failure-proc-inf"])
+    def test_simulate_rejects_malformed_event(self, tmp_path, capsys, event):
+        """A non-finite number or a task id that is not a str, an int or
+        a flat list of them is a ConfigurationError (rc 2): not a
+        ``final SL : nan`` run (rc 0) or a TypeError (rc 70)."""
+        import json
+
+        trace = tmp_path / "trace.json"
+        trace.write_text(json.dumps({"format": "repro-event-trace",
+                                     "version": 1, "events": [event]}))
+        assert main(["simulate", "-w", "gauss", "-n", "40", "-t", "ring",
+                     "-p", "8", "--seed", "3", "--events", str(trace)]) == 2
+        err = capsys.readouterr().err
+        assert "malformed event record" in err
+        assert "Traceback" not in err
+
     def test_simulate_bad_scenario_fails(self, capsys):
         assert main(["simulate", "-w", "gauss", "--scenario", "zzz"]) == 2
         assert "repro simulate:" in capsys.readouterr().err
@@ -341,6 +374,29 @@ class TestSimulateReplay:
         doc = json.loads(bundle.read_text())
         doc["schedule"]["tasks"][0]["start"] += 1e6
         doc["schedule"]["tasks"][0]["finish"] += 1e6
+        bundle.write_text(json.dumps(doc))
+        assert main(["replay", str(bundle)]) == 1
+        assert "violation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("target", ["task", "hop"])
+    def test_replay_flags_non_finite_time(self, tmp_path, capsys, target,
+                                          value):
+        """A NaN or infinite start fails the replay audit (rc 1)."""
+        import json
+
+        bundle = tmp_path / "b.json"
+        assert main(["schedule", "-w", "random", "-n", "20", "-t", "ring",
+                     "-p", "4", "-a", "heft",
+                     "--export-bundle", str(bundle)]) == 0
+        capsys.readouterr()
+        doc = json.loads(bundle.read_text())
+        if target == "task":
+            record = doc["schedule"]["tasks"][-1]
+        else:
+            routed = [m for m in doc["schedule"]["messages"] if m["hops"]]
+            record = routed[-1]["hops"][-1]
+        record["start"] = float(value)  # json.dumps writes NaN / Infinity
         bundle.write_text(json.dumps(doc))
         assert main(["replay", str(bundle)]) == 1
         assert "violation" in capsys.readouterr().err

@@ -15,6 +15,8 @@ import json
 
 import pytest
 
+from repro.baselines.dls import DLSOptions, schedule_dls
+from repro.baselines.heft import schedule_heft
 from repro.core.bsa import BSAOptions, schedule_bsa
 from repro.dynamic import (
     FailureInjector,
@@ -32,6 +34,7 @@ from repro.dynamic import (
     simulate,
     simulate_scenario,
     sort_events,
+    tail_settle,
     write_event_trace,
 )
 from repro.dynamic.events import _alive_connected
@@ -43,6 +46,7 @@ from repro.experiments.config import Cell
 from repro.experiments.runner import build_cell_system, run_cell, run_cells
 from repro.network.topology import hypercube, ring
 from repro.schedule.io import schedule_to_json
+from repro.schedule.settle import settle
 from repro.schedule.validator import schedule_violations, validate_schedule
 from repro.util.intervals import hotpath_mode, set_hotpath_mode
 
@@ -408,6 +412,38 @@ class TestRollbackUnderRepair:
 # ----------------------------------------------------------------------
 # repair primitives
 # ----------------------------------------------------------------------
+
+class TestTailSettle:
+    @pytest.mark.parametrize("scheduler", [
+        lambda system: schedule_bsa(system, BSAOptions()),
+        schedule_heft,
+        lambda system: schedule_dls(system, DLSOptions()),
+    ], ids=["bsa", "heft", "dls"])
+    def test_frontier_below_every_start_equals_settle(self, scheduler):
+        """With the frontier at or below every start nothing is frozen,
+        so the tail pass must reproduce the full settle's times bit for
+        bit — from times perturbed away from the fixpoint first."""
+        import random
+
+        sched = scheduler(build_cell_system(CELL))
+        rng = random.Random(11)
+        for obj in list(sched.slots.values()) + [
+                h for r in sched.routes.values() for h in r.hops]:
+            obj.start = obj.start * rng.uniform(0.0, 2.0) + rng.uniform(0, 9)
+            obj.finish = obj.start + rng.uniform(0.0, 5.0)
+        full, tail = sched.copy(), sched.copy()
+        settle(full)
+        tail_settle(tail, 0.0)
+
+        def times(s):
+            return ([(t, x.start, x.finish) for t, x in s.slots.items()],
+                    [(e, [(h.start, h.finish) for h in r.hops])
+                     for e, r in s.routes.items()])
+
+        assert times(tail) == times(full)
+        assert times(tail) != times(sched)
+        assert schedule_violations(full) == []
+
 
 class TestAlivePath:
     def test_avoids_dead_resources(self):

@@ -11,7 +11,10 @@ directly:
   and recorded time writes bit-for-bit;
 * the engine's guard rails: zero-cost-edge graphs take the full pass,
   contradictory orders still raise ``CycleError``, transactions cannot
-  be double-opened.
+  be double-opened;
+* the one Kahn pass (``kahn_settle``) raises ``CycleError`` before it
+  writes anything and records every time it changes in the open
+  transaction.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from repro.errors import CycleError, SchedulingError
 from repro.experiments.config import Cell
 from repro.experiments.runner import build_cell_system
 from repro.schedule.io import schedule_to_json
-from repro.schedule.settle import settle, settle_incremental
+from repro.schedule.settle import kahn_settle, settle, settle_incremental
 from repro.schedule.validator import validate_schedule
 from repro.util.intervals import hotpath_mode, set_hotpath_mode
 
@@ -84,7 +87,7 @@ class TestIncrementalSettleEquivalence:
         def checking(schedule, seed_tasks, seed_hops):
             out = orig(schedule, seed_tasks, seed_hops)
             dup = schedule.copy()
-            settle_mod._settle_fast(dup)
+            settle_mod.kahn_settle(dup)
             for t, slot in schedule.slots.items():
                 d = dup.slots[t]
                 assert (slot.start, slot.finish) == (d.start, d.finish), t
@@ -258,8 +261,8 @@ class TestSettleIncrementalDirect:
             s.place_task(t, 0, start=2.0 * pos, position=pos)
         before = list(s.proc_timeline(0).finishes)
         full_passes = []
-        fast = settle_mod._settle_fast
-        monkeypatch.setattr(settle_mod, "_settle_fast",
+        fast = settle_mod.kahn_settle
+        monkeypatch.setattr(settle_mod, "kahn_settle",
                             lambda sched: full_passes.append(1) or fast(sched))
         with pytest.raises(CycleError):
             settle_incremental(s, set(s.slots), [])
@@ -270,3 +273,58 @@ class TestSettleIncrementalDirect:
         fresh = Timeline.from_items([s.slots[t] for t in s.proc_order[0]])
         assert (tl.starts, tl.finishes, tl._maxf) == (
             fresh.starts, fresh.finishes, fresh._maxf)
+
+
+class TestKahnSettle:
+    @staticmethod
+    def _contradictory(system):
+        """Place the chain a -> b -> d backwards on P0 inside an open
+        transaction; returns the schedule and the transaction."""
+        from repro.schedule.schedule import Schedule
+
+        s = Schedule(system)
+        txn = s.begin_txn()
+        for t, pos in [("d", 0), ("b", 1), ("a", 2)]:
+            s.place_task(t, 0, start=float(pos), position=pos)
+        s.place_task("c", 1, start=0.0)
+        for e in system.graph.edges():
+            s.mark_local(e)
+        return s, txn
+
+    @pytest.mark.parametrize("frontier", [None, 0.5],
+                             ids=["full", "tail"])
+    def test_contradiction_raises_before_any_write(self, homogeneous_system,
+                                                   frontier):
+        """A contradictory full pass, or a contradictory tail (d frozen
+        at t=0, b and a still ordered against their edge), raises
+        CycleError with every time and the undo log untouched."""
+        s, txn = self._contradictory(homogeneous_system)
+        before = _state_fingerprint(s)
+        log = (list(txn.ops), list(txn.times))
+        with pytest.raises(CycleError):
+            kahn_settle(s, frontier)
+        assert _state_fingerprint(s) == before
+        assert (txn.ops, txn.times) == log
+
+    def test_full_pass_in_open_txn_rolls_back(self, incremental_mode):
+        """Every time the full pass writes is undo-logged first: shift a
+        settled BSA schedule's times (orders stay sorted), settle inside
+        a transaction, roll back, and the shifted state is back bit for
+        bit."""
+        cell = Cell("random", "random", 30, 1.0, "ring", "bsa",
+                    n_procs=4, graph_seed=5, system_seed=5)
+        sched = schedule_bsa(build_cell_system(cell), BSAOptions())
+        settled = _state_fingerprint(sched)
+        nodes = list(sched.slots.values()) + [
+            h for r in sched.routes.values() for h in r.hops]
+        for obj in nodes:
+            obj.start += 7.0
+            obj.finish += 7.0
+        shifted = _state_fingerprint(sched)
+
+        txn = sched.begin_txn()
+        kahn_settle(sched)
+        assert _state_fingerprint(sched) == settled
+        assert len(txn.times) == len(nodes)
+        txn.rollback()
+        assert _state_fingerprint(sched) == shifted

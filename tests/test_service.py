@@ -102,6 +102,31 @@ MALFORMED_TOPOLOGY_SPECS = {
 }
 
 
+#: request numbers ``json.loads`` accepts that no computation can use:
+#: ``(request type, base body, field, value)``; each must be a
+#: ConfigurationError (HTTP 400 ``configuration``)
+_SCHEDULE_BODY = {"workload": "random", "size": 20, "topology": "ring",
+                  "n_procs": 4, "algorithm": "heft"}
+_SWEEP_BODY = {"sizes": [18], "topologies": ["ring"], "n_procs": 4,
+               "algorithms": ["heft"]}
+NON_FINITE_NUMBERS = {
+    "granularity-inf": (ScheduleRequest, _SCHEDULE_BODY, "granularity",
+                        float("inf")),
+    "granularity-nan": (ScheduleRequest, _SCHEDULE_BODY, "granularity",
+                        float("nan")),
+    "granularity-neg-inf": (ScheduleRequest, _SCHEDULE_BODY, "granularity",
+                            float("-inf")),
+    "granularity-huge-int": (ScheduleRequest, _SCHEDULE_BODY, "granularity",
+                             10 ** 400),
+    "granularities-inf": (SweepRequest, _SWEEP_BODY, "granularities",
+                          [float("inf")]),
+    "granularities-nan": (SweepRequest, _SWEEP_BODY, "granularities",
+                          [float("nan")]),
+    "granularities-neg": (SweepRequest, _SWEEP_BODY, "granularities", [-1]),
+    "granularities-zero": (SweepRequest, _SWEEP_BODY, "granularities", [0]),
+}
+
+
 def _plant_malformed_entry(directory, key, shape):
     """Write a malformed entry file for ``key`` into cache ``directory``."""
     if shape == "list-file":
@@ -297,6 +322,17 @@ class TestPipeline:
                               topology_spec=spec)
         with pytest.raises(TopologyError, match=re.escape(field)):
             execute(req, cache=ResultCache(str(tmp_path / "cache")))
+
+    @pytest.mark.parametrize("shape", sorted(NON_FINITE_NUMBERS))
+    def test_non_finite_number_is_a_configuration_error(self, tmp_path,
+                                                        shape):
+        cls, body, name, value = NON_FINITE_NUMBERS[shape]
+        fields = dict(body, **{name: value})
+        if isinstance(value, list):
+            fields = {k: tuple(v) if isinstance(v, list) else v
+                      for k, v in fields.items()}
+        with pytest.raises(ConfigurationError, match=name):
+            execute(cls(**fields), cache=ResultCache(str(tmp_path / "cache")))
 
     def test_miss_then_hit_same_bytes(self, tmp_path):
         cache = ResultCache(str(tmp_path / "cache"))
@@ -647,6 +683,18 @@ class TestHttp:
         assert status == 400
         assert doc["kind"] == "topology"
         assert field in doc["detail"]
+
+    @pytest.mark.parametrize("shape", sorted(NON_FINITE_NUMBERS))
+    def test_non_finite_number_is_structured_400(self, server, shape):
+        cls, body, name, value = NON_FINITE_NUMBERS[shape]
+        path = "/schedule" if cls is ScheduleRequest else "/sweep"
+        # json.dumps writes NaN / Infinity, which json.loads parses back
+        status, _, reply = _request(server, "POST", path,
+                                    dict(body, **{name: value}))
+        doc = json.loads(reply)
+        assert status == 400, doc
+        assert doc["kind"] == "configuration"
+        assert name in doc["detail"]
 
     def test_bridge_epsilon_repairs_over_http(self, server):
         status, _, _ = _request(server, "POST", "/schedule",

@@ -109,6 +109,26 @@ class TestViolationDetection:
         v = schedule_violations(valid_schedule)
         assert any("before time 0" in x for x in v)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", ["start", "finish"])
+    def test_non_finite_task_time(self, valid_schedule, field, value):
+        """Every comparison with NaN is false, so each check must be
+        written to fail on it; an infinite time breaks the duration."""
+        setattr(valid_schedule.slots["b"], field, value)
+        v = schedule_violations(valid_schedule)
+        assert any("task 'b'" in x for x in v), v
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", ["start", "finish"])
+    def test_non_finite_hop_time(self, valid_schedule, field, value):
+        setattr(valid_schedule.routes[("a", "b")].hops[0], field, value)
+        v = schedule_violations(valid_schedule)
+        assert any("message ('a', 'b') hop 0" in x for x in v), v
+
     def test_raises_with_all_violations(self, valid_schedule):
         valid_schedule.slots["a"].finish += 1
         valid_schedule.slots["b"].start -= 100
