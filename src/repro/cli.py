@@ -144,9 +144,9 @@ def _cmd_simulate(args) -> int:
             fh.write(sim.log_json())
         print(f"event log written to {args.log}", file=sys.stderr)
     if args.export_bundle:
-        from repro.schedule.io import relabel_schedule, write_bundle
+        from repro.schedule.io import write_bundle
 
-        write_bundle(relabel_schedule(sim.schedule), args.export_bundle, indent=2)
+        write_bundle(sim.schedule, args.export_bundle)
         print(f"bundle written to {args.export_bundle} (audit with "
               f"`repro replay {args.export_bundle}`)", file=sys.stderr)
     return 0

@@ -16,10 +16,11 @@ The engine has three layers:
   so a rejected repair rolls back bit-for-bit.  It deliberately does
   **not** resort occupant orders (resorts are not undo-logged); the
   caller resorts only after committing;
-* placement primitives (:func:`place_dynamic`, :func:`alive_path`) —
-  deterministic min-finish-time re-placement of one task over the
-  alive processors, rebuilding its message routes while preserving
-  every frozen hop prefix verbatim;
+* placement primitives (:func:`place_dynamic`, routing through
+  :func:`repro.network.routing.alive_path`) — deterministic
+  min-finish-time re-placement of one task over the alive processors,
+  rebuilding its message routes while preserving every frozen hop
+  prefix verbatim;
 * :func:`cone_repair` / (in :mod:`repro.dynamic.replan`)
   ``replan_tail`` — the event-level drivers.  Both run inside one
   transaction and validate before committing; any failure (no alive
@@ -29,18 +30,18 @@ The engine has three layers:
 Failure semantics are drain-style (see :mod:`repro.dynamic.events`):
 a dead processor/link stops accepting *new* work, so frozen slots and
 hops on dead resources stay in place, and evacuating data *off* a dead
-processor is allowed — :func:`alive_path` accepts a dead source but
+processor is allowed — ``alive_path`` accepts a dead source but
 never a dead intermediate or destination.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.errors import CycleError, RoutingError, SchedulingError
-from repro.network.topology import Proc, Topology, link_id
+from repro.network.routing import alive_path
+from repro.network.topology import link_id
 from repro.schedule.linkplan import LinkPlanner, slot_start
 from repro.schedule.schedule import Schedule
 from repro.schedule.settle import kahn_settle
@@ -64,45 +65,6 @@ class RepairResult:
     moved: List = field(default_factory=list)
     rerouted: List = field(default_factory=list)
     error: Optional[str] = None
-
-
-# ---------------------------------------------------------------------------
-# routing over the alive sub-topology
-
-
-def alive_path(
-    topology: Topology, src: Proc, dst: Proc, dead_procs=(), dead_links=()
-) -> Optional[List[Proc]]:
-    """Shortest alive path from ``src`` to ``dst``, or ``None``.
-
-    Deterministic (BFS over the sorted ``neighbors`` lists).  ``src``
-    may be dead — data already resident on a failed processor is
-    allowed to drain off it — but every other node on the path,
-    including ``dst``, must be alive, and no hop may use a dead link.
-    """
-    if dst in dead_procs:
-        return None
-    if src == dst:
-        return [src]
-    prev: Dict[Proc, Optional[Proc]] = {src: None}
-    queue = deque([src])
-    while queue:
-        p = queue.popleft()
-        for q in topology.neighbors(p):
-            if q in prev or q in dead_procs:
-                continue
-            if link_id(p, q) in dead_links:
-                continue
-            prev[q] = p
-            if q == dst:
-                path = [q]
-                while p is not None:
-                    path.append(p)
-                    p = prev[p]
-                path.reverse()
-                return path
-            queue.append(q)
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,7 @@ import dataclasses
 import hashlib
 import json
 import re
+import sys
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -845,8 +846,11 @@ def trace_from_dict(doc, name: Optional[str] = None) -> ExternalWorkload:
                 raise GraphError(
                     f"task {tid!r}: 'costs' must be numbers, got {row!r}"
                 ) from None
-            if any(c <= 0 for c in row_t):
-                raise GraphError(f"task {tid!r}: execution costs must be positive")
+            # min(row_t) skips a NaN entry, so the graph's own check on
+            # the nominal cost cannot catch it
+            if not all(0 < c <= sys.float_info.max for c in row_t):
+                raise GraphError(
+                    f"task {tid!r}: execution costs must be positive and finite")
             graph.add_task(tid, min(row_t))
             exec_costs[tid] = row_t
         else:

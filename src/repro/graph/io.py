@@ -43,21 +43,49 @@ def graph_to_dict(graph: TaskGraph) -> Dict[str, Any]:
 
 
 def graph_from_dict(data: Dict[str, Any]) -> TaskGraph:
-    """Inverse of :func:`graph_to_dict` (task ids come back via eval of repr
-    for the basic types we emit: int / str tuples are not supported).
+    """Inverse of :func:`graph_to_dict`.
+
+    The document is untrusted input, so every field is checked and a
+    malformed one raises a :class:`GraphError` naming it: ids must be
+    the repr strings :func:`graph_to_dict` writes (of an int or a str),
+    and costs must be numbers, not bools.
 
     >>> g = TaskGraph(); g.add_task(7, 2.5)
     >>> graph_from_dict(graph_to_dict(g)).cost(7)
     2.5
     """
+    if not isinstance(data, dict):
+        raise GraphError(f"json graph must be an object, got {data!r:.60}")
     if data.get("version") != _FORMAT_VERSION:
         raise GraphError(f"unsupported graph format version {data.get('version')!r}")
-    g = TaskGraph(name=data.get("name", "graph"))
-    for raw, cost in data["tasks"]:
-        g.add_task(_parse_id(raw), cost)
-    for raw_u, raw_v, cost in data["edges"]:
-        g.add_edge(_parse_id(raw_u), _parse_id(raw_v), cost)
+    name = data.get("name", "graph")
+    if not isinstance(name, str):
+        raise GraphError(f"json graph field name must be a string, got {name!r:.60}")
+    g = TaskGraph(name=name)
+    for field, width, add in (("tasks", 2, g.add_task), ("edges", 3, g.add_edge)):
+        rows = data.get(field)
+        if not isinstance(rows, list):
+            raise GraphError(f"json graph field {field} must be a list, got {rows!r:.60}")
+        for i, row in enumerate(rows):
+            add(*_row(row, f"{field}[{i}]", width))
     return g
+
+
+def _row(row, field: str, width: int) -> list:
+    """A ``tasks``/``edges`` entry with its id reprs parsed: ``width``
+    items, every one but the last an id repr string, the last a cost."""
+    if not isinstance(row, list) or len(row) != width:
+        raise GraphError(
+            f"json graph field {field} must be a list of {width} values, got {row!r:.60}")
+    *ids, cost = row
+    for j, raw in enumerate(ids):
+        if not isinstance(raw, str):
+            raise GraphError(
+                f"json graph field {field}[{j}] must be a task id repr string, got {raw!r:.60}")
+    if isinstance(cost, bool) or not isinstance(cost, (int, float)):
+        raise GraphError(
+            f"json graph field {field}[{width - 1}] must be a number, got {cost!r:.60}")
+    return [*map(_parse_id, ids), cost]
 
 
 def _parse_id(raw: str):
@@ -103,7 +131,11 @@ def graph_from_json(text: str) -> TaskGraph:
     ... ).n_tasks
     1
     """
-    return graph_from_dict(json.loads(text))
+    try:
+        data = json.loads(text)
+    except ValueError as exc:
+        raise GraphError(f"json graph is not valid JSON: {exc}") from None
+    return graph_from_dict(data)
 
 
 def to_networkx(graph: TaskGraph):

@@ -14,12 +14,16 @@ and seeded.
 
 from __future__ import annotations
 
+import sys
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import CycleError, GraphError
 
 TaskId = Hashable
 Edge = Tuple[TaskId, TaskId]
+
+#: NaN, infinities and ints too large for a float fail every ``<= _MAX`` check
+_MAX = sys.float_info.max
 
 
 class TaskGraph:
@@ -59,18 +63,18 @@ class TaskGraph:
     # construction
     # ------------------------------------------------------------------
     def add_task(self, task: TaskId, cost: float) -> None:
-        """Add a task with nominal execution cost ``cost`` (> 0)."""
+        """Add a task with nominal execution cost ``cost`` (finite, > 0)."""
         if task in self._cost:
             raise GraphError(f"duplicate task {task!r}")
-        if cost <= 0:
-            raise GraphError(f"task {task!r} must have positive cost, got {cost}")
+        if not 0 < cost <= _MAX:
+            raise GraphError(f"task {task!r} must have positive finite cost, got {cost}")
         self._index[task] = len(self._cost)
         self._cost[task] = float(cost)
         self._succ[task] = {}
         self._pred[task] = {}
 
     def add_edge(self, src: TaskId, dst: TaskId, cost: float) -> None:
-        """Add a message edge ``src -> dst`` with nominal cost ``cost`` (>= 0)."""
+        """Add a message edge ``src -> dst`` with nominal cost ``cost`` (finite, >= 0)."""
         if src not in self._cost:
             raise GraphError(f"unknown source task {src!r}")
         if dst not in self._cost:
@@ -79,8 +83,9 @@ class TaskGraph:
             raise GraphError(f"self-loop on {src!r}")
         if dst in self._succ[src]:
             raise GraphError(f"duplicate edge {src!r} -> {dst!r}")
-        if cost < 0:
-            raise GraphError(f"edge {src!r}->{dst!r} must have non-negative cost, got {cost}")
+        if not 0 <= cost <= _MAX:
+            raise GraphError(
+                f"edge {src!r}->{dst!r} must have non-negative finite cost, got {cost}")
         self._succ[src][dst] = float(cost)
         self._pred[dst][src] = float(cost)
         self._zero_comm = None
@@ -89,15 +94,15 @@ class TaskGraph:
     def set_task_cost(self, task: TaskId, cost: float) -> None:
         if task not in self._cost:
             raise GraphError(f"unknown task {task!r}")
-        if cost <= 0:
-            raise GraphError(f"task {task!r} must have positive cost, got {cost}")
+        if not 0 < cost <= _MAX:
+            raise GraphError(f"task {task!r} must have positive finite cost, got {cost}")
         self._cost[task] = float(cost)
 
     def set_edge_cost(self, src: TaskId, dst: TaskId, cost: float) -> None:
         if dst not in self._succ.get(src, {}):
             raise GraphError(f"unknown edge {src!r} -> {dst!r}")
-        if cost < 0:
-            raise GraphError(f"edge cost must be non-negative, got {cost}")
+        if not 0 <= cost <= _MAX:
+            raise GraphError(f"edge cost must be non-negative and finite, got {cost}")
         self._succ[src][dst] = float(cost)
         self._pred[dst][src] = float(cost)
         self._zero_comm = None

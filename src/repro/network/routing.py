@@ -23,7 +23,8 @@ timing only; it never builds a table.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
+from collections import deque
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import RoutingError
 from repro.network.topology import Link, Proc, Topology, link_id
@@ -251,27 +252,48 @@ def _memo_trie(
     return trie
 
 
+def alive_path(
+    topology: Topology, src: Proc, dst: Proc, dead_procs=(), dead_links=()
+) -> Optional[List[Proc]]:
+    """Shortest alive path from ``src`` to ``dst``, or ``None``.
+
+    Deterministic BFS: sorted neighbor order, first discovery wins, so
+    memoized and unmemoized paths are identical. ``src`` may be dead —
+    data already resident on a failed processor is allowed to drain off
+    it — but every other node on the path, including ``dst``, must be
+    alive, and no hop may use a dead link.
+    """
+    if dst in dead_procs:
+        return None
+    if src == dst:
+        return [src]
+    prev: Dict[Proc, Optional[Proc]] = {src: None}
+    queue = deque([src])
+    while queue:
+        p = queue.popleft()
+        for q in topology.neighbors(p):
+            if q in prev or q in dead_procs:
+                continue
+            if dead_links and link_id(p, q) in dead_links:
+                continue
+            prev[q] = p
+            if q == dst:
+                path = [q]
+                while p is not None:
+                    path.append(p)
+                    p = prev[p]
+                path.reverse()
+                return path
+            queue.append(q)
+    return None
+
+
 def _bfs_path(topology: Topology, src: Proc, dst: Proc) -> List[Proc]:
-    """The original one-off BFS (deterministic: sorted neighbor order,
-    first discovery wins — memoized and unmemoized paths are identical)."""
-    prev: Dict[Proc, Proc] = {}
-    seen = {src}
-    frontier = [src]
-    while frontier:
-        nxt: List[Proc] = []
-        for p in frontier:
-            for q in topology.neighbors(p):
-                if q not in seen:
-                    seen.add(q)
-                    prev[q] = p
-                    if q == dst:
-                        path = [dst]
-                        while path[-1] != src:
-                            path.append(prev[path[-1]])
-                        return list(reversed(path))
-                    nxt.append(q)
-        frontier = nxt
-    raise RoutingError(f"no route from {src} to {dst}")
+    """:func:`alive_path` over the whole topology; no route is an error."""
+    path = alive_path(topology, src, dst)
+    if path is None:
+        raise RoutingError(f"no route from {src} to {dst}")
+    return path
 
 
 def build_routing_table(topology: Topology, strategy: str = "bfs") -> RoutingTable:

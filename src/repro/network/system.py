@@ -16,6 +16,7 @@ order.
 from __future__ import annotations
 
 import enum
+import sys
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, TopologyError
@@ -23,6 +24,8 @@ from repro.graph.model import TaskGraph, TaskId
 from repro.network.topology import Link, Proc, Topology, link_id
 from repro.util.intervals import reference_mode
 from repro.util.rng import RngStream, stable_uniform
+
+_MAX = sys.float_info.max
 
 
 class LinkHeterogeneity(enum.Enum):
@@ -64,8 +67,9 @@ class HeterogeneousSystem:
                 raise ConfigurationError(
                     f"task {t!r}: expected {topology.n_procs} costs, got {len(row)}"
                 )
-            if any(c <= 0 for c in row):
-                raise ConfigurationError(f"task {t!r}: execution costs must be positive")
+            if not all(0 < c <= _MAX for c in row):
+                raise ConfigurationError(
+                    f"task {t!r}: execution costs must be positive and finite")
             self._exec[t] = row
         self._per_link: Dict[Link, float] = dict(per_link_factors or {})
         if link_mode is LinkHeterogeneity.PER_LINK and not self._per_link:
@@ -188,8 +192,9 @@ class HeterogeneousSystem:
             raise ConfigurationError(
                 f"task {task!r}: expected {self.topology.n_procs} costs, got {len(row)}"
             )
-        if any(c <= 0 for c in row):
-            raise ConfigurationError(f"task {task!r}: execution costs must be positive")
+        if not all(0 < c <= _MAX for c in row):
+            raise ConfigurationError(
+                f"task {task!r}: execution costs must be positive and finite")
         self._exec[task] = row
 
     def exec_cost_fn(self, proc: Proc):

@@ -14,7 +14,9 @@ Two export granularities:
   the link-heterogeneity parameters — everything needed to rebuild the
   system and replay the schedule through the validator *without* the
   generating code. ``read_bundle`` + ``validate_schedule`` is a full
-  audit of a schedule produced elsewhere.
+  audit of a schedule produced elsewhere. Task ids that are not an int
+  or str are renamed as they are written; the canonical text is
+  :func:`bundle_to_json`'s ``json.dumps(bundle_to_dict(...), indent=2)``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Any, Dict, Optional
 
 from repro.errors import SchedulingError
-from repro.network.system import HeterogeneousSystem
+from repro.network.system import HeterogeneousSystem, LinkHeterogeneity
 from repro.schedule.schedule import Schedule
 
 _FORMAT_VERSION = 1
@@ -65,6 +67,11 @@ def _numbers(value, field: str, length: int):
 
 def schedule_to_dict(schedule: Schedule) -> Dict[str, Any]:
     """Lossless plain-dict export of assignments, times and routes."""
+    return _schedule_dict(schedule, repr)
+
+
+def _schedule_dict(schedule: Schedule, name) -> Dict[str, Any]:
+    """:func:`schedule_to_dict` with each task id written as ``name(id)``."""
     return {
         "version": _FORMAT_VERSION,
         "algorithm": schedule.algorithm,
@@ -73,7 +80,7 @@ def schedule_to_dict(schedule: Schedule) -> Dict[str, Any]:
         "schedule_length": schedule.schedule_length(),
         "tasks": [
             {
-                "task": repr(t),
+                "task": name(t),
                 "proc": slot.proc,
                 "start": slot.start,
                 "finish": slot.finish,
@@ -82,7 +89,7 @@ def schedule_to_dict(schedule: Schedule) -> Dict[str, Any]:
         ],
         "messages": [
             {
-                "edge": [repr(e[0]), repr(e[1])],
+                "edge": [name(e[0]), name(e[1])],
                 "local": route.is_local,
                 "hops": [
                     {
@@ -169,17 +176,39 @@ def bundle_to_dict(schedule: Schedule) -> Dict[str, Any]:
     rebuild its system (trace-dict graph with exact exec vectors and
     nominal costs, topology dict, link-model parameters).
 
-    Task ids must be interchange-safe (int/str) — relabel with
-    :func:`repro.graph.interchange.relabel_tasks` first if they are not.
+    A task id that is not an int or str (the regular applications'
+    tuples) is written through
+    :func:`~repro.graph.interchange.relabel_tasks`' default rename,
+    without copying the schedule or its system; ids that collide after
+    renaming raise ``GraphError``. Over a ``PER_MESSAGE_LINK`` system
+    renaming raises ``SchedulingError``: its link factors are keyed by
+    task id, so the replay would draw different hop costs.
     """
-    from repro.graph.interchange import ExternalWorkload, trace_to_dict
+    from repro.graph.interchange import (
+        ExternalWorkload,
+        _is_interchange_id,
+        relabel_tasks,
+        trace_to_dict,
+    )
 
     system = schedule.system
     graph = system.graph
+    tasks = graph.tasks()
+    named = graph
+    if not all(_is_interchange_id(t) for t in tasks):
+        if system.link_mode is LinkHeterogeneity.PER_MESSAGE_LINK:
+            raise SchedulingError(
+                "cannot export a schedule over a PER_MESSAGE_LINK system "
+                "whose task ids need renaming: link factors are keyed by "
+                "task id, so renamed ids would change communication costs"
+            )
+        named = relabel_tasks(graph)
+    renamed = dict(zip(tasks, named.tasks()))
     workload = ExternalWorkload(
-        graph=graph,
-        exec_costs={t: system.exec_cost_row(t) for t in graph.tasks()},
+        graph=named,
+        exec_costs={new: system.exec_cost_row(t) for t, new in renamed.items()},
     )
+    written = {t: repr(new) for t, new in renamed.items()}
     return {
         "format": BUNDLE_FORMAT,
         "version": BUNDLE_VERSION,
@@ -187,7 +216,7 @@ def bundle_to_dict(schedule: Schedule) -> Dict[str, Any]:
         # the trace convention derives nominal costs from the vectors
         # (fastest processor); record the graph's own nominal costs so
         # the rebuilt system is exact even when they differ
-        "nominal_costs": [graph.cost(t) for t in graph.tasks()],
+        "nominal_costs": [graph.cost(t) for t in tasks],
         "topology": system.topology.to_dict(),
         "link_model": {
             "mode": system.link_mode.name,
@@ -198,14 +227,13 @@ def bundle_to_dict(schedule: Schedule) -> Dict[str, Any]:
                 for (a, b), factor in sorted(system.per_link_factors.items())
             },
         },
-        "schedule": schedule_to_dict(schedule),
+        "schedule": _schedule_dict(schedule, written.__getitem__),
     }
 
 
 def bundle_from_dict(data: Dict[str, Any]) -> Schedule:
     """Rebuild system and schedule from :func:`bundle_to_dict` output."""
     from repro.graph.interchange import trace_from_dict
-    from repro.network.system import LinkHeterogeneity
     from repro.network.topology import Topology
 
     if not isinstance(data, dict) or data.get("format") != BUNDLE_FORMAT:
@@ -255,65 +283,6 @@ def bundle_from_dict(data: Dict[str, Any]) -> Schedule:
         link_seed=_expect(lm.get("seed", 0), int, "link_model.seed"),
     )
     return schedule_from_dict(data.get("schedule"), system)
-
-
-def relabel_schedule(schedule: Schedule) -> Schedule:
-    """Value-identical copy whose task ids are interchange-safe.
-
-    The generated regular applications use tuple task ids, which the
-    bundle format rejects; this maps them through
-    :func:`repro.graph.interchange.relabel_tasks`' default rename and
-    rebuilds system + schedule with every time, order, and route
-    preserved exactly.  Already-safe schedules are returned unchanged
-    (not copied).
-
-    ``PER_MESSAGE_LINK`` systems whose ids actually change cannot be
-    relabeled exactly — their link factors are stable hashes keyed by
-    task id, so renamed edges would draw different factors — and raise
-    :class:`~repro.errors.SchedulingError` instead of exporting a
-    bundle that fails its own replay audit.
-    """
-    from repro.graph.interchange import _is_interchange_id, relabel_tasks
-    from repro.network.system import LinkHeterogeneity
-
-    system = schedule.system
-    graph = system.graph
-    if all(_is_interchange_id(t) for t in graph.tasks()):
-        return schedule
-    if system.link_mode is LinkHeterogeneity.PER_MESSAGE_LINK:
-        raise SchedulingError(
-            "cannot relabel a schedule over a PER_MESSAGE_LINK system: "
-            "link factors are keyed by task id, so renamed ids would "
-            "change communication costs"
-        )
-    new_graph = relabel_tasks(graph)
-    mapping = dict(zip(graph.tasks(), new_graph.tasks()))
-    new_system = HeterogeneousSystem(
-        new_graph,
-        system.topology,
-        {mapping[t]: system.exec_cost_row(t) for t in graph.tasks()},
-        link_mode=system.link_mode,
-        link_factor_range=system.link_factor_range,
-        link_seed=system.link_seed,
-        per_link_factors=system.per_link_factors or None,
-    )
-    out = schedule.copy()  # fresh slot/hop/route objects, orders preserved
-    out.system = new_system
-    out.slots = {mapping[t]: s for t, s in out.slots.items()}
-    for s in out.slots.values():
-        s.task = mapping[s.task]
-    out.proc_order = {
-        p: [mapping[t] for t in order] for p, order in out.proc_order.items()
-    }
-    new_routes = {}
-    for (u, v), route in out.routes.items():
-        ne = (mapping[u], mapping[v])
-        route.edge = ne
-        for h in route.hops:  # link_order shares these hop objects
-            h.edge = ne
-        new_routes[ne] = route
-    out.routes = new_routes
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -473,15 +442,13 @@ def _bundle_text(doc) -> Optional[str]:
         return None
 
 
-def bundle_to_json(schedule: Schedule, indent: Optional[int] = None) -> str:
-    """The bundle as JSON text; ``indent=2`` is the canonical artifact,
-    written by the fixed-shape writers above with json.dumps as fallback."""
+def bundle_to_json(schedule: Schedule) -> str:
+    """The canonical bundle text, ``json.dumps(bundle_to_dict(schedule),
+    indent=2)``, written by the fixed-shape writers above with json.dumps
+    as the fallback."""
     doc = bundle_to_dict(schedule)
-    if indent == 2:
-        text = _bundle_text(doc)
-        if text is not None:
-            return text
-    return json.dumps(doc, indent=indent)
+    text = _bundle_text(doc)
+    return json.dumps(doc, indent=2) if text is None else text
 
 
 def bundle_from_json(text: str) -> Schedule:
@@ -492,10 +459,10 @@ def bundle_from_json(text: str) -> Schedule:
     return bundle_from_dict(data)
 
 
-def write_bundle(schedule: Schedule, path: str, indent: Optional[int] = None) -> None:
-    """Write a replayable schedule bundle to ``path`` (JSON)."""
+def write_bundle(schedule: Schedule, path: str) -> None:
+    """Write the canonical bundle text of ``schedule`` to ``path``."""
     with open(path, "w") as fh:
-        fh.write(bundle_to_json(schedule, indent=indent) + "\n")
+        fh.write(bundle_to_json(schedule) + "\n")
 
 
 def read_bundle(path: str) -> Schedule:

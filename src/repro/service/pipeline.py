@@ -6,11 +6,12 @@ drift) in ``repro schedule``, ``repro simulate``, ``repro convert`` and
 the sweep engine. Now the CLI and the HTTP server both call
 :func:`execute`, so for the same request their outputs are
 *byte-identical by construction*: the canonical schedule artifact is a
-single string — ``bundle_to_json(relabel_schedule(schedule), indent=2)
-+ "\\n"`` — and both transports emit it verbatim. Its bytes are
-``json.dumps(bundle_to_dict(...), indent=2)``; ``bundle_to_json`` writes
-the four bulk lists with fixed-shape writers and falls back to
-``json.dumps`` for a document off their shapes.
+single string — ``bundle_to_json(schedule) + "\\n"`` over the live
+schedule — and both transports emit it verbatim. Its bytes are
+``json.dumps(bundle_to_dict(schedule), indent=2)``; ``bundle_to_dict``
+names tuple task ids, and ``bundle_to_json`` writes the four bulk lists
+with fixed-shape writers and falls back to ``json.dumps`` for a
+document off their shapes.
 
 Caching. Schedule responses are memoized in the
 :class:`~repro.experiments.cache.ResultCache` under the request's
@@ -225,8 +226,8 @@ def _execute_schedule(req: ScheduleRequest, cache, use_cache: bool,
         stamp_provenance,
     )
     # looked up per call, not at import: perfbench's encode layer
-    # wraps these two names on repro.schedule.io
-    from repro.schedule.io import bundle_to_json, relabel_schedule
+    # wraps this name on repro.schedule.io
+    from repro.schedule.io import bundle_to_json
     from repro.schedule.metrics import compute_metrics
 
     key = req.idempotency_key()
@@ -251,7 +252,7 @@ def _execute_schedule(req: ScheduleRequest, cache, use_cache: bool,
         system = build_schedule_system(req)
     sched = _run_scheduler(req, system)
     metrics = compute_metrics(sched)
-    bundle_text = bundle_to_json(relabel_schedule(sched), indent=2) + "\n"
+    bundle_text = bundle_to_json(sched) + "\n"
     summary = {
         "graph": system.graph.name,
         "n_tasks": system.graph.n_tasks,

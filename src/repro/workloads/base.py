@@ -10,10 +10,11 @@ random graphs without breaking acyclicity.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from repro.errors import WorkloadError
 from repro.graph.model import TaskGraph, TaskId
+from repro.graph.validation import weak_components
 from repro.util.rng import RngStream
 
 
@@ -58,7 +59,7 @@ def ensure_connected(
     >>> g.n_edges
     1
     """
-    comps = _weak_components(graph)
+    comps = weak_components(graph)
     if len(comps) <= 1:
         return graph
     comps.sort(key=len, reverse=True)
@@ -83,24 +84,5 @@ def ensure_connected(
                 raise WorkloadError("cannot bridge components without a cycle")
             v = rng.choice(targets)
         graph.add_edge(u, v, comm_cost)
-        main |= comp
+        main += comp
     return graph
-
-
-def _weak_components(graph: TaskGraph) -> List[set]:
-    seen: set = set()
-    comps: List[set] = []
-    for start in graph.tasks():
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            t = stack.pop()
-            for nb in graph.successors(t) + graph.predecessors(t):
-                if nb not in comp:
-                    comp.add(nb)
-                    stack.append(nb)
-        seen |= comp
-        comps.append(comp)
-    return comps

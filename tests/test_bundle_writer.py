@@ -17,12 +17,7 @@ from repro.experiments.runner import _SCHEDULERS
 from repro.graph.interchange import load_workload
 from repro.network.system import HeterogeneousSystem, LinkHeterogeneity
 from repro.network.topology import apply_link_model, fat_tree, ring
-from repro.schedule.io import (
-    _bundle_text,
-    bundle_to_dict,
-    bundle_to_json,
-    relabel_schedule,
-)
+from repro.schedule.io import _bundle_text, bundle_to_dict, bundle_to_json
 from repro.service import execute
 from repro.service.requests import ScheduleRequest
 from repro.workloads.suites import random_graph
@@ -53,7 +48,7 @@ def _assert_writer_path(schedule) -> str:
     doc = bundle_to_dict(schedule)
     oracle = json.dumps(doc, indent=2)
     assert _bundle_text(doc) == oracle
-    assert bundle_to_json(schedule, indent=2) == oracle
+    assert bundle_to_json(schedule) == oracle
     return oracle
 
 
@@ -64,7 +59,7 @@ class TestSchedulerBundles:
         body = {"workload": "gauss", "size": 30, "topology": topology,
                 "n_procs": 8, "algorithm": algorithm, "seed": 1}
         resp = execute(ScheduleRequest.from_dict(body), use_cache=False)
-        oracle = _assert_writer_path(relabel_schedule(resp.extra["schedule"]))
+        oracle = _assert_writer_path(resp.extra["schedule"])
         assert resp.bundle_text == oracle + "\n"
 
     @pytest.mark.parametrize("duplex,skew", [("full", 1.0), ("half", 6.0),
@@ -74,7 +69,7 @@ class TestSchedulerBundles:
                 "n_procs": 8, "algorithm": "heft", "seed": 2,
                 "duplex": duplex, "bandwidth_skew": skew}
         resp = execute(ScheduleRequest.from_dict(body), use_cache=False)
-        _assert_writer_path(relabel_schedule(resp.extra["schedule"]))
+        _assert_writer_path(resp.extra["schedule"])
 
     def test_per_message_link_system(self):
         workload = load_workload("examples/corpus/fft8.trace.json")
@@ -103,15 +98,7 @@ class TestSchedulerBundles:
         slot.start = Time(slot.start)
         doc = bundle_to_dict(schedule)
         assert _bundle_text(doc) is None
-        assert bundle_to_json(schedule, indent=2) == json.dumps(doc, indent=2)
-
-    def test_other_indents_stay_on_json_dumps(self):
-        system = HeterogeneousSystem.sample(random_graph(12, seed=1), ring(4))
-        schedule = _SCHEDULERS["heft"](system)
-        doc = bundle_to_dict(schedule)
-        for indent in (None, 0, 4):
-            assert bundle_to_json(schedule, indent=indent) == json.dumps(
-                doc, indent=indent)
+        assert bundle_to_json(schedule) == json.dumps(doc, indent=2)
 
     @pytest.mark.parametrize("algorithm", sorted(CANONICAL_SHA256))
     def test_canonical_bytes_pinned(self, algorithm):

@@ -64,6 +64,26 @@ class TestConstruction:
         chain3.set_edge_cost("x", "y", 42.0)
         assert chain3.comm_cost("x", "y") == 42.0
 
+    #: a cost that is not finite: NaN and +inf pass ``cost <= 0``, and a
+    #: huge int passes it but overflows ``float()``
+    NON_FINITE = [float("nan"), float("inf"), 10 ** 400]
+
+    @pytest.mark.parametrize("cost", NON_FINITE, ids=["nan", "inf", "huge-int"])
+    def test_non_finite_task_cost_rejected(self, chain3, cost):
+        with pytest.raises(GraphError, match="finite"):
+            chain3.add_task("w", cost)
+        with pytest.raises(GraphError, match="finite"):
+            chain3.set_task_cost("x", cost)
+        assert not chain3.has_task("w") and chain3.cost("x") == 4.0
+
+    @pytest.mark.parametrize("cost", NON_FINITE, ids=["nan", "inf", "huge-int"])
+    def test_non_finite_edge_cost_rejected(self, chain3, cost):
+        with pytest.raises(GraphError, match="finite"):
+            chain3.add_edge("x", "z", cost)
+        with pytest.raises(GraphError, match="finite"):
+            chain3.set_edge_cost("x", "y", cost)
+        assert not chain3.has_edge("x", "z")
+
     def test_cost_update_unknown_rejected(self, chain3):
         with pytest.raises(GraphError):
             chain3.set_task_cost("nope", 1.0)

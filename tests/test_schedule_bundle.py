@@ -7,9 +7,10 @@ import json
 
 import pytest
 
-from repro.errors import SchedulingError
+from repro.errors import GraphError, SchedulingError
 from repro.experiments.runner import _SCHEDULERS, build_cell_system
 from repro.graph.interchange import load_workload, relabel_tasks
+from repro.graph.model import TaskGraph
 from repro.network.system import HeterogeneousSystem, LinkHeterogeneity
 from repro.network.topology import apply_link_model, fat_tree, ring
 from repro.schedule.io import (
@@ -23,7 +24,7 @@ from repro.schedule.io import (
 )
 from repro.schedule.validator import validate_schedule
 from repro.workloads.external import external_cell
-from repro.workloads.suites import random_graph
+from repro.workloads.suites import random_graph, regular_graph
 
 TRACE_PATH = "examples/corpus/fft8.trace.json"
 
@@ -84,21 +85,81 @@ class TestGoldenReplay:
             assert replay.system.graph.cost(t) == graph.cost(t)
         assert schedule_to_json(replay) == schedule_to_json(schedule)
 
-    def test_tuple_ids_need_relabeling(self):
+    def test_tuple_ids_are_renamed(self):
+        """Tuple ids are written through relabel_tasks' default rename:
+        the bundle equals the one exported from the same run over the
+        relabeled graph, and it replays validator-clean."""
         from repro.workloads.forkjoin import fork_join
 
         graph = fork_join(2, 3)
         system = HeterogeneousSystem.sample(graph, ring(4), seed=0)
-        schedule = _SCHEDULERS["heft"](system)
-        with pytest.raises(Exception, match="relabel"):
-            bundle_to_dict(schedule)
-        # relabel_tasks is the documented escape hatch
+        blob = bundle_to_dict(_SCHEDULERS["heft"](system))
         relabeled = relabel_tasks(graph)
         system2 = HeterogeneousSystem.sample(relabeled, ring(4), seed=0)
-        replay = bundle_from_dict(
-            bundle_to_dict(_SCHEDULERS["heft"](system2))
-        )
+        assert blob == bundle_to_dict(_SCHEDULERS["heft"](system2))
+        replay = bundle_from_dict(blob)
         validate_schedule(replay)
+        assert replay.system.graph.tasks() == relabeled.tasks()
+
+
+class TestTupleIdExport:
+    def test_export_leaves_the_schedule_untouched(self):
+        graph = regular_graph("gauss", 30, 1.0, seed=1)
+        system = HeterogeneousSystem.sample(graph, ring(4), seed=1)
+        schedule = _SCHEDULERS["heft"](system)
+        before = schedule_to_json(schedule)
+        bundle_to_dict(schedule)
+        assert system.graph is graph
+        assert graph.tasks() == regular_graph("gauss", 30, 1.0, seed=1).tasks()
+        assert schedule_to_json(schedule) == before
+        assert all(type(t) is tuple for t in schedule.slots)
+        assert all(type(t) is tuple
+                   for order in schedule.proc_order.values() for t in order)
+        hops = [h for route in schedule.routes.values() for h in route.hops]
+        assert hops and all(
+            type(h.edge[0]) is tuple and type(h.edge[1]) is tuple for h in hops)
+
+    def test_per_message_link_system_refused(self):
+        """Per-message link factors are keyed by task id, so renaming
+        would change hop costs: refuse rather than export a bundle that
+        fails its own replay audit."""
+        system = HeterogeneousSystem.sample(
+            regular_graph("gauss", 30, 1.0, seed=1), ring(4),
+            link_het_range=(1.0, 5.0))
+        assert system.link_mode is LinkHeterogeneity.PER_MESSAGE_LINK
+        schedule = _SCHEDULERS["heft"](system)
+        with pytest.raises(SchedulingError, match="PER_MESSAGE_LINK"):
+            bundle_to_dict(schedule)
+        with pytest.raises(SchedulingError, match="PER_MESSAGE_LINK"):
+            bundle_to_json(schedule)
+
+    def test_colliding_renamed_ids_refused(self):
+        graph = TaskGraph("collide")
+        graph.add_task(("U", 1, 2), 3.0)
+        graph.add_task("U_1_2", 4.0)
+        graph.add_edge(("U", 1, 2), "U_1_2", 1.0)
+        system = HeterogeneousSystem.sample(graph, ring(4), seed=0)
+        with pytest.raises(GraphError, match="collapsed"):
+            bundle_to_dict(_SCHEDULERS["heft"](system))
+
+    def test_simulate_arrival_exports_and_replays(self, tmp_path, capsys):
+        """An arrival adds the str id ``dyn0`` among gauss's tuple ids;
+        ``repro simulate --export-bundle`` writes the live schedule's
+        canonical text and it replays validator-clean."""
+        from repro.cli import main
+
+        path = tmp_path / "sim.bundle.json"
+        assert main(["simulate", "-w", "gauss", "-n", "40", "-t", "ring",
+                     "-p", "8", "--seed", "3", "--scenario", "f1a1s0",
+                     "--export-bundle", str(path)]) == 0
+        text = path.read_text()
+        doc = json.loads(text)
+        assert text == json.dumps(doc, indent=2) + "\n"
+        ids = [entry["id"] for entry in doc["graph"]["tasks"]]
+        assert "dyn0" in ids and "U_1_2" in ids
+        replay = read_bundle(str(path))
+        validate_schedule(replay)
+        assert "'dyn0'" in {entry["task"] for entry in doc["schedule"]["tasks"]}
 
 
 def _first_routed(blob):

@@ -30,6 +30,7 @@ from repro.errors import (
     ConfigurationError,
     CycleError,
     DisconnectedGraphError,
+    GraphError,
     InvalidScheduleError,
     ReproError,
     RoutingError,
@@ -60,6 +61,7 @@ from repro.service import (
 from repro.service import http as http_mod
 from repro.service.http import make_server
 from repro.util.intervals import HOTPATH_MODES, hotpath_mode, set_hotpath_mode
+from tests.test_graph_io import MALFORMED_JSON_GRAPHS
 
 DISCONNECTED_STG = """\
 6
@@ -125,6 +127,30 @@ NON_FINITE_NUMBERS = {
     "granularities-neg": (SweepRequest, _SWEEP_BODY, "granularities", [-1]),
     "granularities-zero": (SweepRequest, _SWEEP_BODY, "granularities", [0]),
 }
+
+
+#: inline graphs with a non-finite cost: ``name -> (text, what the
+#: GraphError must name)``; each answered 500 ``invalid-schedule``, 422
+#: ``scheduling`` or 200 with NaN in the bundle
+NON_FINITE_GRAPHS = {
+    "stg-task-nan": ("2\n0 nan 0\n1 1 1 0\n", "task 0"),
+    "stg-task-inf": ("2\n0 inf 0\n1 1 1 0\n", "task 0"),
+    "dot-comm-nan": ('digraph g {\n  a [cost=1];\n  b [cost=2];\n'
+                     '  a -> b [comm=nan];\n}\n', "edge 'a'->'b'"),
+    "trace-vector-nan": (json.dumps({
+        "format": "repro-trace", "version": 1, "n_procs": 4,
+        "tasks": [{"id": "a", "costs": [1.0, float("nan"), 1.0, 1.0]},
+                  {"id": "b", "costs": [1.0, 1.0, 1.0, 1.0]}],
+        "edges": [{"src": "a", "dst": "b", "comm": 1.0}]}), "task 'a'"),
+}
+
+
+def _graph_request(request_type, text, fmt=None):
+    """A schedule or convert request for one inline graph."""
+    if request_type == "schedule":
+        return ScheduleRequest(graph=text, format=fmt, topology="ring",
+                               n_procs=4, algorithm="heft")
+    return ConvertRequest(graph=text, from_fmt=fmt, to_fmt="trace")
 
 
 def _plant_malformed_entry(directory, key, shape):
@@ -333,6 +359,22 @@ class TestPipeline:
                       for k, v in fields.items()}
         with pytest.raises(ConfigurationError, match=name):
             execute(cls(**fields), cache=ResultCache(str(tmp_path / "cache")))
+
+    @pytest.mark.parametrize("shape", sorted(NON_FINITE_GRAPHS))
+    def test_non_finite_graph_cost_is_a_graph_error(self, tmp_path, shape):
+        text, what = NON_FINITE_GRAPHS[shape]
+        with pytest.raises(GraphError, match=f"{re.escape(what)}.*finite"):
+            execute(_graph_request("schedule", text),
+                    cache=ResultCache(str(tmp_path / "cache")))
+
+    @pytest.mark.parametrize("request_type", ["schedule", "convert"])
+    @pytest.mark.parametrize("shape", sorted(MALFORMED_JSON_GRAPHS))
+    def test_malformed_json_graph_names_the_field(self, tmp_path, shape,
+                                                  request_type):
+        text, field = MALFORMED_JSON_GRAPHS[shape]
+        with pytest.raises(GraphError, match=re.escape(field)):
+            execute(_graph_request(request_type, text, "json"),
+                    cache=ResultCache(str(tmp_path / "cache")))
 
     def test_miss_then_hit_same_bytes(self, tmp_path):
         cache = ResultCache(str(tmp_path / "cache"))
@@ -695,6 +737,33 @@ class TestHttp:
         assert status == 400, doc
         assert doc["kind"] == "configuration"
         assert name in doc["detail"]
+
+    @pytest.mark.parametrize("shape", sorted(NON_FINITE_GRAPHS))
+    def test_non_finite_graph_cost_is_structured_400(self, server, shape):
+        text, what = NON_FINITE_GRAPHS[shape]
+        status, _, reply = _request(server, "POST", "/schedule",
+                                    {"graph": text, "topology": "ring",
+                                     "n_procs": 4, "algorithm": "heft"})
+        doc = json.loads(reply)
+        assert status == 400, doc
+        assert doc["kind"] == "graph"
+        assert what in doc["detail"]
+
+    @pytest.mark.parametrize("path,body", [
+        ("/schedule", {"format": "json", "topology": "ring", "n_procs": 4,
+                       "algorithm": "heft"}),
+        ("/convert", {"from_fmt": "json", "to_fmt": "trace"}),
+    ], ids=["schedule", "convert"])
+    @pytest.mark.parametrize("shape", sorted(MALFORMED_JSON_GRAPHS))
+    def test_malformed_json_graph_is_structured_400(self, server, shape,
+                                                    path, body):
+        text, field = MALFORMED_JSON_GRAPHS[shape]
+        status, _, reply = _request(server, "POST", path,
+                                    dict(body, graph=text))
+        doc = json.loads(reply)
+        assert status == 400, doc
+        assert doc["kind"] == "graph"
+        assert field in doc["detail"]
 
     def test_bridge_epsilon_repairs_over_http(self, server):
         status, _, _ = _request(server, "POST", "/schedule",

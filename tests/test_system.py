@@ -37,6 +37,21 @@ class TestFromExecTable:
         with pytest.raises(ConfigurationError):
             HeterogeneousSystem.from_exec_table(diamond, ring(3), table)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")],
+                             ids=["nan", "inf"])
+    def test_non_finite_cost_rejected(self, diamond, bad):
+        table = {t: [1.0, bad, 1.0] for t in diamond.tasks()}
+        with pytest.raises(ConfigurationError, match="finite"):
+            HeterogeneousSystem.from_exec_table(diamond, ring(3), table)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")],
+                             ids=["nan", "inf"])
+    def test_non_finite_arrival_cost_rejected(self, diamond, bad):
+        system = HeterogeneousSystem.sample(diamond, ring(3), seed=1)
+        diamond.add_task("late", 5.0)
+        with pytest.raises(ConfigurationError, match="finite"):
+            system.add_task_costs("late", [5.0, bad, 5.0])
+
 
 class TestSample:
     def test_factor_range_and_normalization(self, diamond):
