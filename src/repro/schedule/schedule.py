@@ -19,7 +19,7 @@ re-route messages without bookkeeping leaks.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SchedulingError
 from repro.graph.model import TaskId
@@ -75,16 +75,15 @@ class Schedule:
         # and the incremental settle's write-back edit the cached
         # timeline in place at the order index they already know, so a
         # cached timeline always equals Timeline.from_items over its
-        # order. Only wholesale changes drop entries: a full resort, an
-        # order resort_partial actually re-sorts, a rollback, a restore
-        # and the dynamic tail settle.
+        # order. Only wholesale changes drop entries: a resort, a
+        # rollback, a restore and a Kahn pass (full or dynamic tail).
         self._proc_tl: Dict[Proc, Timeline] = {}
         self._link_tl: Dict[Link, Timeline] = {}
         # Occupant-position maps for the incremental settle engine,
         # under the timeline cache's rule: built on a resource's first
         # query, popped wherever that resource's order changes, cleared
-        # by wholesale order changes. A settle rewrites times but rarely
-        # reorders, so these maps survive most commits.
+        # by wholesale order changes. A settle rewrites times but never
+        # reorders, so these maps survive every settle.
         self._proc_pos: Dict[Proc, Dict[TaskId, int]] = {}
         self._link_pos: Dict[Link, Dict[int, int]] = {}
         # Open transaction (undo log + incremental-settle seed set); see
@@ -156,8 +155,9 @@ class Schedule:
 
     def drop_timelines(self) -> None:
         """Forget every cached timeline, for changes too wholesale to
-        patch (resorts, restores, rollbacks, the dynamic tail settle);
-        the next query of a resource rebuilds its timeline."""
+        patch (resorts, restores, rollbacks and every Kahn pass, full or
+        dynamic tail); the next query of a resource rebuilds its
+        timeline."""
         self._proc_tl.clear()
         self._link_tl.clear()
 
@@ -401,7 +401,19 @@ class Schedule:
     # maintenance
     # ------------------------------------------------------------------
     def resort_orders(self) -> None:
-        """Re-sort occupant lists by settled start time (stable)."""
+        """Re-sort occupant lists by settled ``(start, finish)`` (stable).
+
+        A settle leaves every order sorted (see
+        :mod:`repro.schedule.settle`), so the production settles never
+        call this. Its two callers: the reference oracle
+        :func:`~repro.schedule.settle._settle_legacy`, kept unchanged,
+        and the dynamic repair's commit
+        (:func:`repro.dynamic.repair.cone_repair`), whose tail settle
+        drops edges into frozen nodes and whose re-created frozen hops
+        are inserted after every hop with an equal start, so a
+        zero-duration hop can land behind a longer one it used to
+        precede.
+        """
         for p, order in self.proc_order.items():
             order.sort(key=lambda t: (self.slots[t].start, self.slots[t].finish))
         for l, hops in self.link_order.items():
@@ -409,45 +421,6 @@ class Schedule:
         self._proc_pos.clear()
         self._link_pos.clear()
         self.drop_timelines()
-
-    def resort_partial(self, procs: Iterable[Proc], channels: Iterable[Link]) -> None:
-        """Re-sort only the given processor/link orders by settled start.
-
-        The incremental settle engine calls this with exactly the
-        resources whose occupants' times it touched; every other order
-        is untouched since the last full resort, so a stable re-sort of
-        it would be the identity — skipping it is equivalent to
-        :meth:`resort_orders`. Settled times almost always leave even
-        the touched orders sorted (chain constraints force
-        ``start_next >= finish_prev``), so a linear sortedness check
-        runs first and the stable sort only when it actually fails. A
-        re-sorted order drops its cached timeline; every other cached
-        timeline already carries the settled times.
-        """
-        slots = self.slots
-        for p in procs:
-            order = self.proc_order[p]
-            ps = pf = float("-inf")
-            for t in order:
-                s = slots[t]
-                ss, sf = s.start, s.finish
-                if ss < ps or (ss == ps and sf < pf):
-                    order.sort(key=lambda t: (slots[t].start, slots[t].finish))
-                    self._proc_pos.pop(p, None)
-                    self._proc_tl.pop(p, None)
-                    break
-                ps, pf = ss, sf
-        for ch in channels:
-            hops = self.link_order[ch]
-            ps = pf = float("-inf")
-            for h in hops:
-                ss, sf = h.start, h.finish
-                if ss < ps or (ss == ps and sf < pf):
-                    hops.sort(key=lambda h: (h.start, h.finish))
-                    self._link_pos.pop(ch, None)
-                    self._link_tl.pop(ch, None)
-                    break
-                ps, pf = ss, sf
 
     def copy(self) -> "Schedule":
         """Deep copy (fresh slot/hop objects, shared system)."""

@@ -22,6 +22,14 @@ Raises :class:`repro.errors.CycleError` if the orders are contradictory
 (e.g. a task placed before its own ancestor's message lands); BSA treats
 that as a rejected migration and rolls back.
 
+A settle never reorders anything, and its orders need no re-sort after
+it: every occupant is chained to the one before it, so consecutive
+occupants ``a, b`` end with ``b.start >= a.finish = a.start + dur(a)``.
+No duration is negative (task costs are positive, edge costs and link
+factors non-negative and finite, bandwidths positive), so ``(start,
+finish)`` never decreases along an order, zero-duration ties included:
+each order is already what a stable sort by settled times would give.
+
 Implementation note: this runs after every committed migration, so it is
 the hottest loop in BSA. Nodes are mapped to dense integer ids and the
 Kahn pass runs over plain lists.
@@ -69,11 +77,12 @@ def kahn_settle(schedule: Schedule, frontier: Optional[float] = None) -> Schedul
     """One Kahn longest-path pass over the constraint DAG, in place.
 
     Without a ``frontier`` this is the full pass: every node is
-    numbered, starts are floored at 0, and every occupant order is
-    re-sorted afterwards. With one, only the tail (``start >= frontier``)
-    is numbered, and the cached timelines are dropped instead of
-    re-sorting; :func:`repro.dynamic.repair.tail_settle` states that
-    contract.
+    numbered and starts are floored at 0. With one, only the tail
+    (``start >= frontier``) is numbered;
+    :func:`repro.dynamic.repair.tail_settle` states that contract.
+    Either way the orders are left as they are (the module docstring
+    says why a full pass leaves them sorted), so the position maps
+    survive; the cached timelines are dropped, because times change.
 
     Raises :class:`~repro.errors.CycleError` before writing any time,
     and records each time it changes in the open transaction first.
@@ -224,10 +233,7 @@ def kahn_settle(schedule: Schedule, frontier: Optional[float] = None) -> Schedul
         obj.start = s
         obj.finish = f
 
-    if frontier is None:
-        schedule.resort_orders()
-    else:
-        schedule.drop_timelines()
+    schedule.drop_timelines()
     return schedule
 
 
@@ -257,6 +263,11 @@ def settle_incremental(schedule: Schedule, seed_tasks, seed_hops) -> Schedule:
     When a transaction is open, every time write-back is recorded in its
     undo log first, so a rollback after the fallback's ``CycleError``
     restores the pre-commit times exactly.
+
+    The result is the same longest-path fixpoint a full pass computes,
+    so every order is left sorted by ``(start, finish)`` (see the module
+    docstring) and nothing is re-sorted: the position maps survive, and
+    each cached timeline has its moved entries rewritten in place.
 
     The fixpoint is unique and max() involves no arithmetic, so the
     resulting times are bit-identical to :func:`kahn_settle` — enforced
@@ -310,11 +321,6 @@ def settle_incremental(schedule: Schedule, seed_tasks, seed_hops) -> Schedule:
     heappop = heapq.heappop
     seq = 0
 
-    live_seed_hops: List[object] = []
-    for hop in seed_hops:
-        r = routes_get(hop.edge)
-        if r is not None and any(h is hop for h in r.hops):
-            live_seed_hops.append(hop)
     for t in seed_tasks:
         slot = slots_get(t)
         if slot is not None:
@@ -323,15 +329,16 @@ def settle_incremental(schedule: Schedule, seed_tasks, seed_hops) -> Schedule:
                 pending.add(oid)
                 seq += 1
                 heappush(heap, (slot.start, seq, False, slot))
-    for hop in live_seed_hops:
+    for hop in seed_hops:
+        r = routes_get(hop.edge)
+        if r is None or not any(h is hop for h in r.hops):
+            continue  # a later mutation of the batch removed it
         oid = id(hop)
         if oid not in pending:
             pending.add(oid)
             seq += 1
             heappush(heap, (hop.start, seq, True, hop))
 
-    touched_procs: set = set()
-    touched_channels: set = set()
     times_append = txn.times.append if txn is not None else None
     # Contradictory orders (BSA's rare rejected commits) make times grow
     # around the cycle without converging, so the worklist would never
@@ -461,7 +468,6 @@ def settle_incremental(schedule: Schedule, seed_tasks, seed_hops) -> Schedule:
                 c = -(1 << 30)  # proven cycle-free; never re-check
             regrow[oid] = c
         if is_hop:
-            touched_channels.add(ch)
             if i + 1 < len(order):
                 nxt = order[i + 1]
                 s = nxt.start
@@ -483,7 +489,6 @@ def settle_incremental(schedule: Schedule, seed_tasks, seed_hops) -> Schedule:
                         seq += 1
                         heappush(heap, (s, seq, k + 1 < len(hops), nxt))
         else:
-            touched_procs.add(p)
             if i + 1 < len(order):
                 nxt = slots[order[i + 1]]
                 s = nxt.start
@@ -510,22 +515,12 @@ def settle_incremental(schedule: Schedule, seed_tasks, seed_hops) -> Schedule:
                         seq += 1
                         heappush(heap, (s, seq, nxt_hop, nxt))
 
-    # seeds sit on mutated resources even when their times were already
-    # right (e.g. an inserted hop whose planned start was exact)
-    for t in seed_tasks:
-        slot = slots_get(t)
-        if slot is not None:
-            touched_procs.add(slot.proc)
-    for hop in live_seed_hops:
-        touched_channels.add(hop._chan)
-
     for tl, (lo, hi) in stale.items():
         tl.refresh_maxf(lo, hi)
     if _obs.ACTIVE:
         _obs.inc("settle.incremental_runs")
         _obs.inc("settle.cone_pops", pops)
         _obs.inc("timeline.patches", patches)
-    schedule.resort_partial(touched_procs, touched_channels)
     return schedule
 
 

@@ -419,39 +419,64 @@ def _assert_timelines_live(sched, seen) -> None:
     seen["timelines"] += len(sched._proc_tl) + len(sched._link_tl)
 
 
+def _assert_orders_sorted(sched, seen) -> None:
+    """Every processor and link order is non-decreasing in ``(start,
+    finish)``: a settle leaves the orders a stable sort would give."""
+    for proc, order in sched.proc_order.items():
+        keys = [(sched.slots[t].start, sched.slots[t].finish) for t in order]
+        assert keys == sorted(keys), f"processor {proc}"
+    for ch, hops in sched.link_order.items():
+        keys = [(h.start, h.finish) for h in hops]
+        assert keys == sorted(keys), f"channel {ch}"
+    seen["sorted_checks"] += 1
+
+
 @pytest.fixture
 def live_timelines(monkeypatch, both_modes):
     """Run the incremental engine with the live-timeline invariant
-    checked after every mutator, commit, rollback, incremental settle
-    and dynamic cone repair. Yields a tally of what the checks saw."""
+    checked after every mutator, commit, rollback, incremental settle,
+    full Kahn pass and dynamic cone repair, and the sorted-order
+    invariant after every settle. Yields a tally of what the checks
+    saw."""
     import importlib
 
     import repro.core.migration as migration
     from repro.schedule.schedule import Schedule, ScheduleTxn
 
-    # the package re-exports a function named ``simulate``
+    # the packages re-export functions named ``simulate`` and ``settle``
     simulate_mod = importlib.import_module("repro.dynamic.simulate")
+    settle_mod = importlib.import_module("repro.schedule.settle")
 
     set_hotpath_mode("incremental")
     seen = Counter()
 
-    def checked(fn, sched_of):
+    def checked(fn, sched_of, settles=lambda args, kwargs: False):
         def wrapper(*args, **kwargs):
             sched = sched_of(args)
             out = fn(*args, **kwargs)
             _assert_timelines_live(sched, seen)
+            if settles(args, kwargs):
+                _assert_orders_sorted(sched, seen)
             seen[fn.__name__] += 1
             return out
         return wrapper
 
+    def full_pass(args, kwargs):
+        return (args[1] if len(args) > 1 else kwargs.get("frontier")) is None
+
     for name in ("place_task", "remove_task", "set_route", "clear_route",
-                 "commit_txn", "resort_partial"):
+                 "commit_txn"):
         monkeypatch.setattr(Schedule, name,
                             checked(getattr(Schedule, name), lambda a: a[0]))
     monkeypatch.setattr(ScheduleTxn, "rollback",
                         checked(ScheduleTxn.rollback, lambda a: a[0].sched))
     monkeypatch.setattr(migration, "settle_incremental",
-                        checked(migration.settle_incremental, lambda a: a[0]))
+                        checked(migration.settle_incremental, lambda a: a[0],
+                                lambda args, kwargs: True))
+    # settle() and both incremental fallbacks call the module's name
+    monkeypatch.setattr(settle_mod, "kahn_settle",
+                        checked(settle_mod.kahn_settle, lambda a: a[0],
+                                full_pass))
     monkeypatch.setattr(simulate_mod, "cone_repair",
                         checked(simulate_mod.cone_repair, lambda a: a[0]))
 
@@ -510,6 +535,10 @@ class TestLiveTimelines:
         assert live_timelines["timelines"] > 0
         if algorithm == "bsa":
             assert live_timelines["settle_incremental"] > 0
+            assert live_timelines["kahn_settle"] > 0
+            assert live_timelines["sorted_checks"] == (
+                live_timelines["settle_incremental"]
+                + live_timelines["kahn_settle"])
         if suite == "rejection_heavy":
             assert live_timelines["rollback"] > 0
 
@@ -532,49 +561,9 @@ class TestLiveTimelines:
             assert live_timelines["non_monotone"] > 0
         if algorithm == "bsa":
             assert live_timelines["max_deleted"] > 0
-
-    def test_resort_partial_drops_a_resorted_order(self, live_timelines):
-        """Settled times leave orders sorted in every cell above, so
-        force the other branch: times that invert an order make
-        ``resort_partial`` re-sort it, and its cached timelines (built
-        in the old order) must not survive."""
-        from repro.graph.model import TaskGraph
-        from repro.network.system import HeterogeneousSystem
-        from repro.network.topology import chain
-        from repro.schedule.schedule import Schedule
-
-        g = TaskGraph("swap")
-        for t in "abcd":
-            g.add_task(t, 2.0)
-        g.add_edge("a", "c", 1.0)
-        g.add_edge("b", "d", 1.0)
-        system = HeterogeneousSystem.from_exec_table(
-            g, chain(2), {t: (2.0, 2.0) for t in "abcd"})
-        sched = Schedule(system)
-        sched.place_task("a", 0, start=0.0)
-        sched.place_task("b", 0, start=2.0)
-        sched.set_route(("a", "c"), [0, 1], hop_starts=[2.0])
-        sched.set_route(("b", "d"), [0, 1], hop_starts=[4.0])
-        sched.place_task("c", 1, start=3.0)
-        sched.place_task("d", 1, start=5.0)
-        ch = system.topology.channel(0, 1)
-        proc_tl, link_tl = sched.proc_timeline(0), sched.link_timeline(ch)
-        # swap the times of the two tasks on P0 and of the two hops,
-        # patching the cached timelines as a settle write-back does
-        slots = sched.slots
-        hops = sched.link_order[ch]
-        for k, (obj, s) in enumerate([(slots["a"], 2.0), (slots["b"], 0.0)]):
-            obj.start, obj.finish = s, s + 2.0
-            proc_tl.rewrite(k, obj.start, obj.finish)
-        for k, (hop, s) in enumerate([(hops[0], 4.0), (hops[1], 2.0)]):
-            hop.start, hop.finish = s, s + 1.0
-            link_tl.rewrite(k, hop.start, hop.finish)
-        sched.resort_partial([0], [ch])
-        assert sched.proc_order[0] == ["b", "a"]
-        assert [h.edge for h in sched.link_order[ch]] == [("b", "d"), ("a", "c")]
-        _assert_timelines_live(sched, live_timelines)
-        assert sched.proc_timeline(0).starts == [0.0, 2.0]
-        assert sched.link_timeline(ch).starts == [2.0, 4.0]
+            # zero-cost edges send every commit through the full pass
+            assert (live_timelines["kahn_settle"]
+                    > live_timelines["settle_incremental"] > 0)
 
     def test_dynamic_cone_repair(self, live_timelines):
         from repro.dynamic import simulate_scenario

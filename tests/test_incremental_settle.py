@@ -14,12 +14,16 @@ directly:
   be double-opened;
 * the one Kahn pass (``kahn_settle``) raises ``CycleError`` before it
   writes anything and records every time it changes in the open
-  transaction.
+  transaction;
+* a full pass leaves every order sorted by ``(start, finish)``, so it
+  keeps the position maps it found.
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.bsa import BSAOptions, schedule_bsa
 from repro.core.migration import commit_migration, evaluate_migration
@@ -328,3 +332,76 @@ class TestKahnSettle:
         assert len(txn.times) == len(nodes)
         txn.rollback()
         assert _state_fingerprint(sched) == shifted
+
+    def test_full_pass_keeps_position_maps(self, incremental_mode):
+        """A full pass reorders nothing, so the position map of every
+        processor and channel it found survives it, still exact."""
+        cell = Cell("random", "random", 30, 1.0, "ring", "bsa",
+                    n_procs=4, graph_seed=5, system_seed=5)
+        sched = schedule_bsa(build_cell_system(cell), BSAOptions())
+        maps = {p: sched.proc_positions(p) for p in sched.proc_order}
+        maps.update((ch, sched.link_positions(ch)) for ch in sched.link_order)
+        kahn_settle(sched)
+        assert {**sched._proc_pos, **sched._link_pos} == maps
+        for p, order in sched.proc_order.items():
+            assert sched._proc_pos[p] is maps[p]
+            assert maps[p] == {t: i for i, t in enumerate(order)}
+        for ch, hops in sched.link_order.items():
+            assert sched._link_pos[ch] is maps[ch]
+            assert maps[ch] == {id(h): i for i, h in enumerate(hops)}
+
+
+def _assert_orders_sorted(sched) -> None:
+    for proc, order in sched.proc_order.items():
+        keys = [(sched.slots[t].start, sched.slots[t].finish) for t in order]
+        assert keys == sorted(keys), f"processor {proc}"
+    for ch, hops in sched.link_order.items():
+        keys = [(h.start, h.finish) for h in hops]
+        assert keys == sorted(keys), f"channel {ch}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=16),
+    data=st.data(),
+    topology=st.sampled_from(["ring", "hypercube", "chain"]),
+    link_het=st.booleans(),
+    seed=st.integers(min_value=0, max_value=1000),
+)
+def test_full_pass_leaves_orders_sorted(n, data, topology, link_het, seed):
+    """Orders consistent with a topological order (tasks appended at
+    explicit positions in index order, every edge going up in index,
+    hops appended without starts) settle to times under which every
+    order is already sorted, even with many zero-duration hops tied at
+    one instant."""
+    from repro.graph.model import TaskGraph
+    from repro.network.routing import shortest_path
+    from repro.network.system import HeterogeneousSystem
+    from repro.network.topology import chain, hypercube, ring
+    from repro.schedule.schedule import Schedule
+
+    g = TaskGraph("orders")
+    for t in range(n):
+        g.add_task(t, data.draw(st.floats(0.5, 50.0)))
+    for v in range(1, n):
+        for u in range(v):
+            if data.draw(st.booleans()):
+                cost = data.draw(st.sampled_from([0.0, 0.0, 1.0, 7.5]))
+                g.add_edge(u, v, cost)
+    net = {"ring": ring(4), "hypercube": hypercube(8), "chain": chain(3)}[topology]
+    system = HeterogeneousSystem.sample(
+        g, net, het_range=(1.0, 5.0),
+        link_het_range=(1.0, 3.0) if link_het else None, seed=seed)
+    sched = Schedule(system)
+    procs = data.draw(st.lists(st.integers(0, net.n_procs - 1),
+                               min_size=n, max_size=n))
+    for t in range(n):
+        order = sched.proc_order[procs[t]]
+        sched.place_task(t, procs[t], start=0.0, position=len(order))
+    for u, v in sorted(g.edges()):
+        if procs[u] == procs[v]:
+            sched.mark_local((u, v))
+        else:
+            sched.set_route((u, v), shortest_path(net, procs[u], procs[v]))
+    kahn_settle(sched)
+    _assert_orders_sorted(sched)
