@@ -29,7 +29,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.errors import RoutingError
 from repro.network.topology import Link, Proc, Topology, link_id
 from repro.obs import counters as _obs
-from repro.util.intervals import reference_mode
 
 #: ``(parents, channels, links, dst_node)`` — see :func:`shortest_path_trie`
 PathTrie = Tuple[List[int], List[Link], List[Link], List[int]]
@@ -58,7 +57,7 @@ class RoutingTable:
         self.strategy = strategy
         # next_hop[src][dst] -> neighbor of src on the chosen shortest path
         self._next: Dict[Proc, Dict[Proc, Proc]] = {}
-        # materialized-path memo (the table is immutable); off in the reference mode
+        # materialized-path memo (the table is immutable), in both modes
         self._path_cache: Dict[Tuple[Proc, Proc], List[Proc]] = {}
         self._trie_cache: Dict[Proc, PathTrie] = {}
         if strategy == "ecube":
@@ -132,16 +131,15 @@ class RoutingTable:
     def path(self, src: Proc, dst: Proc) -> List[Proc]:
         """Processor sequence ``src .. dst`` (length 1 when src == dst).
 
-        Outside the reference mode the materialized list is memoized (the
-        table never changes after construction); the shared list must not
-        be mutated by callers.
+        The materialized list is memoized in both engine modes: the
+        table never changes after construction, so the memo is exact.
+        The shared list must not be mutated by callers.
         """
         if src == dst:
             return [src]
-        if not reference_mode():
-            hit = self._path_cache.get((src, dst))
-            if hit is not None:
-                return hit
+        hit = self._path_cache.get((src, dst))
+        if hit is not None:
+            return hit
         path = [src]
         cur = src
         while cur != dst:
@@ -149,8 +147,7 @@ class RoutingTable:
             path.append(cur)
             if len(path) > self.topology.n_procs:
                 raise RoutingError(f"routing loop from {src} to {dst}")
-        if not reference_mode():
-            self._path_cache[(src, dst)] = path
+        self._path_cache[(src, dst)] = path
         return path
 
     def links_on_path(self, src: Proc, dst: Proc) -> List[Link]:
@@ -173,16 +170,14 @@ class RoutingTable:
 def shortest_path(topology: Topology, src: Proc, dst: Proc) -> List[Proc]:
     """BFS shortest path (for callers that don't keep a table).
 
-    Outside the reference mode, paths are memoized per topology *instance*
-    (the cache lives on the topology object, so it follows topology
-    identity and can never leak across systems). Topologies are immutable
-    after construction, which makes the memo safe. The returned list is
+    Paths are memoized per topology *instance* in both engine modes (the
+    cache lives on the topology object, so it follows topology identity
+    and can never leak across systems). Topologies are immutable after
+    construction, which makes the memo exact. The returned list is
     shared — callers must not mutate it.
     """
     if src == dst:
         return [src]
-    if reference_mode():
-        return _bfs_path(topology, src, dst)
     cache: Dict[Tuple[Proc, Proc], List[Proc]] = topology.__dict__.setdefault(
         "_sp_cache", {}
     )

@@ -22,7 +22,6 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 from repro.errors import ConfigurationError, TopologyError
 from repro.graph.model import TaskGraph, TaskId
 from repro.network.topology import Link, Proc, Topology, link_id
-from repro.util.intervals import reference_mode
 from repro.util.rng import RngStream, stable_uniform
 
 _MAX = sys.float_info.max
@@ -83,8 +82,9 @@ class HeterogeneousSystem:
         # free of an objectives import.
         self.power_model = None       # Optional[PowerModel]
         self.failure_model = None     # Optional[ReliabilityModel]
-        # comm_cost memo, off in the reference mode: every factor source is
-        # a pure function of (edge, link) for a fixed system, so it is exact.
+        # comm_cost memo, shared by both engine modes: every factor source
+        # is a pure function of (edge, link) for a fixed system, so it is
+        # exact.
         self._comm_cache: Dict[Tuple[Tuple[TaskId, TaskId], Link], float] = {}
 
     # ------------------------------------------------------------------
@@ -241,19 +241,16 @@ class HeterogeneousSystem:
         LinkSpec`; the default 1.0 divides out bit-exactly, so uniform
         topologies reproduce the paper's ``h' * c_ij`` unchanged.
         """
-        memo = None if reference_mode() else self._comm_cache
-        if memo is not None:
-            hit = memo.get((edge, link))
-            if hit is not None:
-                return hit
+        hit = self._comm_cache.get((edge, link))
+        if hit is not None:
+            return hit
         src, dst = edge
         cost = (
             self.link_factor(edge, link)
             * self.graph.comm_cost(src, dst)
             / self.topology.bandwidth(*link)
         )
-        if memo is not None:
-            memo[(edge, link)] = cost
+        self._comm_cache[(edge, link)] = cost
         return cost
 
     # ------------------------------------------------------------------

@@ -20,13 +20,14 @@ Two implementations coexist:
 Which one the schedulers use is controlled by the process-wide hot-path
 mode (:func:`hotpath_mode` / :func:`set_hotpath_mode`, initialized from
 ``REPRO_HOTPATH``). Two modes exist: ``incremental`` (the default and
-only production engine: indexed timelines, memoized routing/costs,
-lower-bound candidate screening, the change-driven settle engine and
+only production engine: indexed timelines, lower-bound candidate
+screening, the change-driven settle engine and
 the undo-log rollback in :mod:`repro.schedule.settle` /
 :mod:`repro.schedule.schedule`) and ``legacy`` (the original
 linear-rescan reference code, kept as the oracle that tests and benches
-switch to). Engine modules branch on :func:`reference_mode`. Both modes
-produce bit-identical schedules — enforced by
+switch to). Engine modules branch on :func:`reference_mode`; the
+routing and comm-cost memos are shared by both. Both modes produce
+bit-identical schedules — enforced by
 ``benchmarks/bench_hotpath.py`` and ``tests/test_hotpath_equivalence.py``.
 
 All comparisons use an absolute slack ``EPS`` to absorb floating-point
