@@ -73,6 +73,17 @@ class HeterogeneousSystem:
         self._per_link: Dict[Link, float] = dict(per_link_factors or {})
         if link_mode is LinkHeterogeneity.PER_LINK and not self._per_link:
             raise ConfigurationError("PER_LINK mode requires per_link_factors")
+        # negative or NaN factors would give hops negative or NaN
+        # durations, which never overlap anything
+        for link, factor in self._per_link.items():
+            if not 0 < factor <= _MAX:
+                raise ConfigurationError(
+                    f"link {link}: factor {factor!r} must be positive and finite")
+        lo, hi = link_factor_range
+        if not 0 < lo <= hi <= _MAX:
+            raise ConfigurationError(
+                f"link factor range [{lo}, {hi}] must satisfy 0 < lo <= hi, "
+                "both finite")
         # optional multi-criteria models (repro.objectives): a
         # PowerModel / ReliabilityModel bound to this platform. None
         # means "use the deterministic defaults" — evaluators fall back

@@ -63,25 +63,19 @@ def spans_to_trace(records: List[Dict[str, Any]],
     return doc
 
 
-def _schedule_doc(data: dict) -> dict:
-    """Accept a full bundle or a bare ``schedule_to_dict`` export."""
-    from repro.schedule.io import BUNDLE_FORMAT
+def schedule_trace(data: dict) -> dict:
+    """Gantt trace of a committed schedule (bundle or schedule dict).
+
+    The schedule section is read through
+    :func:`repro.schedule.io.read_schedule_section`, so a malformed
+    field is a ``SchedulingError`` naming it.
+    """
+    from repro.schedule.io import BUNDLE_FORMAT, read_schedule_section
 
     if not isinstance(data, dict):
         raise SchedulingError("trace input must be a JSON object")
-    if data.get("format") == BUNDLE_FORMAT:
-        data = data.get("schedule") or {}
-    if "tasks" not in data or "messages" not in data:
-        raise SchedulingError(
-            "not a schedule bundle or schedule export "
-            "(no tasks/messages sections)"
-        )
-    return data
-
-
-def schedule_trace(data: dict) -> dict:
-    """Gantt trace of a committed schedule (bundle or schedule dict)."""
-    doc = _schedule_doc(data)
+    doc = data.get("schedule") if data.get("format") == BUNDLE_FORMAT else data
+    tasks, messages = read_schedule_section(doc)
     events: List[dict] = [
         {"ph": "M", "name": "process_name", "pid": 1,
          "args": {"name": "processors"}},
@@ -91,9 +85,8 @@ def schedule_trace(data: dict) -> dict:
 
     proc_of: Dict[str, int] = {}
     procs_seen = set()
-    for entry in doc["tasks"]:
-        proc = int(entry["proc"])
-        proc_of[entry["task"]] = proc
+    for task, proc, start, finish in tasks:
+        proc_of[task] = proc
         if proc not in procs_seen:
             procs_seen.add(proc)
             events.append({
@@ -102,21 +95,20 @@ def schedule_trace(data: dict) -> dict:
             })
         events.append({
             "ph": "X",
-            "name": str(entry["task"]),
+            "name": task,
             "cat": "task",
             "pid": 1,
             "tid": proc,
-            "ts": entry["start"] * _UNIT_US,
-            "dur": max(entry["finish"] - entry["start"], 0.0) * _UNIT_US,
+            "ts": start * _UNIT_US,
+            "dur": max(finish - start, 0.0) * _UNIT_US,
         })
 
     link_tids: Dict[str, int] = {}
     flow_id = 0
-    for msg in doc["messages"]:
-        hops = msg.get("hops") or []
-        name = f"{msg['edge'][0]}->{msg['edge'][1]}"
-        for hop in hops:
-            link = f"{hop['src']}->{hop['dst']}"
+    for u, v, local, hops in messages:
+        name = f"{u}->{v}"
+        for src, dst, start, finish in hops:
+            link = f"{src}->{dst}"
             tid = link_tids.get(link)
             if tid is None:
                 tid = link_tids[link] = len(link_tids) + 1
@@ -130,12 +122,11 @@ def schedule_trace(data: dict) -> dict:
                 "cat": "message",
                 "pid": 2,
                 "tid": tid,
-                "ts": hop["start"] * _UNIT_US,
-                "dur": max(hop["finish"] - hop["start"], 0.0) * _UNIT_US,
+                "ts": start * _UNIT_US,
+                "dur": max(finish - start, 0.0) * _UNIT_US,
             })
-        if msg.get("local") or not hops:
+        if local or not hops:
             continue
-        u, v = msg["edge"][0], msg["edge"][1]
         up, vp = proc_of.get(u), proc_of.get(v)
         if up is None or vp is None:
             continue
@@ -144,12 +135,12 @@ def schedule_trace(data: dict) -> dict:
         # departure, lands on the consumer's slice at the last arrival
         events.append({
             "ph": "s", "id": flow_id, "name": name, "cat": "message",
-            "pid": 1, "tid": up, "ts": hops[0]["start"] * _UNIT_US,
+            "pid": 1, "tid": up, "ts": hops[0][2] * _UNIT_US,
         })
         events.append({
             "ph": "f", "bp": "e", "id": flow_id, "name": name,
             "cat": "message",
-            "pid": 1, "tid": vp, "ts": hops[-1]["finish"] * _UNIT_US,
+            "pid": 1, "tid": vp, "ts": hops[-1][3] * _UNIT_US,
         })
 
     return {

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import SchedulingError
 from repro.network.system import HeterogeneousSystem, LinkHeterogeneity
@@ -110,56 +110,91 @@ def schedule_to_json(schedule: Schedule, indent: int = None) -> str:
     return json.dumps(schedule_to_dict(schedule), indent=indent)
 
 
-def schedule_from_dict(data: Dict[str, Any], system: HeterogeneousSystem) -> Schedule:
-    """Rebuild a schedule over ``system`` from :func:`schedule_to_dict` output.
-
-    Task ids are matched by repr against the system's graph (ints and
-    strings round-trip; other id types need a custom loader).
+def read_schedule_section(data) -> Tuple[List[tuple], List[tuple]]:
+    """Check every field of a schedule section (:func:`schedule_to_dict`'s
+    shape) and return its records: ``(task, proc, start, finish)`` per
+    task and ``(u, v, local, hops)`` per message, each hop ``(src, dst,
+    start, finish)``, task ids as written. A malformed field, or a
+    ``schedule_length`` other than the latest recorded finish, raises a
+    :class:`SchedulingError` naming it. :func:`schedule_from_dict` and
+    ``repro trace`` both read through this.
     """
     _expect(data, dict, "schedule")
     if data.get("version") != _FORMAT_VERSION:
         raise SchedulingError(f"unsupported schedule format {data.get('version')!r}")
-    by_repr = {repr(t): t for t in system.graph.tasks()}
-    n_procs = system.n_procs
-
-    sched = Schedule(system, algorithm=_expect(
-        data.get("algorithm", "imported"), str, "schedule.algorithm"))
+    _expect(data.get("algorithm", "imported"), str, "schedule.algorithm")
+    tasks = []
     for i, entry in enumerate(_expect(data.get("tasks"), list, "schedule.tasks")):
         field = f"schedule.tasks[{i}]"
         _expect(entry, dict, field)
-        task = by_repr.get(_expect(entry.get("task"), str, f"{field}.task"))
-        if task is None:
-            raise SchedulingError(f"unknown task {entry['task']!r} in import")
-        proc = _expect(entry.get("proc"), int, f"{field}.proc")
-        if not 0 <= proc < n_procs:
-            raise SchedulingError(
-                f"bundle field {field}.proc names processor {proc} of {n_procs}"
-            )
-        sched.place_task(task, proc, start=_expect(
-            entry.get("start"), _NUMBER, f"{field}.start"))
+        tasks.append((_expect(entry.get("task"), str, f"{field}.task"),
+                      _expect(entry.get("proc"), int, f"{field}.proc"),
+                      _expect(entry.get("start"), _NUMBER, f"{field}.start"),
+                      _expect(entry.get("finish"), _NUMBER, f"{field}.finish")))
+    messages = []
     for i, msg in enumerate(_expect(data.get("messages"), list, "schedule.messages")):
         field = f"schedule.messages[{i}]"
         _expect(msg, dict, field)
         edge = _expect(msg.get("edge"), list, f"{field}.edge")
         if len(edge) != 2:
             raise SchedulingError(f"bundle field {field}.edge must name 2 tasks")
-        u, v = (by_repr.get(_expect(t, str, f"{field}.edge")) for t in edge)
-        if u is None or v is None:
-            raise SchedulingError(f"unknown edge {edge} in import")
+        u, v = (_expect(t, str, f"{field}.edge") for t in edge)
         local = _expect(msg.get("local"), bool, f"{field}.local")
-        hops = _expect(msg.get("hops"), list, f"{field}.hops")
-        for j, hop in enumerate(hops):
+        hops = []
+        for j, hop in enumerate(_expect(msg.get("hops"), list, f"{field}.hops")):
             where = f"{field}.hops[{j}]"
             _expect(hop, dict, where)
-            _expect(hop.get("src"), int, f"{where}.src")
-            _expect(hop.get("dst"), int, f"{where}.dst")
-            _expect(hop.get("start"), _NUMBER, f"{where}.start")
+            hops.append((_expect(hop.get("src"), int, f"{where}.src"),
+                         _expect(hop.get("dst"), int, f"{where}.dst"),
+                         _expect(hop.get("start"), _NUMBER, f"{where}.start"),
+                         _expect(hop.get("finish"), _NUMBER, f"{where}.finish")))
+        messages.append((u, v, local, hops))
+    length = data.get("schedule_length")
+    if length is not None:
+        # the same max, over the same order, as Schedule.schedule_length
+        latest = max((t[3] for t in tasks), default=0.0)
+        if _expect(length, _NUMBER, "schedule.schedule_length") != latest:
+            raise SchedulingError(
+                f"bundle field schedule.schedule_length is {length!r}, but "
+                f"the latest recorded finish is {latest!r}"
+            )
+    return tasks, messages
+
+
+def schedule_from_dict(data: Dict[str, Any], system: HeterogeneousSystem) -> Schedule:
+    """Rebuild a schedule over ``system`` from :func:`schedule_to_dict` output.
+
+    Task ids are matched by repr against the system's graph (ints and
+    strings round-trip; other id types need a custom loader). Every
+    recorded time is kept, finishes too, so the validator judges the
+    document's own times.
+    """
+    tasks, messages = read_schedule_section(data)
+    by_repr = {repr(t): t for t in system.graph.tasks()}
+    n_procs = system.n_procs
+
+    sched = Schedule(system, algorithm=data.get("algorithm", "imported"))
+    for i, (name, proc, start, finish) in enumerate(tasks):
+        task = by_repr.get(name)
+        if task is None:
+            raise SchedulingError(f"unknown task {name!r} in import")
+        if not 0 <= proc < n_procs:
+            raise SchedulingError(
+                f"bundle field schedule.tasks[{i}].proc names processor "
+                f"{proc} of {n_procs}"
+            )
+        sched.place_task(task, proc, start=start).finish = finish
+    for u, v, local, hops in messages:
+        edge = (by_repr.get(u), by_repr.get(v))
+        if None in edge:
+            raise SchedulingError(f"unknown edge {[u, v]} in import")
         if local or not hops:
-            sched.mark_local((u, v))
-        else:
-            path = [hops[0]["src"]] + [h["dst"] for h in hops]
-            starts = [h["start"] for h in hops]
-            sched.set_route((u, v), path, hop_starts=starts)
+            sched.mark_local(edge)
+            continue
+        path = [hops[0][0]] + [h[1] for h in hops]
+        route = sched.set_route(edge, path, hop_starts=[h[2] for h in hops])
+        for hop, record in zip(route.hops, hops):
+            hop.finish = record[3]
     return sched
 
 

@@ -364,7 +364,9 @@ class TestSimulateReplay:
         assert "Traceback" not in err
 
     def test_replay_flags_corrupted_schedule(self, tmp_path, capsys):
-        """Tampered times must fail the replay audit (rc 1)."""
+        """Tampered times must fail the replay audit (rc 1). The
+        schedule length is kept consistent with them, so the reader
+        accepts the document and the validator judges it."""
         import json
 
         bundle = tmp_path / "b.json"
@@ -372,8 +374,10 @@ class TestSimulateReplay:
                      "-p", "4", "--export-bundle", str(bundle)]) == 0
         capsys.readouterr()
         doc = json.loads(bundle.read_text())
-        doc["schedule"]["tasks"][0]["start"] += 1e6
-        doc["schedule"]["tasks"][0]["finish"] += 1e6
+        tasks = doc["schedule"]["tasks"]
+        tasks[0]["start"] += 1e6
+        tasks[0]["finish"] += 1e6
+        doc["schedule"]["schedule_length"] = max(t["finish"] for t in tasks)
         bundle.write_text(json.dumps(doc))
         assert main(["replay", str(bundle)]) == 1
         assert "violation" in capsys.readouterr().err
@@ -409,6 +413,74 @@ class TestSimulateReplay:
         capsys.readouterr()
         assert main(["replay", str(bundle)]) == 0
         assert "replay OK" in capsys.readouterr().out
+
+
+def _first_hop(doc):
+    return next(m for m in doc["schedule"]["messages"] if m["hops"])["hops"][0]
+
+
+def _per_link(doc, link, factor):
+    table = {f"{a}-{b}": 1.0 for a, b in doc["topology"]["links"]}
+    doc["link_model"] = {"mode": "PER_LINK",
+                         "per_link": {**table, link: factor}}
+
+
+#: (id, tamper of a HEFT bundle, `repro replay` rc, `repro trace` rc)
+TAMPERED_BUNDLES = [
+    ("task-finish",
+     lambda d: d["schedule"]["tasks"][0].update(
+         finish=d["schedule"]["tasks"][0]["finish"] + 1000), 1, 0),
+    ("hop-finish",
+     lambda d: _first_hop(d).update(finish=_first_hop(d)["finish"] + 500),
+     1, 0),
+    ("schedule-length", lambda d: d["schedule"].update(schedule_length=123),
+     9, 9),
+    ("per-link-negative", lambda d: _per_link(d, "0-1", -2.0), 2, 0),
+    ("per-link-nan", lambda d: _per_link(d, "0-1", float("nan")), 2, 0),
+    ("factor-range-negative", lambda d: d.update(link_model={
+        "mode": "PER_MESSAGE_LINK", "factor_range": [-5, -1], "seed": 0}),
+     2, 0),
+    ("proc-string", lambda d: d["schedule"]["tasks"][0].update(proc="x"),
+     9, 9),
+    ("message-int", lambda d: d["schedule"]["messages"].__setitem__(0, 5),
+     9, 9),
+]
+
+
+@pytest.fixture(scope="module")
+def heft_bundle(tmp_path_factory):
+    path = tmp_path_factory.mktemp("heft") / "b.json"
+    assert main(["schedule", "-w", "gauss", "-n", "20", "-t", "ring", "-p",
+                 "4", "-a", "heft", "--export-bundle", str(path)]) == 0
+    return path.read_text()
+
+
+class TestTamperedBundles:
+    """A replay audits the times a bundle holds, a bundle's link factors
+    are checked, and ``repro trace`` reads the schedule section through
+    the same checked reader as the replay."""
+
+    @pytest.mark.parametrize("tamper,replay_rc,trace_rc",
+                             [t[1:] for t in TAMPERED_BUNDLES],
+                             ids=[t[0] for t in TAMPERED_BUNDLES])
+    def test_replay_and_trace(self, tmp_path, capsys, heft_bundle, tamper,
+                              replay_rc, trace_rc):
+        import json
+
+        doc = json.loads(heft_bundle)
+        tamper(doc)
+        bundle = tmp_path / "t.json"
+        bundle.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["replay", str(bundle)]) == replay_rc
+        assert main(["trace", str(bundle), "-o",
+                     str(tmp_path / "trace.json")]) == trace_rc
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if replay_rc == 1:
+            assert "duration" in err
+        if trace_rc == 9:
+            assert "repro trace: bundle field schedule" in err
 
 
 class TestUnexpectedErrors:

@@ -4,10 +4,16 @@ without the generating code, and replay through the strict validator.
 
 import copy
 import json
+import math
 
 import pytest
 
-from repro.errors import GraphError, SchedulingError
+from repro.errors import (
+    ConfigurationError,
+    GraphError,
+    InvalidScheduleError,
+    SchedulingError,
+)
 from repro.experiments.runner import _SCHEDULERS, build_cell_system
 from repro.graph.interchange import load_workload, relabel_tasks
 from repro.graph.model import TaskGraph
@@ -195,6 +201,16 @@ MALFORMED = [
      r"hops\[0\].dst must be an integer"),
     ("hop-start-string", lambda b: _first_routed(b)["hops"][0].update(start="x"),
      r"hops\[0\].start must be a number"),
+    ("no-finish", lambda b: b["schedule"]["tasks"][0].pop("finish"),
+     r"schedule.tasks\[0\].finish must be a number"),
+    ("finish-bool", lambda b: b["schedule"]["tasks"][0].update(finish=True),
+     r"schedule.tasks\[0\].finish must be a number"),
+    ("hop-no-finish", lambda b: _first_routed(b)["hops"][0].pop("finish"),
+     r"hops\[0\].finish must be a number"),
+    ("length-string", lambda b: b["schedule"].update(schedule_length="1"),
+     "schedule.schedule_length must be a number"),
+    ("length-not-latest", lambda b: b["schedule"].update(schedule_length=123),
+     "schedule.schedule_length is 123, but the latest recorded finish"),
     ("nominal-nulls",
      lambda b: b.update(nominal_costs=[None] * len(b["nominal_costs"])),
      r"nominal_costs\[0\] must be a number"),
@@ -257,3 +273,56 @@ class TestErrorPaths:
         blob["link_model"]["mode"] = "WARP"
         with pytest.raises(SchedulingError, match="link heterogeneity"):
             bundle_from_dict(blob)
+
+
+class TestRecordedTimes:
+    """A replay audits the bundle's own times: every recorded finish is
+    kept, so the validator's duration checks judge it."""
+
+    def test_tampered_task_finish_fails_the_audit(self, bundle_blob):
+        blob = copy.deepcopy(bundle_blob)
+        entry = blob["schedule"]["tasks"][0]
+        entry["finish"] += 1000.0
+        blob["schedule"]["schedule_length"] = max(
+            t["finish"] for t in blob["schedule"]["tasks"])
+        replay = bundle_from_json(json.dumps(blob))
+        first = next(iter(replay.slots.values()))
+        assert first.finish == entry["finish"]
+        with pytest.raises(InvalidScheduleError, match="duration"):
+            validate_schedule(replay)
+
+    def test_tampered_hop_finish_fails_the_audit(self, bundle_blob):
+        blob = copy.deepcopy(bundle_blob)
+        _first_routed(blob)["hops"][0]["finish"] += 500.0
+        with pytest.raises(InvalidScheduleError, match="hop 0 duration"):
+            validate_schedule(bundle_from_json(json.dumps(blob)))
+
+    def test_honest_bundle_keeps_every_time(self, bundle_blob):
+        replay = bundle_from_json(json.dumps(bundle_blob))
+        validate_schedule(replay)
+        assert json.loads(schedule_to_json(replay)) == bundle_blob["schedule"]
+
+    @pytest.mark.parametrize("link_model", [
+        {"mode": "PER_LINK", "per_link": {"0-1": -2.0}},
+        {"mode": "PER_LINK", "per_link": {"0-1": math.nan}},
+        {"mode": "PER_LINK", "per_link": {"0-1": math.inf}},
+        {"mode": "PER_LINK", "per_link": {"0-1": 0.0}},
+        {"mode": "PER_MESSAGE_LINK", "factor_range": [-5.0, -1.0]},
+        {"mode": "PER_MESSAGE_LINK", "factor_range": [2.0, 1.0]},
+        {"mode": "PER_MESSAGE_LINK", "factor_range": [1.0, math.inf]},
+        {"mode": "HOMOGENEOUS", "factor_range": [0.0, 1.0]},
+    ], ids=["per-link-negative", "per-link-nan", "per-link-inf",
+            "per-link-zero", "range-negative", "range-inverted", "range-inf",
+            "range-zero"])
+    def test_bad_link_factors_refused(self, bundle_blob, link_model):
+        """Negative or NaN factors would give hops negative or NaN
+        lengths, which overlap nothing and would pass the audit. A
+        per-link table names every link, so only the bad factor is
+        wrong with it."""
+        blob = copy.deepcopy(bundle_blob)
+        if "per_link" in link_model:
+            table = {f"{a}-{b}": 1.0 for a, b in blob["topology"]["links"]}
+            link_model["per_link"] = {**table, **link_model["per_link"]}
+        blob["link_model"] = link_model
+        with pytest.raises(ConfigurationError, match="factor"):
+            bundle_from_json(json.dumps(blob))

@@ -114,3 +114,27 @@ class TestLinkFactors:
             HeterogeneousSystem.from_exec_table(
                 diamond, ring(3), table, link_mode=LinkHeterogeneity.PER_LINK
             )
+
+    @pytest.mark.parametrize("bad", [-2.0, 0.0, float("nan"), float("inf")],
+                             ids=["negative", "zero", "nan", "inf"])
+    def test_per_link_factor_must_be_positive_and_finite(self, diamond, bad):
+        """A negative or NaN factor would give hops negative or NaN
+        durations."""
+        table = {t: [1.0, 1.0, 1.0] for t in diamond.tasks()}
+        with pytest.raises(ConfigurationError, match="positive and finite"):
+            HeterogeneousSystem.from_exec_table(
+                diamond, ring(3), table, link_mode=LinkHeterogeneity.PER_LINK,
+                per_link_factors={(0, 1): 2.0, (1, 2): bad, (0, 2): 4.0})
+
+    @pytest.mark.parametrize("lo,hi", [(-5.0, -1.0), (0.0, 1.0), (2.0, 1.0),
+                                       (1.0, float("inf")),
+                                       (float("nan"), 1.0)],
+                             ids=["negative", "zero", "inverted", "inf", "nan"])
+    def test_factor_range_must_be_ordered_positive_and_finite(self, diamond,
+                                                               lo, hi):
+        table = {t: [1.0, 1.0, 1.0] for t in diamond.tasks()}
+        with pytest.raises(ConfigurationError, match="link factor range"):
+            HeterogeneousSystem.from_exec_table(
+                diamond, ring(3), table,
+                link_mode=LinkHeterogeneity.PER_MESSAGE_LINK,
+                link_factor_range=(lo, hi))
