@@ -229,6 +229,13 @@ def _is_interchange_id(task) -> bool:
     return isinstance(task, (int, str)) and not isinstance(task, bool)
 
 
+def _is_number(x) -> bool:
+    """True for an int or float a float can hold; a bool is no number."""
+    return isinstance(x, float) or (
+        isinstance(x, int) and not isinstance(x, bool)
+        and abs(x) <= sys.float_info.max)
+
+
 def _id_repr(task: TaskId) -> str:
     """Repr of an int/str task id, rejecting everything else up front.
 
@@ -813,6 +820,9 @@ def trace_from_dict(doc, name: Optional[str] = None) -> ExternalWorkload:
     tasks = doc.get("tasks")
     if not isinstance(tasks, list) or not tasks:
         raise GraphError("trace has no tasks")
+    for entry in tasks:
+        if not isinstance(entry, dict) or "id" not in entry:
+            raise GraphError(f"malformed trace task entry {entry!r:.60}")
     has_vectors = any("costs" in t for t in tasks)
     has_scalars = any("cost" in t for t in tasks)
     if has_vectors and has_scalars:
@@ -821,16 +831,17 @@ def trace_from_dict(doc, name: Optional[str] = None) -> ExternalWorkload:
         raise GraphError("trace tasks carry neither 'cost' nor 'costs'")
     n_procs = doc.get("n_procs")
     if has_vectors:
-        if not isinstance(n_procs, int) or n_procs <= 0:
+        if type(n_procs) is not int or n_procs <= 0:
             raise GraphError(
                 "trace with per-processor 'costs' vectors must declare a "
                 "positive integer 'n_procs'"
             )
-    graph = TaskGraph(name=name or str(doc.get("name", "trace")))
+    doc_name = doc.get("name", "trace")
+    if not isinstance(doc_name, str):
+        raise GraphError(f"trace field name must be a string, got {doc_name!r:.60}")
+    graph = TaskGraph(name=name or doc_name)
     exec_costs: Dict[TaskId, Tuple[float, ...]] = {}
     for entry in tasks:
-        if not isinstance(entry, dict) or "id" not in entry:
-            raise GraphError(f"malformed trace task entry {entry!r}")
         tid = entry["id"]
         if not _is_interchange_id(tid):
             raise GraphError(f"trace task id must be int or str, got {tid!r}")
@@ -840,12 +851,10 @@ def trace_from_dict(doc, name: Optional[str] = None) -> ExternalWorkload:
                 raise GraphError(
                     f"task {tid!r}: 'costs' must be a list of {n_procs} numbers"
                 )
-            try:
-                row_t = tuple(float(c) for c in row)
-            except (TypeError, ValueError):
+            if not all(map(_is_number, row)):
                 raise GraphError(
-                    f"task {tid!r}: 'costs' must be numbers, got {row!r}"
-                ) from None
+                    f"task {tid!r}: 'costs' must be numbers, got {row!r:.60}")
+            row_t = tuple(map(float, row))
             # min(row_t) skips a NaN entry, so the graph's own check on
             # the nominal cost cannot catch it
             if not all(0 < c <= sys.float_info.max for c in row_t):
@@ -854,25 +863,25 @@ def trace_from_dict(doc, name: Optional[str] = None) -> ExternalWorkload:
             graph.add_task(tid, min(row_t))
             exec_costs[tid] = row_t
         else:
-            try:
-                cost = float(entry["cost"])
-            except (TypeError, ValueError):
+            cost = entry.get("cost")
+            if not _is_number(cost):
                 raise GraphError(
-                    f"task {tid!r}: 'cost' must be a number, got "
-                    f"{entry['cost']!r}"
-                ) from None
-            graph.add_task(tid, cost)
-    for entry in doc.get("edges", []):
+                    f"task {tid!r}: 'cost' must be a number, got {cost!r:.60}")
+            graph.add_task(tid, float(cost))
+    edges = doc.get("edges", [])
+    if not isinstance(edges, list):
+        raise GraphError(f"trace field edges must be a list, got {edges!r:.60}")
+    for entry in edges:
         if not isinstance(entry, dict) or "src" not in entry or "dst" not in entry:
-            raise GraphError(f"malformed trace edge entry {entry!r}")
-        try:
-            comm = float(entry.get("comm", 0.0))
-        except (TypeError, ValueError):
+            raise GraphError(f"malformed trace edge entry {entry!r:.60}")
+        src, dst, comm = entry["src"], entry["dst"], entry.get("comm", 0.0)
+        if not (_is_interchange_id(src) and _is_interchange_id(dst)):
             raise GraphError(
-                f"edge {entry.get('src')!r}->{entry.get('dst')!r}: 'comm' "
-                f"must be a number, got {entry.get('comm')!r}"
-            ) from None
-        graph.add_edge(entry["src"], entry["dst"], comm)
+                f"trace edge ids must be int or str, got {src!r:.60}->{dst!r:.60}")
+        if not _is_number(comm):
+            raise GraphError(
+                f"edge {src!r}->{dst!r}: 'comm' must be a number, got {comm!r:.60}")
+        graph.add_edge(src, dst, float(comm))
     return ExternalWorkload(
         graph=graph,
         exec_costs=exec_costs or None,
@@ -1223,11 +1232,32 @@ def write_wfcommons(obj, indent: Optional[int] = 2) -> str:
 
 
 def _wf_file_size(entry: Mapping, what: str) -> float:
-    size = entry.get("sizeInBytes", entry.get("size", 0.0))
-    try:
-        return float(size or 0.0)
-    except (TypeError, ValueError):
-        raise GraphError(f"{what}: file size {size!r} is not a number") from None
+    size = entry.get("sizeInBytes", entry.get("size"))
+    if size is None:
+        return 0.0
+    if not _is_number(size):
+        raise GraphError(f"{what}: file size {size!r:.60} is not a number")
+    return float(size)
+
+
+def _wf_list(entry: Mapping, key: str, what: str, ids: bool = False) -> list:
+    """``entry[key]`` as a list (empty when absent or null); with
+    ``ids``, every item must be an int or str id."""
+    value = entry.get(key)
+    if value is None:
+        return []
+    if not isinstance(value, list):
+        raise GraphError(f"{what}: {key!r} must be a list, got {value!r:.60}")
+    if ids:
+        for x in value:
+            _wf_id(x, f"{what}: {key!r} entry")
+    return value
+
+
+def _wf_id(value, what: str):
+    if not _is_interchange_id(value):
+        raise GraphError(f"{what} must be an int or str id, got {value!r:.60}")
+    return value
 
 
 def read_wfcommons(
@@ -1281,12 +1311,10 @@ def read_wfcommons(
                 f"WfCommons task {tid!r} has no runtime; runtimes are the "
                 f"only execution-cost signal a workflow instance carries"
             )
-        try:
-            c = float(runtime) * runtime_scale
-        except (TypeError, ValueError):
+        if not _is_number(runtime):
             raise GraphError(
-                f"WfCommons task {tid!r}: runtime {runtime!r} is not a number"
-            ) from None
+                f"WfCommons task {tid!r}: runtime {runtime!r:.60} is not a number")
+        c = float(runtime) * runtime_scale
         if c <= 0:
             raise GraphError(
                 f"WfCommons task {tid!r} has non-positive runtime "
@@ -1306,16 +1334,18 @@ def read_wfcommons(
         # modern layout: structure under specification, runtimes under
         # execution, file sizes in a shared table
         sizes: Dict[str, float] = {}
-        for f in spec.get("files") or []:
-            if isinstance(f, dict) and (f.get("id") or f.get("name")) is not None:
-                sizes[f.get("id", f.get("name"))] = _wf_file_size(f, "WfCommons")
+        for f in _wf_list(spec, "files", "WfCommons specification"):
+            fid = f.get("id", f.get("name")) if isinstance(f, dict) else None
+            if fid is not None:
+                sizes[_wf_id(fid, "WfCommons file id")] = _wf_file_size(f, "WfCommons")
         runtimes: Dict[TaskId, Any] = {}
         execution = wf.get("execution")
-        for e in (execution or {}).get("tasks", []) if isinstance(execution, dict) else []:
-            if isinstance(e, dict):
-                runtimes[e.get("id", e.get("name"))] = e.get(
-                    "runtimeInSeconds", e.get("runtime")
-                )
+        if isinstance(execution, dict):
+            for e in _wf_list(execution, "tasks", "WfCommons execution"):
+                if isinstance(e, dict):
+                    eid = _wf_id(e.get("id", e.get("name")),
+                                 "WfCommons execution task id")
+                    runtimes[eid] = e.get("runtimeInSeconds", e.get("runtime"))
         for entry in spec["tasks"]:
             tid = task_key(entry, ("id", "name"))
             if tid in cost:
@@ -1325,10 +1355,13 @@ def read_wfcommons(
             )
             cost[tid] = task_cost(tid, runtime)
             order.append(tid)
-            parents[tid] = list(entry.get("parents") or [])
-            children[tid] = list(entry.get("children") or [])
-            inputs[tid] = {f: sizes.get(f, 0.0) for f in entry.get("inputFiles") or []}
-            outputs[tid] = {f: sizes.get(f, 0.0) for f in entry.get("outputFiles") or []}
+            what = f"WfCommons task {tid!r}"
+            parents[tid] = _wf_list(entry, "parents", what, ids=True)
+            children[tid] = _wf_list(entry, "children", what, ids=True)
+            inputs[tid] = {f: sizes.get(f, 0.0)
+                           for f in _wf_list(entry, "inputFiles", what, ids=True)}
+            outputs[tid] = {f: sizes.get(f, 0.0)
+                            for f in _wf_list(entry, "outputFiles", what, ids=True)}
     elif isinstance(wf.get("tasks"), list):
         # legacy flat layout: runtimes and files inline on each task.
         # Identity is the *name* here — legacy instances list parents/
@@ -1340,21 +1373,27 @@ def read_wfcommons(
             runtime = entry.get("runtimeInSeconds", entry.get("runtime"))
             cost[tid] = task_cost(tid, runtime)
             order.append(tid)
-            parents[tid] = list(entry.get("parents") or [])
-            children[tid] = list(entry.get("children") or [])
+            what = f"WfCommons task {tid!r}"
+            parents[tid] = _wf_list(entry, "parents", what, ids=True)
+            children[tid] = _wf_list(entry, "children", what, ids=True)
             ins: Dict[str, float] = {}
             outs: Dict[str, float] = {}
-            for f in entry.get("files") or []:
+            for f in _wf_list(entry, "files", what):
                 if not isinstance(f, dict):
                     continue
                 fname = f.get("id", f.get("name"))
                 if fname is None:
                     continue
-                link = (f.get("link") or "").lower()
+                _wf_id(fname, f"{what}: file id")
+                link = f.get("link")
+                if link is not None and not isinstance(link, str):
+                    raise GraphError(
+                        f"{what}: file link {link!r:.60} must be a string")
+                link = (link or "").lower()
                 if link == "input":
-                    ins[fname] = _wf_file_size(f, f"WfCommons task {tid!r}")
+                    ins[fname] = _wf_file_size(f, what)
                 elif link == "output":
-                    outs[fname] = _wf_file_size(f, f"WfCommons task {tid!r}")
+                    outs[fname] = _wf_file_size(f, what)
             inputs[tid] = ins
             outputs[tid] = outs
     else:

@@ -5,6 +5,7 @@ import os
 import pytest
 
 from repro.cli import build_parser, main
+from tests.test_interchange import MALFORMED_TRACES, MALFORMED_WFCOMMONS
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CORPUS = os.path.join(REPO_ROOT, "examples", "graphs")
@@ -204,6 +205,22 @@ class TestConvert:
         g = load_workload(str(tmp_path / "out.trace.json")).graph
         assert g.cost("a") == 5.0
         assert g.comm_cost("b", "c") == 2.0
+
+
+@pytest.mark.parametrize("shape", sorted(MALFORMED_WFCOMMONS)
+                         + sorted(MALFORMED_TRACES))
+def test_convert_names_a_malformed_field(tmp_path, capsys, shape):
+    """A malformed WfCommons or trace field exits 4 (kind graph),
+    never 70 (a TypeError or AttributeError) or 0 (a coercion)."""
+    text, field = {**MALFORMED_WFCOMMONS, **MALFORMED_TRACES}[shape]
+    fmt = "wfcommons" if shape in MALFORMED_WFCOMMONS else "trace"
+    src = tmp_path / "in.json"
+    src.write_text(text)
+    assert main(["convert", str(src), str(tmp_path / "out.stg"),
+                 "--from", fmt]) == 4
+    err = capsys.readouterr().err
+    assert field in err
+    assert "Traceback" not in err
 
 
 class TestSimulateReplay:
@@ -447,6 +464,21 @@ TAMPERED_BUNDLES = [
 ]
 
 
+#: (id, tamper of a bundle's trace-format graph section, detail snippet)
+TAMPERED_BUNDLE_GRAPHS = [
+    ("edges-int", lambda g: g.update(edges=5), "edges must be a list"),
+    ("task-int", lambda g: g["tasks"].__setitem__(0, 5),
+     "malformed trace task entry 5"),
+    ("edge-src-list", lambda g: g["edges"][0].update(src=["x"]),
+     "edge ids must be int or str"),
+    ("costs-bool", lambda g: g["tasks"][0]["costs"].__setitem__(0, True),
+     "'costs' must be numbers"),
+    ("comm-string", lambda g: g["edges"][0].update(comm="2"),
+     "'comm' must be a number"),
+    ("name-list", lambda g: g.update(name=["x"]), "name must be a string"),
+]
+
+
 @pytest.fixture(scope="module")
 def heft_bundle(tmp_path_factory):
     path = tmp_path_factory.mktemp("heft") / "b.json"
@@ -481,6 +513,23 @@ class TestTamperedBundles:
             assert "duration" in err
         if trace_rc == 9:
             assert "repro trace: bundle field schedule" in err
+
+    @pytest.mark.parametrize("tamper,field",
+                             [t[1:] for t in TAMPERED_BUNDLE_GRAPHS],
+                             ids=[t[0] for t in TAMPERED_BUNDLE_GRAPHS])
+    def test_replay_reads_the_graph_through_the_trace_reader(
+            self, tmp_path, capsys, heft_bundle, tamper, field):
+        import json
+
+        doc = json.loads(heft_bundle)
+        tamper(doc["graph"])
+        bundle = tmp_path / "t.json"
+        bundle.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["replay", str(bundle)]) == 4
+        err = capsys.readouterr().err
+        assert field in err
+        assert "Traceback" not in err
 
 
 class TestUnexpectedErrors:

@@ -10,6 +10,7 @@ round-trip per-processor execution-cost tables exactly.
 import json
 import math
 import os
+import re
 
 import pytest
 
@@ -703,3 +704,129 @@ class TestComponentsBridge:
         assert not ov.is_identity
         # distinct from the epsilon token (distinct cache keys)
         assert parse_overlay("bridge") == Overlay(bridge="epsilon")
+
+
+# ----------------------------------------------------------------------
+# malformed WfCommons and trace documents: a typed GraphError naming the
+# field, never a TypeError/AttributeError or a silent coercion
+# ----------------------------------------------------------------------
+
+def _wf_spec():
+    """A two-task WfCommons instance in the modern split layout."""
+    return {"name": "w", "schemaVersion": "1.4", "workflow": {
+        "specification": {
+            "tasks": [
+                {"id": "a", "parents": [], "children": ["b"],
+                 "inputFiles": [], "outputFiles": ["f"]},
+                {"id": "b", "parents": ["a"], "children": [],
+                 "inputFiles": ["f"], "outputFiles": []}],
+            "files": [{"id": "f", "sizeInBytes": 2.0}]},
+        "execution": {"tasks": [{"id": "a", "runtimeInSeconds": 1.0},
+                                {"id": "b", "runtimeInSeconds": 2.0}]}}}
+
+
+def _wf_flat():
+    """The same instance in the legacy flat layout."""
+    return {"name": "w", "workflow": {"tasks": [
+        {"name": "a", "runtime": 1.0, "parents": [],
+         "files": [{"name": "f", "link": "output", "size": 2.0}]},
+        {"name": "b", "runtime": 2.0, "parents": ["a"],
+         "files": [{"name": "f", "link": "input", "size": 2.0}]}]}}
+
+
+def _trace(vectors=False):
+    doc = {"format": "repro-trace", "version": 1, "name": "t",
+           "tasks": [{"id": "a", "cost": 1.0}, {"id": "b", "cost": 2.0}],
+           "edges": [{"src": "a", "dst": "b", "comm": 1.0}]}
+    if vectors:
+        doc["n_procs"] = 1
+        doc["tasks"] = [{"id": "a", "costs": [1.0]}, {"id": "b", "costs": [2.0]}]
+    return doc
+
+
+def _shape(base, path, value):
+    doc = base()
+    *keys, last = path
+    target = doc
+    for key in keys:
+        target = target[key]
+    target[last] = value
+    return json.dumps(doc)
+
+
+_SPEC = ("workflow", "specification")
+_FLAT = ("workflow", "tasks")
+
+#: shape -> (WfCommons text, a substring the GraphError must contain)
+MALFORMED_WFCOMMONS = {
+    "parents-int": (_shape(_wf_spec, (*_SPEC, "tasks", 1, "parents"), 5),
+                    "'parents' must be a list"),
+    "files-int": (_shape(_wf_flat, (*_FLAT, 1, "files"), 3),
+                  "'files' must be a list"),
+    "link-int": (_shape(_wf_flat, (*_FLAT, 1, "files", 0, "link"), 5),
+                 "file link 5 must be a string"),
+    "input-files-int": (_shape(_wf_spec, (*_SPEC, "tasks", 1, "inputFiles"), 3),
+                        "'inputFiles' must be a list"),
+    "file-id-list": (_shape(_wf_spec, (*_SPEC, "files", 0, "id"), ["f"]),
+                     "file id must be an int or str id"),
+    "execution-id-list": (_shape(_wf_spec, ("workflow", "execution", "tasks",
+                                            0, "id"), ["a"]),
+                          "execution task id must be an int or str id"),
+    "parent-id-list": (_shape(_wf_flat, (*_FLAT, 1, "parents"), [["a"]]),
+                       "'parents' entry must be an int or str id"),
+    "runtime-bool": (_shape(_wf_flat, (*_FLAT, 0, "runtime"), True),
+                     "runtime True is not a number"),
+    "size-bool": (_shape(_wf_flat, (*_FLAT, 1, "files", 0, "size"), True),
+                  "file size True is not a number"),
+    "parents-string": (_shape(_wf_flat, (*_FLAT, 1, "parents"), "a"),
+                       "'parents' must be a list"),
+    "parents-object": (_shape(_wf_flat, (*_FLAT, 1, "parents"), {"a": 1}),
+                       "'parents' must be a list"),
+}
+
+#: shape -> (trace text, a substring the GraphError must contain)
+MALFORMED_TRACES = {
+    "task-int": (_shape(_trace, ("tasks", 0), 5),
+                 "malformed trace task entry 5"),
+    "edges-int": (_shape(_trace, ("edges",), 5), "edges must be a list"),
+    "edge-src-list": (_shape(_trace, ("edges", 0, "src"), ["a"]),
+                      "edge ids must be int or str"),
+    "cost-string": (_shape(_trace, ("tasks", 0, "cost"), "3"),
+                    "'cost' must be a number"),
+    "cost-bool": (_shape(_trace, ("tasks", 0, "cost"), True),
+                  "'cost' must be a number"),
+    "costs-bool": (_shape(lambda: _trace(vectors=True), ("tasks", 0, "costs"),
+                          [True]), "'costs' must be numbers"),
+    "comm-string": (_shape(_trace, ("edges", 0, "comm"), "2"),
+                    "'comm' must be a number"),
+    "n-procs-bool": (_shape(lambda: _trace(vectors=True), ("n_procs",), True),
+                     "positive integer 'n_procs'"),
+    "name-list": (_shape(_trace, ("name",), ["x"]), "name must be a string"),
+}
+
+
+class TestMalformedReaders:
+    def test_base_documents_load(self):
+        for base in (_wf_spec, _wf_flat):
+            graph = loads_workload(json.dumps(base()), "wfcommons").graph
+            assert graph.edges() == [("a", "b")]
+            assert graph.comm_cost("a", "b") == 2.0
+        for vectors in (False, True):
+            text = json.dumps(_trace(vectors))
+            assert loads_workload(text, "trace").graph.edges() == [("a", "b")]
+
+    @pytest.mark.parametrize("shape", sorted(MALFORMED_WFCOMMONS))
+    def test_wfcommons_field_is_named(self, shape):
+        text, field = MALFORMED_WFCOMMONS[shape]
+        with pytest.raises(GraphError, match=re.escape(field)):
+            loads_workload(text, "wfcommons")
+        with pytest.raises(GraphError, match=re.escape(field)):
+            loads_workload(text)
+
+    @pytest.mark.parametrize("shape", sorted(MALFORMED_TRACES))
+    def test_trace_field_is_named(self, shape):
+        text, field = MALFORMED_TRACES[shape]
+        with pytest.raises(GraphError, match=re.escape(field)):
+            loads_workload(text, "trace")
+        with pytest.raises(GraphError, match=re.escape(field)):
+            loads_workload(text)

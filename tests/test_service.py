@@ -62,6 +62,15 @@ from repro.service import http as http_mod
 from repro.service.http import make_server
 from repro.util.intervals import HOTPATH_MODES, hotpath_mode, set_hotpath_mode
 from tests.test_graph_io import MALFORMED_JSON_GRAPHS
+from tests.test_interchange import MALFORMED_TRACES, MALFORMED_WFCOMMONS
+
+#: shape -> (graph text, its format, a substring the detail must contain)
+MALFORMED_READER_GRAPHS = {
+    **{f"wfcommons-{shape}": (text, "wfcommons", field)
+       for shape, (text, field) in MALFORMED_WFCOMMONS.items()},
+    **{f"trace-{shape}": (text, "trace", field)
+       for shape, (text, field) in MALFORMED_TRACES.items()},
+}
 
 DISCONNECTED_STG = """\
 6
@@ -374,6 +383,16 @@ class TestPipeline:
         text, field = MALFORMED_JSON_GRAPHS[shape]
         with pytest.raises(GraphError, match=re.escape(field)):
             execute(_graph_request(request_type, text, "json"),
+                    cache=ResultCache(str(tmp_path / "cache")))
+
+    @pytest.mark.parametrize("request_type", ["schedule", "convert"])
+    @pytest.mark.parametrize("shape", sorted(MALFORMED_READER_GRAPHS))
+    def test_malformed_reader_graph_names_the_field(self, tmp_path, shape,
+                                                    request_type):
+        """WfCommons and trace readers check every field they read."""
+        text, fmt, field = MALFORMED_READER_GRAPHS[shape]
+        with pytest.raises(GraphError, match=re.escape(field)):
+            execute(_graph_request(request_type, text, fmt),
                     cache=ResultCache(str(tmp_path / "cache")))
 
     def test_miss_then_hit_same_bytes(self, tmp_path):
@@ -760,6 +779,22 @@ class TestHttp:
         text, field = MALFORMED_JSON_GRAPHS[shape]
         status, _, reply = _request(server, "POST", path,
                                     dict(body, graph=text))
+        doc = json.loads(reply)
+        assert status == 400, doc
+        assert doc["kind"] == "graph"
+        assert field in doc["detail"]
+
+    @pytest.mark.parametrize("path,body,key", [
+        ("/schedule", {"topology": "ring", "n_procs": 4, "algorithm": "heft"},
+         "format"),
+        ("/convert", {"to_fmt": "trace"}, "from_fmt"),
+    ], ids=["schedule", "convert"])
+    @pytest.mark.parametrize("shape", sorted(MALFORMED_READER_GRAPHS))
+    def test_malformed_reader_graph_is_structured_400(self, server, shape,
+                                                      path, body, key):
+        text, fmt, field = MALFORMED_READER_GRAPHS[shape]
+        status, _, reply = _request(server, "POST", path,
+                                    dict(body, graph=text, **{key: fmt}))
         doc = json.loads(reply)
         assert status == 400, doc
         assert doc["kind"] == "graph"
