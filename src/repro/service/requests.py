@@ -48,7 +48,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Type
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, WorkloadError
 
 __all__ = [
     "ScheduleRequest",
@@ -100,6 +100,31 @@ def _choice(kind: str, name: str, value, choices) -> str:
             f"{kind}.{name} must be one of {list(choices)}, got {value!r}"
         )
     return value
+
+
+def _check_grid(kind: str, suite: str, apps, topologies, n_procs: int,
+                het_lo: float, het_hi: float, seed: int) -> None:
+    """Refuse a sweep or Pareto grid that no cell of it could run,
+    before any cell runs: a processor count below 1, an inverted
+    heterogeneity range, an app its suite does not generate, or a
+    topology that cannot take ``n_procs`` (built once each, raising
+    the builder's own error)."""
+    from repro.experiments.runner import build_topology
+    from repro.workloads.suites import EXTENSION_APPS, REGULAR_APPS
+
+    if n_procs < 1:
+        raise ConfigurationError(f"{kind}.n_procs must be >= 1, got {n_procs}")
+    if het_lo > het_hi:
+        raise ConfigurationError(
+            f"{kind}: het_lo {het_lo!r} exceeds het_hi {het_hi!r}")
+    known = ("random",) if suite == "random" else (*REGULAR_APPS, *EXTENSION_APPS)
+    for app in apps:
+        if app not in known:
+            raise WorkloadError(
+                f"{kind}: the {suite} suite generates {list(known)}, "
+                f"not {app!r}")
+    for name in topologies:
+        build_topology(name, n_procs, seed=seed)
 
 
 def _from_dict(cls, data) -> Any:
@@ -431,6 +456,8 @@ class SweepRequest(_RequestBase):
                 from repro.dynamic import parse_scenario
 
                 parse_scenario(s)  # raises ConfigurationError when bad
+        _check_grid(kind, self.suite, self.apps, self.topologies, self.n_procs,
+                    self.het_lo, self.het_hi, self.system_seeds[0])
 
     def expand(self) -> List["Cell"]:  # noqa: F821 - late import below
         from repro.experiments.config import Cell
@@ -609,6 +636,9 @@ class ParetoRequest(_RequestBase):
                 f"{kind}: a Pareto sweep needs at least two objectives, "
                 f"got {list(resolved)}"
             )
+        _check_grid(kind, self.base_cell().suite, (self.workload,),
+                    (self.topology,), self.n_procs, self.het_lo, self.het_hi,
+                    self.seed)
 
     def base_cell(self):
         """The algorithm-free cell every point of the sweep shares."""

@@ -137,6 +137,35 @@ NON_FINITE_NUMBERS = {
     "granularities-zero": (SweepRequest, _SWEEP_BODY, "granularities", [0]),
 }
 
+_PARETO_BODY = {"workload": "gauss", "size": 18, "topology": "ring",
+                "n_procs": 4, "algorithms": ["heft", "dls"],
+                "objectives": ["makespan", "energy"]}
+#: grids no cell of which could run, refused before any cell runs:
+#: ``(request type, body, error kind, detail snippet)``
+UNRUNNABLE_GRIDS = {
+    "sweep-no-procs": (SweepRequest, dict(_SWEEP_BODY, n_procs=0),
+                       "configuration", "n_procs must be >= 1"),
+    "sweep-het-inverted": (SweepRequest, dict(_SWEEP_BODY, het_lo=50, het_hi=1),
+                           "configuration", "het_lo 50 exceeds het_hi 1"),
+    "sweep-hypercube-6": (SweepRequest,
+                          dict(_SWEEP_BODY, topologies=["hypercube"], n_procs=6),
+                          "topology", "power of two"),
+    "sweep-unknown-app": (SweepRequest,
+                          dict(_SWEEP_BODY, suite="regular", apps=["nosuch"]),
+                          "workload", "not 'nosuch'"),
+    "sweep-random-gauss": (SweepRequest,
+                           dict(_SWEEP_BODY, suite="random", apps=["gauss"]),
+                           "workload", "not 'gauss'"),
+    "pareto-no-procs": (ParetoRequest, dict(_PARETO_BODY, n_procs=0),
+                        "configuration", "n_procs must be >= 1"),
+    "pareto-het-inverted": (ParetoRequest,
+                            dict(_PARETO_BODY, het_lo=50, het_hi=1),
+                            "configuration", "het_lo 50 exceeds het_hi 1"),
+    "pareto-unknown-workload": (ParetoRequest,
+                                dict(_PARETO_BODY, workload="nosuch"),
+                                "workload", "not 'nosuch'"),
+}
+
 
 #: inline graphs with a non-finite cost: ``name -> (text, what the
 #: GraphError must name)``; each answered 500 ``invalid-schedule``, 422
@@ -368,6 +397,16 @@ class TestPipeline:
                       for k, v in fields.items()}
         with pytest.raises(ConfigurationError, match=name):
             execute(cls(**fields), cache=ResultCache(str(tmp_path / "cache")))
+
+    @pytest.mark.parametrize("shape", sorted(UNRUNNABLE_GRIDS))
+    def test_unrunnable_grid_is_refused_before_any_cell(self, tmp_path,
+                                                        shape):
+        cls, body, kind, detail = UNRUNNABLE_GRIDS[shape]
+        fields = {k: tuple(v) if isinstance(v, list) else v
+                  for k, v in body.items()}
+        with pytest.raises(ReproError, match=re.escape(detail)) as info:
+            execute(cls(**fields), cache=ResultCache(str(tmp_path / "cache")))
+        assert error_spec(info.value).kind == kind
 
     @pytest.mark.parametrize("shape", sorted(NON_FINITE_GRAPHS))
     def test_non_finite_graph_cost_is_a_graph_error(self, tmp_path, shape):
@@ -756,6 +795,16 @@ class TestHttp:
         assert status == 400, doc
         assert doc["kind"] == "configuration"
         assert name in doc["detail"]
+
+    @pytest.mark.parametrize("shape", sorted(UNRUNNABLE_GRIDS))
+    def test_unrunnable_grid_is_structured_400(self, server, shape):
+        cls, body, kind, detail = UNRUNNABLE_GRIDS[shape]
+        path = "/sweep" if cls is SweepRequest else "/pareto"
+        status, _, reply = _request(server, "POST", path, body)
+        doc = json.loads(reply)
+        assert status == 400, doc
+        assert doc["kind"] == kind
+        assert detail in doc["detail"]
 
     @pytest.mark.parametrize("shape", sorted(NON_FINITE_GRAPHS))
     def test_non_finite_graph_cost_is_structured_400(self, server, shape):
