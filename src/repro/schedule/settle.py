@@ -22,8 +22,9 @@ Raises :class:`repro.errors.CycleError` if the orders are contradictory
 (e.g. a task placed before its own ancestor's message lands); BSA treats
 that as a rejected migration and rolls back.
 
-A settle never reorders anything, and its orders need no re-sort after
-it: every occupant is chained to the one before it, so consecutive
+A full or incremental settle never reorders anything, and its orders
+need no re-sort after it: every occupant is chained to the one before
+it, so consecutive
 occupants ``a, b`` end with ``b.start >= a.finish = a.start + dur(a)``.
 No duration is negative (task costs are positive, edge costs and link
 factors non-negative and finite, bandwidths positive), so ``(start,
