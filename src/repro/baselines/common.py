@@ -24,7 +24,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.errors import SchedulingError
 from repro.graph.model import TaskId
 from repro.network.routing import RoutingTable
-from repro.network.system import HeterogeneousSystem, LinkHeterogeneity
+from repro.network.system import HeterogeneousSystem
 from repro.network.topology import Proc
 from repro.obs import counters as _obs
 from repro.schedule.events import Edge
@@ -185,10 +185,9 @@ class ListScheduleBuilder:
         """Per-processor lower bound on ``task``'s data arrival under
         either link policy (indexed by processor), from
         :func:`~repro.schedule.linkplan.arrival_lower_bound`: the
-        store-and-forward chain over the table route's hop count when
-        every hop costs its nominal ``c`` (homogeneous link factors and
-        uniform unit bandwidth; a fast link makes a hop cheaper than
-        ``c``), else the latest producer finish."""
+        store-and-forward chain over the table route's hop count under
+        uniform hops (``HeterogeneousSystem.uniform_hops``), else the
+        latest producer finish."""
         system = self.system
         graph = system.graph
         sched = self.sched
@@ -196,11 +195,7 @@ class ListScheduleBuilder:
             (sched.proc_of(k), sched.slots[k].finish, graph.comm_cost(k, task))
             for k in graph.predecessors(task)
         ]
-        hop_distance = (
-            self.routing.hop_distance
-            if system.link_mode is LinkHeterogeneity.HOMOGENEOUS
-            and system.topology.uniform_bandwidth else None
-        )
+        hop_distance = self.routing.hop_distance if system.uniform_hops else None
         return [arrival_lower_bound(pred_info, proc, hop_distance)
                 for proc in system.topology.processors]
 

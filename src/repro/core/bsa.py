@@ -35,7 +35,7 @@ from repro.errors import ConfigurationError, CycleError
 from repro.graph.model import TaskId
 from repro.graph.validation import validate_graph
 from repro.network.routing import shortest_path, shortest_path_trie
-from repro.network.system import HeterogeneousSystem, LinkHeterogeneity
+from repro.network.system import HeterogeneousSystem
 from repro.network.topology import Proc
 from repro.obs import counters as _obs
 from repro.core.migration import (
@@ -45,7 +45,11 @@ from repro.core.migration import (
     evaluate_migration,
 )
 from repro.core.serialization import PivotSelection, serial_injection
-from repro.schedule.linkplan import arrival_lower_bound, committed_arrival_bounds
+from repro.schedule.linkplan import (
+    arrival_lower_bound,
+    committed_arrival_bounds,
+    one_hop_arrival_bounds,
+)
 from repro.schedule.schedule import Schedule
 from repro.util.intervals import reference_mode
 from repro.util.rng import RngStream
@@ -122,6 +126,9 @@ class BSAStats:
     #: candidates skipped by the engine's exact lower-bound screen
     #: (always 0 in the legacy reference mode)
     n_pruned: int = 0
+    #: examined tasks whose every candidate the one-hop bound pruned, so
+    #: the screen walked no route trie (always 0 in the legacy mode)
+    n_walks_skipped: int = 0
     n_migrations: int = 0
     n_vip_migrations: int = 0
     n_rejected_migrations: int = 0
@@ -177,6 +184,7 @@ class BSAScheduler:
             _obs.inc("bsa.tasks_examined", s.n_examined)
             _obs.inc("bsa.candidates_evaluated", s.n_evaluated)
             _obs.inc("bsa.candidates_pruned", s.n_pruned)
+            _obs.inc("bsa.walks_skipped", s.n_walks_skipped)
             _obs.inc("bsa.migrations", s.n_migrations)
             _obs.inc("bsa.vip_migrations", s.n_vip_migrations)
             _obs.inc("bsa.rejected_migrations", s.n_rejected_migrations)
@@ -252,49 +260,100 @@ class BSAScheduler:
 
     def _drt_lower_bounds(self, sched: Schedule, task: TaskId) -> List[float]:
         """Per-processor lower bound on ``task``'s data-ready time if it
-        moved there (indexed by processor).
+        moved there (indexed by processor), for the append slot policy
+        and incremental routes, where the committed-load walk is no
+        bound.
 
-        Under shortest routes with insertion every message is walked over
-        the committed link load to all processors at once
-        (:func:`~repro.schedule.linkplan.committed_arrival_bounds`).
-        Otherwise that walk is no bound, and the queue-free
         :func:`~repro.schedule.linkplan.arrival_lower_bound` applies: the
-        store-and-forward chain over the exact hop count when every hop
-        costs its nominal ``c`` (shortest routes, homogeneous link
-        factors, uniform unit bandwidth; a fast link would make hops
-        *cheaper* than ``c``), else the latest producer finish.
+        store-and-forward chain over the exact hop count under shortest
+        routes and uniform hops, else the latest producer finish.
         """
-        opts = self.options
         system = self.system
         topology = system.topology
         slots = sched.slots
-        proc_of = sched.proc_of
-        preds = system.graph.predecessors(task)
-        if opts.route_mode == "shortest" and opts.insertion:
-            lbs = [0.0] * topology.n_procs
-            tl_memo: Dict = {}
-            for k in preds:
-                trie = shortest_path_trie(topology, slots[k].proc)
-                kb = committed_arrival_bounds(sched, (k, task), trie, tl_memo)
-                for p, b in enumerate(kb):
-                    if b > lbs[p]:
-                        lbs[p] = b
-            return lbs
         comm_cost = system.graph.comm_cost
-        pred_info = [(proc_of(k), slots[k].finish, comm_cost(k, task)) for k in preds]
-        distance_bound = (
-            opts.route_mode == "shortest"
-            and system.link_mode is LinkHeterogeneity.HOMOGENEOUS
-            and topology.uniform_bandwidth
-        )
+        pred_info = [(slots[k].proc, slots[k].finish, comm_cost(k, task))
+                     for k in system.graph.predecessors(task)]
         hop_distance = (
             (lambda p, nb: len(shortest_path(topology, p, nb)) - 1)
-            if distance_bound else None
+            if self.options.route_mode == "shortest" and system.uniform_hops
+            else None
         )
         return [
             arrival_lower_bound(pred_info, p, hop_distance)
             for p in topology.processors
         ]
+
+    def _screen_candidates(
+        self,
+        sched: Schedule,
+        task: TaskId,
+        neighbors: List[Proc],
+        vip_proc: Optional[Proc],
+    ) -> List[Tuple[float, Proc]]:
+        """The candidates a finish-time lower bound cannot rule out, as
+        ascending ``(bound, dst)`` pairs.
+
+        Every plan's finish time satisfies ``ft >= DRT_lb + exec_cost(task,
+        dst)``. A candidate is dropped once its bound proves its plan can
+        neither beat the current finish time nor serve the VIP-follow
+        step (the VIP processor is kept while it could still tie).
+
+        Under shortest routes with insertion, ``DRT_lb`` is the max over
+        messages of :func:`~repro.schedule.linkplan.committed_arrival_bounds`.
+        The screen prunes first on
+        :func:`~repro.schedule.linkplan.one_hop_arrival_bounds`, which
+        never exceeds it; when that prunes every candidate, no trie is
+        walked (``BSAStats.n_walks_skipped``). Otherwise each producer's
+        trie is walked only toward the candidates still alive, pruning
+        on the running max after each producer. An early bound is at most
+        the full one, so it drops only candidates the full screen drops,
+        and a survivor's bound is the full max bit for bit. Otherwise
+        :meth:`_drt_lower_bounds` gives ``DRT_lb``.
+        """
+        opts = self.options
+        system = self.system
+        exec_row = system.exec_cost_row(task)
+        current_ft = sched.slots[task].finish
+        vip_limit = current_ft + 2 * _EPS
+
+        def screen(lbs: List[float], procs: List[Proc]) -> List[Proc]:
+            kept = []
+            for nb in procs:
+                bound = lbs[nb] + exec_row[nb]
+                if bound < current_ft or (nb == vip_proc and bound <= vip_limit):
+                    kept.append(nb)
+            return kept
+
+        if opts.route_mode == "shortest" and opts.insertion:
+            slots = sched.slots
+            topology = system.topology
+            comm_cost = system.graph.comm_cost
+            preds = system.graph.predecessors(task)
+            lbs = one_hop_arrival_bounds(
+                [(slots[k].proc, slots[k].finish, comm_cost(k, task))
+                 for k in preds],
+                topology.n_procs, system.uniform_hops,
+            )
+            alive = screen(lbs, neighbors)
+            if not alive:
+                self.stats.n_walks_skipped += 1
+            tl_memo: Dict = {}
+            for k in preds:
+                if not alive:
+                    break
+                trie = shortest_path_trie(topology, slots[k].proc)
+                kb = committed_arrival_bounds(sched, (k, task), trie, tl_memo,
+                                              alive)
+                for nb in alive:
+                    if kb[nb] > lbs[nb]:
+                        lbs[nb] = kb[nb]
+                alive = screen(lbs, alive)
+        else:
+            lbs = self._drt_lower_bounds(sched, task)
+            alive = screen(lbs, neighbors)
+        self.stats.n_pruned += len(neighbors) - len(alive)
+        return sorted((lbs[nb] + exec_row[nb], nb) for nb in alive)
 
     def _evaluate_candidates(
         self,
@@ -303,18 +362,13 @@ class BSAScheduler:
         neighbors: List[Proc],
         vip_proc: Optional[Proc],
     ) -> Tuple[List[MigrationPlan], Optional[MigrationPlan]]:
-        """Screen candidate destinations by a finish-time lower bound,
-        then evaluate the survivors exactly, cheapest bound first.
+        """Evaluate the candidates :meth:`_screen_candidates` keeps
+        exactly, cheapest bound first.
 
-        Every plan's finish time satisfies ``ft >= DRT_lb + exec_cost(task,
-        dst)`` (see :meth:`_drt_lower_bounds`). The screen discards every
-        candidate whose bound already proves its plan can neither beat
-        the current finish time nor serve the VIP-follow step (the VIP
-        processor is kept while it could still tie the current finish
-        time). Survivors are visited in ascending ``(bound, dst)`` order
-        so a strong incumbent is found early, and a survivor is skipped
-        once its bound exceeds the best evaluated finish time — except
-        the VIP processor, whose exact plan the VIP-follow step needs.
+        Survivors are visited in ascending ``(bound, dst)`` order so a
+        strong incumbent is found early, and a survivor is skipped once
+        its bound exceeds the best evaluated finish time — except the
+        VIP processor, whose exact plan the VIP-follow step needs.
 
         Soundness margin: the exact evaluator's DRT is an epsilon-max
         (within ``DRT_EPS`` = 1e-12 *below* the plain max), so a bound
@@ -326,18 +380,7 @@ class BSAScheduler:
         schedule) stays bit-identical to exhaustive evaluation.
         """
         opts = self.options
-        drt_lb = self._drt_lower_bounds(sched, task)
-        exec_row = self.system.exec_cost_row(task)
-        current_ft = sched.slots[task].finish
-        vip_limit = current_ft + 2 * _EPS
-        bounds = []
-        for nb in neighbors:
-            bound = drt_lb[nb] + exec_row[nb]
-            if bound < current_ft or (nb == vip_proc and bound <= vip_limit):
-                bounds.append((bound, nb))
-        self.stats.n_pruned += len(neighbors) - len(bounds)
-        bounds.sort()
-
+        bounds = self._screen_candidates(sched, task, neighbors, vip_proc)
         plans: List[MigrationPlan] = []
         best: Optional[MigrationPlan] = None
         for bound, nb in bounds:

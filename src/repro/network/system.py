@@ -264,6 +264,15 @@ class HeterogeneousSystem:
         self._comm_cache[(edge, link)] = cost
         return cost
 
+    @property
+    def uniform_hops(self) -> bool:
+        """True when every hop of a message costs exactly its nominal
+        ``c_ij`` (``1.0 * c_ij / 1.0``): homogeneous link factors and every
+        link at bandwidth 1.0. See :mod:`repro.schedule.linkplan` for what
+        the planners and bound kernels read under it."""
+        return (self.link_mode is LinkHeterogeneity.HOMOGENEOUS
+                and self.topology.uniform_bandwidth)
+
     # ------------------------------------------------------------------
     @property
     def n_procs(self) -> int:

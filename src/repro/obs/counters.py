@@ -60,9 +60,11 @@ COUNTERS: Dict[str, str] = {
     "bsa.vip_migrations":
         "migrations that followed the VIP heuristic",
     "bsa.rejected_migrations":
-        "trial migrations rolled back for not improving finish time",
+        "chosen migrations rolled back because their order constraints formed a cycle",
     "bsa.sweeps":
         "BSA pivot sweeps run",
+    "bsa.walks_skipped":
+        "examined tasks whose candidates the one-hop bound all pruned before any route-trie walk",
     "settle.incremental_runs":
         "change-driven cone settles completed without fallback",
     "settle.cone_pops":

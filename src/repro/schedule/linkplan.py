@@ -20,12 +20,25 @@ Two implementations, selected by the process-wide hot-path mode:
 
 Both modes yield bit-identical plans (see
 ``tests/test_hotpath_equivalence.py`` and ``benchmarks/bench_hotpath.py``).
+
+Hop durations are ``HeterogeneousSystem.comm_cost(edge, link)``, which
+memoizes ``h' * c / bandwidth`` per (message, link). Under uniform hops
+(``HeterogeneousSystem.uniform_hops``) that is ``1.0 * c / 1.0``, the
+nominal ``c`` bit for bit, so where the link is known to exist (a hop
+of a planned route or of a route trie, and ``Schedule.set_route`` after
+its link check) ``c`` is read once per message instead of the memo once
+per hop. The validator still prices every hop through ``comm_cost``, so
+it checks that read independently.
+
+The candidate screens' lower-bound kernels live here too, so their
+float-exactness arguments sit in one place: :func:`arrival_lower_bound`,
+:func:`one_hop_arrival_bounds` and :func:`committed_arrival_bounds`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.network.routing import PathTrie
 from repro.network.topology import Link, Proc, link_id
@@ -102,7 +115,8 @@ class LinkPlanner:
     ) -> Tuple[List[float], float]:
         """Reserve every hop of ``path``; returns (hop starts, arrival).
 
-        Hop *durations* are looked up by canonical link id; hop
+        Hop *durations* are looked up by canonical link id, or read once
+        per message under uniform hops (see the module docstring); hop
         *reservations* go to the traversal direction's channel (identical
         on half-duplex links, per-direction on full-duplex ones).
         """
@@ -112,13 +126,16 @@ class LinkPlanner:
         channel_of = system.topology._channel
         comm_cache = system._comm_cache
         comm_cost = system.comm_cost
+        nominal = system.graph.comm_cost(*edge) if system.uniform_hops else None
         reserve = self.reserve
         starts: List[float] = []
         for a, b in zip(path, path[1:]):
-            lid = (a, b) if a < b else (b, a)
-            duration = comm_cache.get((edge, lid))
+            duration = nominal
             if duration is None:
-                duration = comm_cost(edge, lid)
+                lid = (a, b) if a < b else (b, a)
+                duration = comm_cache.get((edge, lid))
+                if duration is None:
+                    duration = comm_cost(edge, lid)
             start = reserve(channel_of[(a, b)], ready, duration)
             starts.append(start)
             ready = start + duration
@@ -134,9 +151,9 @@ def arrival_lower_bound(
 
     ``pred_info`` holds ``(producer proc, producer finish, nominal comm
     cost)`` per predecessor. With ``hop_distance`` (a ``(src, dst) ->
-    hops`` callable, valid only when every hop of a message costs its
-    nominal ``c`` — homogeneous link factors — and routes have exactly
-    that many hops), each arrival is bounded by the store-and-forward
+    hops`` callable, valid only under uniform hops, where every hop of a
+    message costs its nominal ``c``, and when routes have exactly that
+    many hops), each arrival is bounded by the store-and-forward
     chain ``finish + c + c + ...``; the repeated addition mirrors the
     hop-by-hop float chain of a real plan, so the bound is float-exact
     (``arrival >= bound`` bit-for-bit, queueing only delays hops).
@@ -144,11 +161,9 @@ def arrival_lower_bound(
     finish, which is always valid.
 
     The bound holds under either link policy, since queueing only delays
-    a hop. It gives BSA's screen its fallback bound, the DLS/ETF
-    ready-pair queue the first key of each pair, and DLS's insertion
-    rescan its screen. This and :func:`committed_arrival_bounds` are the
-    soundness-bearing kernels of those screens — keep them here so the
-    float-exactness arguments live in exactly one place.
+    a hop. It gives BSA's screen its fallback bound (append slots or
+    incremental routes), the DLS/ETF ready-pair queue the first key of
+    each pair, and DLS's insertion rescan its screen.
     """
     lb = 0.0
     for (p, f, c) in pred_info:
@@ -162,11 +177,58 @@ def arrival_lower_bound(
     return lb
 
 
+def one_hop_arrival_bounds(
+    pred_info: List[Tuple[Proc, float, float]],
+    n_procs: int,
+    uniform_hops: bool,
+) -> List[float]:
+    """Lower bound on a task's data-ready time at *every* processor from
+    one nominal hop per message, in O(predecessors + processors).
+
+    ``pred_info`` is :func:`arrival_lower_bound`'s. A message from
+    another processor crosses at least one link, so under uniform hops it
+    arrives no earlier than ``finish + c``, otherwise no earlier than
+    ``finish``; a producer on the processor itself gives its finish. Only
+    the processor hosting the latest one-hop arrival sees less: the
+    latest of the other processors' one-hop arrivals and its own
+    producers' finishes.
+
+    Float-exactness against :func:`committed_arrival_bounds`: a trie
+    node arrives at ``earliest_gap(ready, c) + c``, and
+    ``Timeline.earliest_gap`` never returns less than its ready time, so
+    the first hop arrives at or after ``finish + c`` in floats (float
+    addition is monotone) and every later hop at or after the one before
+    (``c >= 0``). Under uniform hops the walk's ``c`` is the nominal one
+    bit for bit. So this bound is at most the walk's at every processor,
+    per message and in the max over messages.
+    """
+    local: Dict[Proc, float] = {}
+    remote: Dict[Proc, float] = {}
+    for p, f, c in pred_info:
+        if f > local.get(p, 0.0):
+            local[p] = f
+        a = f + c if uniform_hops else f
+        if a > remote.get(p, 0.0):
+            remote[p] = a
+    first = second = 0.0
+    top = -1
+    for p, a in remote.items():
+        if a > first:
+            first, second, top = a, first, p
+        elif a > second:
+            second = a
+    lbs = [first] * n_procs
+    if top >= 0:
+        lbs[top] = max(second, local.get(top, 0.0))
+    return lbs
+
+
 def committed_arrival_bounds(
     sched: Schedule,
     edge: Edge,
     trie: PathTrie,
     tl_memo: Dict[Link, Timeline],
+    targets: Optional[Iterable[Proc]] = None,
 ) -> List[float]:
     """Lower bound on ``edge``'s arrival at *every* processor if its
     consumer moved there, walking committed link timelines only.
@@ -178,9 +240,9 @@ def committed_arrival_bounds(
     schedulers :meth:`~repro.network.routing.RoutingTable.trie`. One
     earliest-gap query runs per trie node, against the schedule's
     committed load and without a planner's tentative reservations. Hop
-    durations come from the same ``HeterogeneousSystem.comm_cost`` memo
-    :meth:`LinkPlanner.walk_path` reads, so every float matches the real
-    plan's.
+    durations are the floats :meth:`LinkPlanner.walk_path` reads (the
+    ``HeterogeneousSystem.comm_cost`` memo, or the nominal cost under
+    uniform hops), so every float matches the real plan's.
 
     Soundness: under the insertion slot policy ``earliest_gap`` is
     monotone nondecreasing in both the ready time and the reservation
@@ -194,6 +256,13 @@ def committed_arrival_bounds(
     append-policy list schedulers need no bound (see
     :meth:`~repro.baselines.common.ListScheduleBuilder.place_ready_pairs`).
 
+    ``targets`` (processors) restricts the walk to the trie nodes on the
+    routes to them. A node's arrival depends only on its ancestors, and
+    nodes are numbered after their parents, so walking those nodes in
+    ascending order gives each target the full walk's arrival bit for
+    bit. Any other processor gets that arrival too if its route ends on
+    a walked node, else the producer's finish: a lower bound either way.
+
     ``tl_memo`` (channel -> timeline) skips the schedule's timeline
     lookup on repeat channels; callers bounding several messages
     against one committed state share one dict across them, and must
@@ -203,19 +272,35 @@ def committed_arrival_bounds(
     system = sched.system
     finish = sched.slots[edge[0]].finish
     parents, channels, links, dst_node = trie
+    if targets is None:
+        nodes: Iterable[int] = range(len(parents))
+    else:
+        walked = set()
+        for t in targets:
+            n = dst_node[t]
+            while n >= 0 and n not in walked:
+                walked.add(n)
+                n = parents[n]
+        nodes = sorted(walked)
+    nominal = system.graph.comm_cost(*edge) if system.uniform_hops else None
     comm_cache = system._comm_cache
     comm_cost = system.comm_cost
     link_timeline = sched.link_timeline
-    arr: List[float] = []
-    for p, lid, ch in zip(parents, links, channels):
+    arr = [finish] * len(parents)
+    for n in nodes:
+        p = parents[n]
         ready = finish if p < 0 else arr[p]
-        c = comm_cache.get((edge, lid))
+        c = nominal
         if c is None:
-            c = comm_cost(edge, lid)
+            lid = links[n]
+            c = comm_cache.get((edge, lid))
+            if c is None:
+                c = comm_cost(edge, lid)
+        ch = channels[n]
         tl = tl_memo.get(ch)
         if tl is None:
             tl = tl_memo[ch] = link_timeline(ch)
-        arr.append(tl.earliest_gap(ready, c) + c)
+        arr[n] = tl.earliest_gap(ready, c) + c
     return [finish if n < 0 else arr[n] for n in dst_node]
 
 

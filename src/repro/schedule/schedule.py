@@ -271,16 +271,22 @@ class Schedule:
         if len(proc_path) < 2:
             raise SchedulingError(f"route for {edge} needs >= 2 processors")
         self.clear_route(edge)
-        topology = self.system.topology
+        system = self.system
+        topology = system.topology
         txn = self._txn
         link_tl = self._link_tl
         link_pos = self._link_pos
+        # under uniform hops every hop costs the nominal c bit for bit
+        # (see repro.schedule.linkplan)
+        nominal = system.graph.comm_cost(*edge) if system.uniform_hops else None
         hops: List[MessageHop] = []
         entries: List[Tuple[Link, int]] = []
         for i, (a, b) in enumerate(zip(proc_path, proc_path[1:])):
             if not topology.has_link(a, b):
                 raise SchedulingError(f"no link between {a} and {b} for {edge}")
-            duration = self.system.comm_cost(edge, link_id(a, b))
+            duration = nominal
+            if duration is None:
+                duration = system.comm_cost(edge, link_id(a, b))
             start = hop_starts[i] if hop_starts else 0.0
             # _rpos/_chan: backrefs for the incremental settle engine —
             # index within the route (stable: routes are rebuilt whole,

@@ -139,9 +139,11 @@ PINNED_N1000_SHA256 = (
 
 
 #: 16-processor cells for the list schedulers' earliest-finish screen
-#: and ready-pair queue: ring and random topologies (where routing-table
-#: routes differ from ``shortest_path``), per-message link factors, full
-#: duplex with skewed bandwidth, and fine and coarse granularity
+#: and ready-pair queue, and for BSA's one-hop pre-screen and restricted
+#: trie walk: ring and random topologies (where routing-table routes
+#: differ from ``shortest_path``), per-message link factors, full duplex
+#: with skewed bandwidth (those two off uniform hops), and fine and
+#: coarse granularity
 LIST_SCREEN_CELLS = {
     "ring16": Cell("regular", "gauss", 100, 1.0, "ring", "x", n_procs=16,
                    graph_seed=2, system_seed=2),
@@ -165,7 +167,7 @@ ENGINE_MODE_CASES = [
                   "fattree_skew")
 ] + [
     (algorithm, suite)
-    for algorithm in ("heft", "cpop", "spdecomp", "dls", "etf",
+    for algorithm in ("bsa", "heft", "cpop", "spdecomp", "dls", "etf",
                       "dls-insertion", "dls-weighted")
     for suite in LIST_SCREEN_CELLS
 ]

@@ -91,10 +91,14 @@ def _engine_counters() -> dict:
 #: exact incremental-engine work for the pinned cell — a regression
 #: test for *how* the schedule is found, which makespan pins cannot
 #: see. Any engine change that moves these must be deliberate.
-#: The candidate counts and route-trie lookups are the committed-load
-#: screen's (69 exact evaluations out of 2370 candidates). Timelines
-#: are built on first query after the initial full settle pass (30) and
-#: again after each of the 2 rollbacks drops them (19 + 16); every
+#: The candidate counts and route-trie lookups are the screen's (69
+#: exact evaluations out of 2370 candidates). For 68 of the 158
+#: examined tasks the one-hop bound prunes every candidate, so no trie
+#: is walked; the other walks follow only the routes to candidates
+#: still alive. Timelines are built on first query after the initial
+#: full settle pass (30) and again after each of the 2 rollbacks drops
+#: them (19 + 13; the skipped and restricted walks never query three
+#: link timelines a full walk rebuilt after the second rollback); every
 #: other change reaches a cached timeline as an in-place patch.
 GOLDEN_INCREMENTAL_N40 = {
     "bsa.candidates_evaluated": 69,
@@ -103,13 +107,14 @@ GOLDEN_INCREMENTAL_N40 = {
     "bsa.rejected_migrations": 2,
     "bsa.sweeps": 3,
     "bsa.tasks_examined": 158,
-    "route.trie_hits": 240,
+    "bsa.walks_skipped": 68,
+    "route.trie_hits": 129,
     "route.trie_misses": 13,
     "settle.cone_pops": 2210,
     "settle.full_passes": 1,
     "settle.incremental_runs": 39,
     "timeline.patches": 1806,
-    "timeline.rebuilds": 65,
+    "timeline.rebuilds": 62,
     "txn.rollbacks": 2,
 }
 
