@@ -162,12 +162,30 @@ SCALING_SIZES = {
 }
 
 
+def _settle_pops(cell: Cell) -> int:
+    """``settle.cone_pops`` of one untimed BSA run with collection on."""
+    from repro import obs
+
+    was_active = obs.enabled()
+    obs.enable()
+    obs.reset()
+    try:
+        _schedule(cell)
+        return obs.snapshot()["settle.cone_pops"]
+    finally:
+        obs.reset()
+        if not was_active:
+            obs.disable()
+
+
 def run_scaling_curve(preset: str, reps: int = 3) -> Dict:
     """Engine BSA wall clock, n=100 -> 2000, every rep reported.
 
     Each point records the median and every rep (shared boxes are noisy,
     so one number would hide the spread), and whether every rep produced
-    the byte-identical schedule (the first is validated).
+    the byte-identical schedule (the first is validated). One extra,
+    untimed rep records ``settle.cone_pops``, the settle work per size,
+    which does not depend on the host's speed.
     """
     set_hotpath_mode("incremental")
     points = []
@@ -183,15 +201,18 @@ def run_scaling_curve(preset: str, reps: int = 3) -> Dict:
                 validate_schedule(sched)
             digests.add(hashlib.sha256(
                 schedule_to_json(sched).encode()).hexdigest())
+        cone_pops = _settle_pops(cell)
         points.append({
             "n_tasks": size,
             "incremental_s": round(statistics.median(times), 3),
             "reps_s": [round(t, 3) for t in times],
+            "settle_cone_pops": cone_pops,
             "identical": len(digests) == 1,
         })
         sys.stderr.write(
             f"scaling n={size}: incremental median "
-            f"{statistics.median(times):.2f}s over {reps} reps\n"
+            f"{statistics.median(times):.2f}s over {reps} reps, "
+            f"{cone_pops} settle pops\n"
         )
     return {"reps": reps, "points": points}
 

@@ -29,7 +29,7 @@ Options expose the paper's ambiguities and our ablations:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import AbstractSet, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, CycleError
 from repro.graph.model import TaskId
@@ -38,6 +38,7 @@ from repro.network.routing import shortest_path, shortest_path_trie
 from repro.network.system import HeterogeneousSystem
 from repro.network.topology import Proc
 from repro.obs import counters as _obs
+from repro.core import migration as _migration
 from repro.core.migration import (
     MigrationPlan,
     commit_migration,
@@ -193,6 +194,33 @@ class BSAScheduler:
 
     # ------------------------------------------------------------------
     def _run_phase(self, sched: Schedule, pivot: Proc) -> None:
+        """Examine the pivot's tasks in their phase-start order.
+
+        A phase that starts with every task on its pivot (the first one,
+        after serial injection) *holds* the pivot's unexamined tasks:
+        commit settles leave their times alone, and each task leaves the
+        hold and is settled by itself just before it is examined. Every
+        decision and every final time is the full settle's:
+
+        * With every task on the pivot, every message is local (BSA
+          routes only between different processors), and the settled,
+          sorted order is topological, since every task costs more
+          than 0.
+        * Tasks leave the pivot only when examined, and the candidates
+          never include the pivot, so every successor of a held task is
+          held too and held tasks have no hops. No node outside the hold
+          has a constraint predecessor inside it, so a settle that skips
+          held tasks gives every other node the full pass's times, and a
+          cycle, which cannot pass through the hold, raises as before.
+        * Examining a task reads its own times, its predecessors'
+          arrivals and other processors' and links' timelines, none of
+          them held. Its own settle is a max over exact predecessor
+          finishes, so it equals the full pass's value bit for bit.
+
+        The hold is empty when the phase ends. The reference mode and
+        graphs with a zero-cost edge (whose settles always take the
+        full pass) hold nothing.
+        """
         if self.options.migration_scope == "global":
             neighbors = [p for p in self.system.topology.processors if p != pivot]
         else:
@@ -200,13 +228,21 @@ class BSAScheduler:
         if not neighbors:
             return
         # snapshot: schedule order on the pivot at phase start (topological)
-        for task in list(sched.proc_order[pivot]):
+        tasks = list(sched.proc_order[pivot])
+        graph = self.system.graph
+        hold = set(tasks) if (
+            len(tasks) == graph.n_tasks and not reference_mode()
+            and not graph.has_zero_cost_edge()) else set()
+        for task in tasks:
+            if hold:
+                hold.discard(task)
+                _migration.settle_incremental(sched, (task,), (), hold)
             if sched.proc_of(task) != pivot:
                 continue  # defensive: cannot happen within a phase
             if not self._should_examine(sched, task, pivot):
                 continue
             self.stats.n_examined += 1
-            self._try_migrate(sched, task, pivot, neighbors)
+            self._try_migrate(sched, task, pivot, neighbors, hold)
 
     def _should_examine(self, sched: Schedule, task: TaskId, pivot: Proc) -> bool:
         if self.options.migration_trigger == "always":
@@ -223,6 +259,7 @@ class BSAScheduler:
         task: TaskId,
         pivot: Proc,
         neighbors: List[Proc],
+        hold: AbstractSet[TaskId] = frozenset(),
     ) -> None:
         opts = self.options
         current_ft = sched.slots[task].finish
@@ -247,14 +284,14 @@ class BSAScheduler:
         # the screen may discard *every* candidate (each bound already
         # proves the plan cannot win) and return best=None
         if best is not None and best.ft < current_ft - _EPS:
-            self._commit_transactional(sched, best)
+            self._commit_transactional(sched, best, hold)
             return
 
         if vip_proc is None or vip_proc == pivot:
             return
         for plan in plans:
             if plan.dst == vip_proc and plan.ft <= current_ft + _EPS:
-                if self._commit_transactional(sched, plan):
+                if self._commit_transactional(sched, plan, hold):
                     self.stats.n_vip_migrations += 1
                 return
 
@@ -398,10 +435,17 @@ class BSAScheduler:
                 best = plan
         return plans, best
 
-    def _commit_transactional(self, sched: Schedule, plan: MigrationPlan) -> bool:
+    def _commit_transactional(
+        self,
+        sched: Schedule,
+        plan: MigrationPlan,
+        hold: AbstractSet[TaskId],
+    ) -> bool:
         """Commit a migration; revert and reject it if the resulting order
         constraints are contradictory (possible after multi-phase reroutes
         leave stale slot positions — rare, but must never corrupt state).
+        The settle leaves the tasks in ``hold`` alone (see
+        :meth:`_run_phase`).
 
         The engine records an undo log of the actual mutations
         (O(#mutations), no per-commit capture cost); the legacy reference
@@ -414,6 +458,7 @@ class BSAScheduler:
                 sched, plan,
                 insertion=self.options.insertion,
                 truncate=self.options.truncate_routes,
+                hold=hold,
             )
         except CycleError:
             if txn is None:

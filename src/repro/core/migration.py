@@ -31,7 +31,7 @@ Route modes
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import AbstractSet, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, SchedulingError
 from repro.graph.model import TaskId
@@ -200,6 +200,7 @@ def commit_migration(
     plan: MigrationPlan,
     insertion: bool = True,
     truncate: bool = True,
+    hold: AbstractSet[TaskId] = frozenset(),
 ) -> None:
     """Apply ``plan`` to the schedule and settle times.
 
@@ -207,7 +208,9 @@ def commit_migration(
     affected cone, seeded by the transaction's mutation log (an
     anonymous transaction is opened if the caller didn't provide one);
     the schedule must therefore be settled on entry, which every BSA
-    state is. The reference mode runs the full settle pass.
+    state is, apart from the tasks in ``hold``: those the settle leaves
+    alone (see :func:`~repro.schedule.settle.settle_incremental`). The
+    reference mode runs the full settle pass.
     """
     system = sched.system
     graph = system.graph
@@ -253,7 +256,7 @@ def commit_migration(
         sched.place_task(task, dst, start=plan.st)
         txn = sched.txn
         if txn is not None and not reference_mode():
-            settle_incremental(sched, txn.seed_tasks, txn.seed_hops)
+            settle_incremental(sched, txn.seed_tasks, txn.seed_hops, hold)
         else:
             settle(sched)
     finally:

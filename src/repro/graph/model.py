@@ -52,6 +52,7 @@ class TaskGraph:
         self._index: Dict[TaskId, int] = {}
         self._zero_comm: Optional[bool] = None  # cache for has_zero_cost_edge
         self._pred_edges: Dict[TaskId, tuple] = {}  # cache for pred_edges
+        self._topo: Optional[List[TaskId]] = None  # cache for topological_order
         #: declares a deliberately disconnected graph: its weak components
         #: are independent programs sharing the machine, and validation /
         #: the schedulers must accept them as-is instead of demanding the
@@ -72,6 +73,7 @@ class TaskGraph:
         self._cost[task] = float(cost)
         self._succ[task] = {}
         self._pred[task] = {}
+        self._topo = None
 
     def add_edge(self, src: TaskId, dst: TaskId, cost: float) -> None:
         """Add a message edge ``src -> dst`` with nominal cost ``cost`` (finite, >= 0)."""
@@ -90,6 +92,7 @@ class TaskGraph:
         self._pred[dst][src] = float(cost)
         self._zero_comm = None
         self._pred_edges.pop(dst, None)
+        self._topo = None
 
     def set_task_cost(self, task: TaskId, cost: float) -> None:
         if task not in self._cost:
@@ -220,8 +223,17 @@ class TaskGraph:
     def topological_order(self) -> List[TaskId]:
         """Kahn topological order (deterministic: insertion order ties).
 
+        The pass runs once per graph structure: the order is cached
+        until the next :meth:`add_task` or :meth:`add_edge` (costs do not
+        enter it), and each call returns a fresh list.
+
         Raises :class:`CycleError` if the graph has a directed cycle.
         """
+        if self._topo is None:
+            self._topo = self._kahn_order()
+        return list(self._topo)
+
+    def _kahn_order(self) -> List[TaskId]:
         indeg = {t: len(self._pred[t]) for t in self._cost}
         ready = [t for t in self._cost if indeg[t] == 0]
         order: List[TaskId] = []

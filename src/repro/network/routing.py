@@ -173,8 +173,11 @@ def shortest_path(topology: Topology, src: Proc, dst: Proc) -> List[Proc]:
     Paths are memoized per topology *instance* in both engine modes (the
     cache lives on the topology object, so it follows topology identity
     and can never leak across systems). Topologies are immutable after
-    construction, which makes the memo exact. The returned list is
-    shared — callers must not mutate it.
+    construction, which makes the memo exact. A miss runs one BFS from
+    ``src`` and memoizes the path to every processor it reaches: the
+    discovery order does not depend on the destination, so each path is
+    :func:`alive_path`'s. The returned list is shared — callers must not
+    mutate it.
     """
     if src == dst:
         return [src]
@@ -183,8 +186,19 @@ def shortest_path(topology: Topology, src: Proc, dst: Proc) -> List[Proc]:
     )
     path = cache.get((src, dst))
     if path is None:
-        path = _bfs_path(topology, src, dst)
-        cache[(src, dst)] = path
+        seen = {src}
+        queue = deque([src])
+        while queue:
+            p = queue.popleft()
+            base = cache[(src, p)] if p != src else [src]
+            for q in topology.neighbors(p):
+                if q not in seen:
+                    seen.add(q)
+                    cache[(src, q)] = base + [q]
+                    queue.append(q)
+        path = cache.get((src, dst))
+        if path is None:
+            raise RoutingError(f"no route from {src} to {dst}")
     return path
 
 
@@ -281,14 +295,6 @@ def alive_path(
                 return path
             queue.append(q)
     return None
-
-
-def _bfs_path(topology: Topology, src: Proc, dst: Proc) -> List[Proc]:
-    """:func:`alive_path` over the whole topology; no route is an error."""
-    path = alive_path(topology, src, dst)
-    if path is None:
-        raise RoutingError(f"no route from {src} to {dst}")
-    return path
 
 
 def build_routing_table(topology: Topology, strategy: str = "bfs") -> RoutingTable:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.graph.analysis import b_levels
+from repro.graph.analysis import static_b_levels
 from repro.network.topology import Link, Proc
 from repro.schedule.schedule import Schedule
 
@@ -63,7 +63,7 @@ def compute_metrics(schedule: Schedule) -> ScheduleMetrics:
     # exec-only critical path with each task on its fastest processor: no
     # schedule can beat the heaviest chain even with free communication.
     fastest = {t: min(system.exec_cost_row(t)) for t in graph.tasks()}
-    bl = b_levels(_zero_comm(graph), exec_cost=lambda t: fastest[t])
+    bl = static_b_levels(graph, fastest)
     lower = max(bl.values()) if bl else 0.0
 
     horizon = sl if sl > 0 else 1.0
@@ -89,11 +89,3 @@ def compute_metrics(schedule: Schedule) -> ScheduleMetrics:
         proc_utilization=proc_util,
         link_utilization=link_util,
     )
-
-
-def _zero_comm(graph):
-    """Copy of ``graph`` with all communication costs zeroed."""
-    g = graph.copy(name=f"{graph.name}-zerocomm")
-    for u, v in g.edges():
-        g.set_edge_cost(u, v, 0.0)
-    return g

@@ -30,6 +30,10 @@ No duration is negative (task costs are positive, edge costs and link
 factors non-negative and finite, bandwidths positive), so ``(start,
 finish)`` never decreases along an order, zero-duration ties included:
 each order is already what a stable sort by settled times would give.
+The tasks an incremental settle *holds* (BSA's unexamined first-phase
+tasks, see :func:`settle_incremental`) keep their earlier times, so this
+holds for the entries outside the hold; a held task rejoins it when it
+leaves the hold and is settled.
 
 Implementation note: this runs after every committed migration, so it is
 the hottest loop in BSA. Nodes are mapped to dense integer ids and the
@@ -49,15 +53,17 @@ Two engines and an oracle:
   rebuilding the whole constraint DAG it starts from the *seed set* a
   :class:`~repro.schedule.schedule.ScheduleTxn` collected during the
   mutations (every node whose constraint predecessors changed) and
-  propagates recomputed times forward only while they actually change.
-  Called by ``commit_migration``; :func:`settle` itself always runs a
-  full pass (it has no seed information).
+  propagates recomputed times forward only while they actually change,
+  never into the tasks it is told to hold.
+  Called by ``commit_migration`` and, once per examined task in BSA's
+  first phase, by ``BSAScheduler._run_phase``; :func:`settle` itself
+  always runs a full pass (it has no seed information).
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional
+from typing import AbstractSet, Dict, List, Optional
 
 from repro.errors import CycleError
 from repro.obs import counters as _obs
@@ -238,7 +244,8 @@ def kahn_settle(schedule: Schedule, frontier: Optional[float] = None) -> Schedul
     return schedule
 
 
-def settle_incremental(schedule: Schedule, seed_tasks, seed_hops) -> Schedule:
+def settle_incremental(schedule: Schedule, seed_tasks, seed_hops,
+                       hold: AbstractSet = frozenset()) -> Schedule:
     """Change-driven settle: recompute only the affected cone.
 
     Contract: ``schedule`` was fully settled before the current batch of
@@ -274,6 +281,16 @@ def settle_incremental(schedule: Schedule, seed_tasks, seed_hops) -> Schedule:
     resulting times are bit-identical to :func:`kahn_settle` — enforced
     across the whole randomized invariant sweep by
     ``tests/test_hotpath_equivalence.py`` and ``benchmarks/bench_hotpath.py``.
+
+    ``hold`` names tasks this settle neither seeds nor pushes, so their
+    times stay as they are. The caller must guarantee that no node
+    outside ``hold`` has a constraint predecessor inside it; then every
+    other node gets the full pass's times bit for bit, as above. Only
+    task slots are held: a message into a held task keeps its hops
+    settled. BSA's first phase holds the pivot's unexamined tasks
+    (:meth:`repro.core.bsa.BSAScheduler._run_phase` states why that is
+    exact). Held tasks are exempt from the sortedness above until they
+    leave the hold and are settled.
     """
     system = schedule.system
     graph = system.graph
@@ -324,7 +341,7 @@ def settle_incremental(schedule: Schedule, seed_tasks, seed_hops) -> Schedule:
 
     for t in seed_tasks:
         slot = slots_get(t)
-        if slot is not None:
+        if slot is not None and t not in hold:
             oid = id(slot)
             if oid not in pending:
                 pending.add(oid)
@@ -456,6 +473,9 @@ def settle_incremental(schedule: Schedule, seed_tasks, seed_hops) -> Schedule:
                 # not depend on processing order; a cycle elsewhere is
                 # caught by its own members' growth or the pop budget).
                 if _reaches_itself(schedule, obj, is_hop):
+                    if _obs.ACTIVE:
+                        _obs.inc("settle.cone_pops", pops)
+                        _obs.inc("timeline.patches", patches)
                     schedule.drop_timelines()
                     desc = (
                         f"hop {obj.edge} {obj.src}->{obj.dst}" if is_hop
@@ -481,16 +501,18 @@ def settle_incremental(schedule: Schedule, seed_tasks, seed_hops) -> Schedule:
             if chained:
                 hops = routes[obj.edge].hops
                 k = obj._rpos
-                nxt = hops[k + 1] if k + 1 < len(hops) else slots[v]
-                s = nxt.start
-                if (new_finish > s) if grew else (s == old_finish):
-                    oid = id(nxt)
-                    if oid not in pending:
-                        pending.add(oid)
-                        seq += 1
-                        heappush(heap, (s, seq, k + 1 < len(hops), nxt))
+                more = k + 1 < len(hops)
+                if more or v not in hold:
+                    nxt = hops[k + 1] if more else slots[v]
+                    s = nxt.start
+                    if (new_finish > s) if grew else (s == old_finish):
+                        oid = id(nxt)
+                        if oid not in pending:
+                            pending.add(oid)
+                            seq += 1
+                            heappush(heap, (s, seq, more, nxt))
         else:
-            if i + 1 < len(order):
+            if i + 1 < len(order) and order[i + 1] not in hold:
                 nxt = slots[order[i + 1]]
                 s = nxt.start
                 if (new_finish > s) if grew else (s == old_finish):
@@ -506,6 +528,8 @@ def settle_incremental(schedule: Schedule, seed_tasks, seed_hops) -> Schedule:
                 r = routes_get((t, v))
                 if r is not None and r.hops:
                     nxt, nxt_hop = r.hops[0], True
+                elif v in hold:
+                    continue
                 else:
                     nxt, nxt_hop = vs, False
                 s = nxt.start

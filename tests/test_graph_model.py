@@ -131,6 +131,25 @@ class TestOrdering:
         assert diamond.is_topological(order)
         assert order[0] == "a" and order[-1] == "d"
 
+    def test_order_sees_a_later_edge(self):
+        g = TaskGraph()
+        for t in "abc":
+            g.add_task(t, 1.0)
+        assert g.topological_order() == ["a", "b", "c"]
+        g.add_edge("c", "a", 1.0)
+        assert g.topological_order() == ["b", "c", "a"]
+        g.add_task("d", 1.0)
+        g.add_edge("d", "b", 1.0)
+        assert g.topological_order() == ["c", "d", "a", "b"]
+
+    def test_mutating_a_returned_order_keeps_the_cache(self, diamond):
+        order = diamond.topological_order()
+        expected = list(order)
+        order.reverse()
+        order.append("x")
+        assert diamond.topological_order() == expected
+        assert diamond.topological_order() is not diamond.topological_order()
+
     def test_is_topological_rejects_wrong_order(self, diamond):
         assert not diamond.is_topological(["d", "a", "b", "c"])
         assert not diamond.is_topological(["a", "b", "c"])  # incomplete

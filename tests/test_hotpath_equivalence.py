@@ -136,6 +136,11 @@ PINNED_N1000 = 66554.90105672537
 PINNED_N1000_SHA256 = (
     "82971b64ebb7c6910b9781ded0b3479d8cf589b9a89b17c568a9ad7f94e022f6"
 )
+#: ``settle.cone_pops`` of the incremental engine on the same cell, a
+#: host-independent guard on settle work at the size where the
+#: first-phase hold matters most (687325 before it, counting the pops
+#: of settles that end in a cycle)
+PINNED_N1000_CONE_POPS = 216791
 
 
 #: 16-processor cells for the list schedulers' earliest-finish screen
@@ -276,17 +281,31 @@ class TestEngineModesIdentical:
             blobs[mode] = schedule_to_json(run_paper_example()["schedule"])
         assert blobs["legacy"] == blobs["incremental"]
 
-    def test_golden_cell_n1000(self, both_modes):
+    def test_golden_cell_n1000(self, both_modes, monkeypatch):
         """The n=1000 golden cell on the engine: the exact makespan AND
         the sha256 of the serialized schedule, so every task time and
-        message hop is pinned. Legacy is excluded only for wall-clock
-        reasons — the ``MODES`` sweeps above pin its equivalence on
-        every differential cell."""
+        message hop is pinned, and the settle work it took (counted
+        with collection on for this run only). Legacy is excluded only
+        for wall-clock reasons — the ``MODES`` sweeps above pin its
+        equivalence on every differential cell."""
+        from repro import obs
+
         set_hotpath_mode("incremental")
-        sched = _SCHEDULERS["bsa"](build_cell_system(CELL_N1000))
+        was_active = obs.enabled()
+        monkeypatch.delenv("REPRO_OBS", raising=False)
+        obs.enable()
+        obs.reset()
+        try:
+            sched = _SCHEDULERS["bsa"](build_cell_system(CELL_N1000))
+            pops = obs.snapshot()["settle.cone_pops"]
+        finally:
+            obs.reset()
+            if not was_active:
+                obs.disable()
         assert sched.schedule_length() == PINNED_N1000
         digest = hashlib.sha256(schedule_to_json(sched).encode()).hexdigest()
         assert digest == PINNED_N1000_SHA256
+        assert pops == PINNED_N1000_CONE_POPS
 
     @pytest.mark.parametrize("suite", ["regular", "torus", "fattree_skew"])
     @pytest.mark.parametrize("algorithm", ["bsa", "heft", "spdecomp"])
@@ -421,11 +440,14 @@ def _assert_timelines_live(sched, seen) -> None:
     seen["timelines"] += len(sched._proc_tl) + len(sched._link_tl)
 
 
-def _assert_orders_sorted(sched, seen) -> None:
+def _assert_orders_sorted(sched, seen, hold=()) -> None:
     """Every processor and link order is non-decreasing in ``(start,
-    finish)``: a settle leaves the orders a stable sort would give."""
+    finish)``: a settle leaves the orders a stable sort would give. The
+    tasks a settle holds keep their phase-start times until they are
+    examined, so only the entries outside ``hold`` are compared."""
     for proc, order in sched.proc_order.items():
-        keys = [(sched.slots[t].start, sched.slots[t].finish) for t in order]
+        keys = [(sched.slots[t].start, sched.slots[t].finish)
+                for t in order if t not in hold]
         assert keys == sorted(keys), f"processor {proc}"
     for ch, hops in sched.link_order.items():
         keys = [(h.start, h.finish) for h in hops]
@@ -458,7 +480,9 @@ def live_timelines(monkeypatch, both_modes):
             out = fn(*args, **kwargs)
             _assert_timelines_live(sched, seen)
             if settles(args, kwargs):
-                _assert_orders_sorted(sched, seen)
+                # settle_incremental's fourth argument is its hold
+                hold = args[3] if len(args) > 3 else kwargs.get("hold", ())
+                _assert_orders_sorted(sched, seen, hold)
             seen[fn.__name__] += 1
             return out
         return wrapper

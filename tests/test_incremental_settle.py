@@ -6,7 +6,11 @@ directly:
 
 * ``settle_incremental`` after each committed migration must leave the
   schedule exactly as a full Kahn pass would (times *and* occupant
-  orders), including the dict insertion order the serializer exposes;
+  orders), including the dict insertion order the serializer exposes,
+  for every node outside the settle's hold;
+* BSA's first phase holds the pivot's unexamined tasks: at every
+  examination every node outside that hold has the full pass's times,
+  under every link model and BSA option;
 * ``ScheduleTxn.rollback`` must reverse any mix of structural mutations
   and recorded time writes bit-for-bit;
 * the engine's guard rails: zero-cost-edge graphs take the full pass,
@@ -61,6 +65,25 @@ def _state_fingerprint(sched):
     )
 
 
+def _assert_exact(sched, tasks, hops=()) -> None:
+    """``tasks`` and ``hops`` have the times a full Kahn pass over a
+    copy gives them, bit for bit."""
+    dup = sched.copy()
+    kahn_settle(dup)
+    for t in tasks:
+        s, d = sched.slots[t], dup.slots[t]
+        assert (s.start, s.finish) == (d.start, d.finish), t
+    for h in hops:
+        d = dup.routes[h.edge].hops[h._rpos]
+        assert (h.start, h.finish) == (d.start, d.finish), h.edge
+
+
+def _assert_exact_outside(sched, hold) -> None:
+    """Every task outside ``hold`` and every hop is exact."""
+    _assert_exact(sched, [t for t in sched.slots if t not in hold],
+                  [h for r in sched.routes.values() for h in r.hops])
+
+
 class TestIncrementalSettleEquivalence:
     @pytest.mark.parametrize(
         "cell",
@@ -77,34 +100,38 @@ class TestIncrementalSettleEquivalence:
     )
     def test_every_commit_matches_full_settle(self, cell, incremental_mode,
                                               monkeypatch):
-        """After *each* incremental settle during a BSA run, a full Kahn
-        pass over a deep copy must produce identical times — the
-        strongest per-step check the differential harness allows."""
+        """After *each* incremental settle during a BSA run (commit and
+        first-phase per-task settles alike), a full Kahn pass over a
+        deep copy must produce identical times for every node outside
+        the settle's hold, and at each examination for the examined
+        task — the strongest per-step check the differential harness
+        allows."""
         import repro.core.migration as mig
-        from repro.schedule import settle as settle_pkg  # noqa: F401
-        import importlib
+        from repro.core.bsa import BSAScheduler
 
-        settle_mod = importlib.import_module("repro.schedule.settle")
-        orig = settle_mod.settle_incremental
-        checked = {"n": 0}
+        orig = mig.settle_incremental
+        should_examine = BSAScheduler._should_examine
+        checked = {"n": 0, "held": 0, "examined": 0}
 
-        def checking(schedule, seed_tasks, seed_hops):
-            out = orig(schedule, seed_tasks, seed_hops)
-            dup = schedule.copy()
-            settle_mod.kahn_settle(dup)
-            for t, slot in schedule.slots.items():
-                d = dup.slots[t]
-                assert (slot.start, slot.finish) == (d.start, d.finish), t
-            for e, r in schedule.routes.items():
-                for h, dh in zip(r.hops, dup.routes[e].hops):
-                    assert (h.start, h.finish) == (dh.start, dh.finish), e
+        def checking(schedule, seed_tasks, seed_hops, hold=frozenset()):
+            out = orig(schedule, seed_tasks, seed_hops, hold)
+            _assert_exact_outside(schedule, hold)
             checked["n"] += 1
+            checked["held"] += bool(hold)
             return out
 
+        def examining(self, sched, task, pivot):
+            _assert_exact(sched, [task])
+            checked["examined"] += 1
+            return should_examine(self, sched, task, pivot)
+
         monkeypatch.setattr(mig, "settle_incremental", checking)
+        monkeypatch.setattr(BSAScheduler, "_should_examine", examining)
         sched = schedule_bsa(build_cell_system(cell), BSAOptions())
         validate_schedule(sched)
         assert checked["n"] > 0  # the incremental path actually ran
+        assert checked["held"] > 0  # and the first phase held tasks
+        assert checked["examined"] > 0
 
     def test_direct_commit_sequence_identical(self, paper_system,
                                               incremental_mode):
@@ -405,3 +432,108 @@ def test_full_pass_leaves_orders_sorted(n, data, topology, link_het, seed):
             sched.set_route((u, v), shortest_path(net, procs[u], procs[v]))
     kahn_settle(sched)
     _assert_orders_sorted(sched)
+
+
+# ----------------------------------------------------------------------
+# BSA's first phase holds the pivot's unexamined tasks
+# ----------------------------------------------------------------------
+HOLD_LINK_MODELS = ("uniform", "full_duplex", "bandwidth_skew", "fat_tree",
+                    "per_link")
+
+HOLD_OPTIONS = {
+    "default": BSAOptions(),
+    "st_gt_drt": BSAOptions(migration_trigger="st_gt_drt"),
+    "append": BSAOptions(insertion=False),
+    "novip": BSAOptions(vip_follow=False),
+    "neighbors-incremental": BSAOptions(migration_scope="neighbors",
+                                        route_mode="incremental"),
+}
+
+
+def _hold_system(n, seed, gran, topo, link_model):
+    from repro.network.system import HeterogeneousSystem, LinkHeterogeneity
+    from repro.network.topology import (
+        apply_link_model,
+        fat_tree,
+        hypercube,
+        random_topology,
+        ring,
+    )
+    from repro.workloads.granularity import apply_granularity
+    from repro.workloads.random_graphs import random_layered_graph
+
+    graph = random_layered_graph(n, seed=seed)
+    apply_granularity(graph, gran, seed=seed)
+    if link_model == "fat_tree":
+        topology = fat_tree(8)
+    else:
+        topology = {"ring": ring(6), "hypercube": hypercube(8),
+                    "random": random_topology(8, 2, 4, seed=seed)}[topo]
+    if link_model == "full_duplex":
+        topology = apply_link_model(topology, duplex="full")
+    elif link_model == "bandwidth_skew":
+        topology = apply_link_model(topology, bandwidth_skew=4.0, seed=seed)
+    system = HeterogeneousSystem.sample(graph, topology, het_range=(1, 10),
+                                        seed=seed)
+    if link_model == "per_link":
+        system = HeterogeneousSystem(
+            graph, topology,
+            {t: system.exec_cost_row(t) for t in graph.tasks()},
+            link_mode=LinkHeterogeneity.PER_LINK,
+            per_link_factors={lid: 1.0 + 0.5 * (i % 4)
+                              for i, lid in enumerate(topology.links)},
+        )
+    return system
+
+
+def _hold_probe(system, options):
+    """BSA that checks, at every examination, every node outside the
+    hold the contract allows against a full Kahn pass over a copy. The
+    first phase (sweep 0 on the first pivot) may hold the pivot's tasks
+    after the examined one; every later phase holds nothing."""
+    from repro.core.bsa import BSAScheduler
+
+    class HoldProbe(BSAScheduler):
+        phases = 0
+        checks = 0
+
+        def _run_phase(self, sched, pivot):
+            self.phases += 1
+            super()._run_phase(sched, pivot)
+
+        def _should_examine(self, sched, task, pivot):
+            held = ()
+            if self.phases == 1:
+                order = sched.proc_order[pivot]
+                held = set(order[order.index(task) + 1:])
+            _assert_exact_outside(sched, held)
+            self.checks += 1
+            return super()._should_examine(sched, task, pivot)
+
+    return HoldProbe(system, options)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 24), seed=st.integers(0, 5_000),
+       gran=st.sampled_from([0.1, 1.0, 10.0]),
+       topo=st.sampled_from(["ring", "hypercube", "random"]),
+       link_model=st.sampled_from(HOLD_LINK_MODELS),
+       options=st.sampled_from(sorted(HOLD_OPTIONS)))
+def test_first_phase_hold_is_exact(n, seed, gran, topo, link_model, options):
+    """At every examination, every node outside the hold has the times a
+    full Kahn pass gives it, under every BSA option the hold must
+    survive, and the run ends with the schedule the legacy oracle
+    produces."""
+    blobs = {}
+    before = hotpath_mode()
+    try:
+        for mode in ("legacy", "incremental"):
+            set_hotpath_mode(mode)
+            probe = _hold_probe(_hold_system(n, seed, gran, topo, link_model),
+                                HOLD_OPTIONS[options])
+            sched = probe.run()
+            assert probe.checks > 0
+            blobs[mode] = schedule_to_json(sched)
+    finally:
+        set_hotpath_mode(before)
+    assert blobs["legacy"] == blobs["incremental"]

@@ -5,7 +5,7 @@ import pytest
 from repro import RoutingTable, clique, hypercube, ring
 from repro.errors import RoutingError
 from repro.experiments.runner import build_topology
-from repro.network.routing import shortest_path, shortest_path_trie
+from repro.network.routing import alive_path, shortest_path, shortest_path_trie
 from repro.network.topology import random_topology
 
 
@@ -71,6 +71,23 @@ class TestShortestPath:
 
     def test_same_node(self):
         assert shortest_path(ring(4), 2, 2) == [2]
+
+    @pytest.mark.parametrize("name", ["ring", "torus", "hypercube",
+                                      "random", "fattree"])
+    def test_memo_equals_alive_path(self, name):
+        """One BFS per source fills the memo for every destination, and
+        every memoized path is the one :func:`alive_path` finds for that
+        destination alone."""
+        topo = build_topology(name, 16, seed=0)
+        for src in topo.processors:
+            shortest_path(topo, src, (src + 1) % topo.n_procs)
+            for dst in topo.processors:
+                if dst != src:
+                    assert topo._sp_cache[(src, dst)] == alive_path(
+                        topo, src, dst)
+        assert len(topo._sp_cache) == topo.n_procs * (topo.n_procs - 1)
+        for (src, dst), path in topo._sp_cache.items():
+            assert shortest_path(topo, src, dst) is path
 
 
 def _trie_route(trie, src, dst):
