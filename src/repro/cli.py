@@ -33,10 +33,12 @@ Commands
   Chrome ``chrome://tracing`` JSON;
 * ``info``       — library / scale / cache information.
 
-Flag choices (``--algorithm``, ``--topology``, ``--format``) are derived
-from the live registries — ``ALGORITHM_NAMES`` / ``TOPOLOGY_NAMES`` in
-:mod:`repro.experiments.config` and :data:`repro.graph.interchange.
-FORMATS` — and a docs test pins the README to them.
+Flag choices (``--algorithm``, ``--topology``, ``--format``,
+``--workload``) are derived from the live registries —
+``ALGORITHM_NAMES`` / ``TOPOLOGY_NAMES`` in
+:mod:`repro.experiments.config`, :data:`repro.graph.interchange.FORMATS`
+and ``WORKLOAD_NAMES`` in :mod:`repro.workloads.suites` — and a docs
+test pins the README to them.
 """
 
 from __future__ import annotations
@@ -153,16 +155,12 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    from repro.errors import InvalidScheduleError, SchedulingError
+    from repro.errors import InvalidScheduleError
     from repro.schedule.io import read_bundle
     from repro.schedule.metrics import compute_metrics
     from repro.schedule.validator import schedule_violations
 
-    try:
-        sched = read_bundle(args.bundle)
-    except ValueError as exc:
-        # malformed JSON surfaces like any other unusable bundle
-        raise SchedulingError(f"{args.bundle}: {exc}") from None
+    sched = read_bundle(args.bundle)
     violations = schedule_violations(sched)
     if violations:
         # exits 1 through the error table (the audit verdict), with the
@@ -481,17 +479,13 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    import json
-
     from repro.errors import SchedulingError
     from repro.obs.chrometrace import schedule_trace, trace_to_json
+    from repro.util.checked import loads
 
-    try:
-        with open(args.bundle) as fh:
-            data = json.load(fh)
-    except ValueError as exc:
-        raise SchedulingError(f"{args.bundle}: {exc}") from None
-    doc = schedule_trace(data)
+    with open(args.bundle, "rb") as fh:
+        data = fh.read()
+    doc = schedule_trace(loads(data, SchedulingError, f"bundle {args.bundle}"))
     text = trace_to_json(doc)
     if args.out:
         with open(args.out, "w") as fh:
@@ -583,6 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     from repro.experiments.config import ALGORITHM_NAMES, TOPOLOGY_NAMES
     from repro.graph.interchange import format_names
     from repro.objectives.registry import OBJECTIVE_NAMES
+    from repro.workloads.suites import WORKLOAD_NAMES
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -599,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algorithm", "-a", default="bsa",
                    choices=list(ALGORITHM_NAMES))
     p.add_argument("--workload", "-w", default="random",
-                   choices=["random", "gauss", "lu", "laplace", "mva"])
+                   choices=list(WORKLOAD_NAMES))
     p.add_argument("--graph", metavar="FILE", default=None,
                    help="schedule this task-graph file instead of a "
                         "generated workload (stg/dot/trace/json; format "
@@ -650,7 +645,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algorithm", "-a", default="bsa",
                    choices=list(ALGORITHM_NAMES))
     p.add_argument("--workload", "-w", default="random",
-                   choices=["random", "gauss", "lu", "laplace", "mva"])
+                   choices=list(WORKLOAD_NAMES))
     p.add_argument("--graph", metavar="FILE", default=None,
                    help="simulate on this task-graph file instead of a "
                         "generated workload")
@@ -714,7 +709,7 @@ def build_parser() -> argparse.ArgumentParser:
              "the deterministic non-dominated front",
     )
     p.add_argument("--workload", "-w", default="random",
-                   choices=["random", "gauss", "lu", "laplace", "mva"])
+                   choices=list(WORKLOAD_NAMES))
     p.add_argument("--size", "-n", type=int, default=100)
     p.add_argument("--granularity", "-g", type=float, default=1.0)
     p.add_argument("--topology", "-t", default="hypercube",
@@ -929,7 +924,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algorithm", "-a", default="bsa",
                    choices=list(ALGORITHM_NAMES))
     p.add_argument("--workload", "-w", default="random",
-                   choices=["random", "gauss", "lu", "laplace", "mva"])
+                   choices=list(WORKLOAD_NAMES))
     p.add_argument("--graph", metavar="FILE", default=None,
                    help="profile this task-graph file instead of a "
                         "generated workload")

@@ -35,6 +35,7 @@ from repro.experiments.config import ALGORITHM_NAMES, Cell
 from repro.experiments.external import corpus_paths
 from repro.graph.interchange import ExternalWorkload, load_workload
 from repro.graph.validation import weak_components
+from repro.util.checked import loads
 from repro.workloads.external import external_cell
 
 __all__ = [
@@ -133,13 +134,7 @@ class Manifest:
 
     @classmethod
     def from_json(cls, text: str) -> "Manifest":
-        try:
-            doc = json.loads(text)
-        except ValueError as exc:
-            raise ConfigurationError(
-                f"manifest is not valid JSON: {exc}"
-            ) from None
-        return cls.from_dict(doc)
+        return cls.from_dict(loads(text, ConfigurationError, "manifest"))
 
     def save(self, path: str) -> None:
         with open(path, "w") as fh:

@@ -35,6 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigurationError
 from repro.network.topology import Link, Proc, Topology, link_id
+from repro.util.checked import is_int, is_number, is_task_id, loads, want
 from repro.util.rng import RngStream
 
 __all__ = [
@@ -329,19 +330,18 @@ def _task_id_from_json(tid):
     """JSON has no tuples, so list task ids (the generated workloads'
     ``('U', 1, 2)`` style) come back as lists — restore them. Only a
     str, an int or a flat list of them is a task id."""
-    parts = tid if isinstance(tid, list) else [tid]
-    for part in parts:
-        if isinstance(part, bool) or not isinstance(part, (str, int)):
-            raise TypeError(
-                f"task id {tid!r} is not a str, an int or a flat list of them")
-    return tuple(tid) if isinstance(tid, list) else tid
+    if isinstance(tid, list) and all(map(is_task_id, tid)):
+        return tuple(tid)
+    if is_task_id(tid):
+        return tid
+    raise TypeError(
+        f"task id {tid!r:.60} is not a str, an int or a flat list of them")
 
 
 def _finite(name: str, value) -> float:
-    x = float(value)
-    if not math.isfinite(x):
+    if not math.isfinite(want(value, is_number, name, ValueError)):
         raise ValueError(f"{name} must be a finite number, got {value!r}")
-    return x
+    return float(value)
 
 
 def _event_from_dict(doc: Dict) -> Event:
@@ -356,17 +356,19 @@ def _event_from_dict(doc: Dict) -> Event:
                 cost=_finite("cost", doc["cost"]),
                 deps=tuple(
                     (_task_id_from_json(u), _finite("dependency cost", c))
-                    for u, c in doc.get("deps", [])
+                    for u, c in want(doc.get("deps", []), list, "deps", ValueError)
                 ),
-                exec_row=tuple(_finite("exec_row entry", c) for c in exec_row)
-                if exec_row else None,
+                exec_row=None if exec_row is None else tuple(
+                    _finite("exec_row entry", c)
+                    for c in want(exec_row, list, "exec_row", ValueError)),
             )
         if etype == "proc_failure":
-            return ProcFailure(time=time, proc=int(doc["proc"]))
+            proc = want(doc["proc"], is_int, "proc", ValueError)
+            return ProcFailure(time=time, proc=proc)
         if etype == "link_failure":
-            a, b = doc["link"]
-            return LinkFailure(time=time, link=link_id(int(a), int(b)))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            a, b = (want(p, is_int, "link end", ValueError) for p in doc["link"])
+            return LinkFailure(time=time, link=link_id(a, b))
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"malformed event record {doc!r}: {exc}") from None
     raise ConfigurationError(f"unknown event type {etype!r}")
 
@@ -378,6 +380,7 @@ def events_from_dict(doc: Dict) -> List[Event]:
     workloads use them) come back as lists; they are restored to tuples
     here so they can be used as graph keys again.
     """
+    want(doc, dict, "event trace", ConfigurationError)
     if doc.get("format") != EVENT_TRACE_FORMAT:
         raise ConfigurationError(
             f"not an event trace (format={doc.get('format')!r}, "
@@ -387,9 +390,8 @@ def events_from_dict(doc: Dict) -> List[Event]:
         raise ConfigurationError(
             f"unsupported event-trace version {doc.get('version')!r}"
         )
-    events = doc.get("events")
-    if not isinstance(events, list):
-        raise ConfigurationError("event trace has no 'events' list")
+    events = want(doc.get("events"), list, "event trace field events",
+                  ConfigurationError)
     return sort_events([_event_from_dict(e) for e in events])
 
 
@@ -402,11 +404,6 @@ def write_event_trace(events: Sequence[Event], path: str, indent: int = 2) -> No
 
 def read_event_trace(path: str) -> List[Event]:
     """Load an event-trace file written by :func:`write_event_trace`."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"{path}: not valid JSON ({exc})") from None
-    if not isinstance(doc, dict):
-        raise ConfigurationError(f"{path}: event trace must be a JSON object")
-    return events_from_dict(doc)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return events_from_dict(loads(data, ConfigurationError, f"event trace {path}"))

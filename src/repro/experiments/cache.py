@@ -19,7 +19,7 @@ The cache is versioned: changing the library's algorithmic behavior
 should bump ``CACHE_VERSION`` so stale numbers are never mixed in.
 Entry files are untrusted input: one that is missing, unreadable, not a
 JSON object, from another version or for another key is a miss, never
-an error.
+an error, and a value its reader's check refuses is stale.
 """
 
 from __future__ import annotations
@@ -30,9 +30,10 @@ import os
 import re
 import sys
 import tempfile
-from typing import Dict, Mapping, Optional, Set
+from typing import Callable, Dict, Mapping, Optional, Set
 
 from repro.obs import counters as _obs
+from repro.util.checked import loads
 
 CACHE_VERSION = 3
 
@@ -101,9 +102,9 @@ def is_stale(value: dict, request_key: str,
                     for name, kind in fields.items())
     if _obs.ACTIVE:
         # every get() that found an entry is followed by exactly one
-        # is_stale() at each caller, so hit/stale tally here (misses
-        # tally in ResultCache.get) and the three dispositions partition
-        # the lookups
+        # is_stale() at each caller, so hit/stale tally here (misses and
+        # refused entries tally in ResultCache.get) and the three
+        # dispositions partition the lookups
         _obs.inc("cache.stale" if stale else "cache.hits")
     return stale
 
@@ -128,10 +129,18 @@ class ResultCache:
         digest = hashlib.sha256(key.encode("utf-8")).hexdigest()
         return os.path.join(self.path, digest + ".json")
 
-    def get(self, key: str) -> Optional[dict]:
+    def get(self, key: str,
+            check: Optional[Callable[[dict], bool]] = None) -> Optional[dict]:
+        """The value stored under ``key``, or None. ``check`` vets a value
+        read from its file: one it refuses is stale, to be recomputed.
+        Values in memory were written or vetted here: a hit pays none."""
         value = self._entries.get(key)
         if value is None:
             value = self._read(key)
+            if value is not None and check is not None and not check(value):
+                if _obs.ACTIVE:
+                    _obs.inc("cache.stale")
+                return None
             if value is not None:
                 self._entries[key] = value
             elif _obs.ACTIVE:
@@ -140,9 +149,9 @@ class ResultCache:
 
     def _read(self, key: str) -> Optional[dict]:
         try:
-            with open(self._file(key)) as fh:
-                blob = json.load(fh)
-        except (OSError, ValueError, RecursionError):
+            with open(self._file(key), "rb") as fh:
+                blob = loads(fh.read(), ValueError, "cache entry")
+        except (OSError, ValueError):
             return None
         if (
             not isinstance(blob, dict)

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, TopologyError
 from repro.experiments.cache import (
     ResultCache,
     default_cache,
@@ -48,6 +48,7 @@ from repro.core.bsa import BSAOptions, schedule_bsa
 from repro.objectives.registry import evaluate_objectives
 from repro.schedule.metrics import compute_metrics
 from repro.schedule.validator import validate_schedule
+from repro.util.checked import is_int, is_number
 from repro.workloads.external import EXTERNAL_SUITE, resolve_external
 from repro.workloads.suites import random_graph, regular_graph
 
@@ -81,7 +82,34 @@ class CellResult:
         return cls(**{k: v for k, v in d.items() if not k.startswith("__")})
 
 
+#: each CellResult field's type rule in a cached entry
+_CELL_FIELDS = {
+    "schedule_length": is_number, "total_comm_cost": is_number,
+    "speedup": is_number, "normalized_sl": is_number, "runtime_s": is_number,
+    "n_tasks": is_int, "n_edges": is_int, "n_events": is_int,
+    "objectives": lambda o: isinstance(o, dict) and all(map(is_number, o.values())),
+}
+
+
+def _cell_entry_ok(value: dict) -> bool:
+    """Whether a cell entry read from disk rebuilds a :class:`CellResult`:
+    every field of its type, none unknown, and none missing but the two
+    that entries written before them lack."""
+    names = {k for k in value if not k.startswith("__")}
+    return (_CELL_FIELDS.keys() - {"n_events", "objectives"} <= names <= _CELL_FIELDS.keys()
+            and all(_CELL_FIELDS[k](value[k]) for k in names))
+
+
+#: the most processors a named topology is built over: the network is
+#: built in memory before anything runs (a clique over 1024 processors
+#: has 523776 links), so no count from a request or a trace goes past it
+MAX_PROCS = 1024
+
+
 def build_topology(name: str, n_procs: int, seed: int = 0) -> Topology:
+    if n_procs > MAX_PROCS:
+        raise TopologyError(
+            f"{name} over {n_procs} processors: at most {MAX_PROCS}")
     if name == "ring":
         return ring(n_procs)
     if name == "hypercube":
@@ -210,7 +238,7 @@ def run_cell(
     if cache is None:
         cache = default_cache()
     if use_cache:
-        hit = cache.get(cell.key())
+        hit = cache.get(cell.key(), _cell_entry_ok)
         if hit is not None and not is_stale(hit, cell.key()):
             return CellResult.from_dict(hit)
 
@@ -396,7 +424,7 @@ def _run_cells_impl(
     results: Dict[str, CellResult] = {}
     misses: List[Cell] = []
     for key, cell in unique.items():
-        hit = cache.get(key) if use_cache else None
+        hit = cache.get(key, _cell_entry_ok) if use_cache else None
         if hit is not None and is_stale(hit, key):
             report.stale += 1
             hit = None

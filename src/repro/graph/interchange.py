@@ -84,6 +84,7 @@ from repro.errors import ConfigurationError, GraphError
 from repro.graph.io import _parse_id, graph_from_json, graph_to_json
 from repro.graph.model import TaskGraph, TaskId
 from repro.graph.validation import validate_graph
+from repro.util.checked import is_int, is_number, is_task_id, loads, want
 
 __all__ = [
     "ExternalWorkload",
@@ -223,26 +224,13 @@ def _as_graph(obj) -> TaskGraph:
     raise GraphError(f"cannot interpret {type(obj).__name__} as a task graph")
 
 
-def _is_interchange_id(task) -> bool:
-    """True for the id types every interchange format can carry: int or
-    str (bool is an int subclass but would not survive a round trip)."""
-    return isinstance(task, (int, str)) and not isinstance(task, bool)
-
-
-def _is_number(x) -> bool:
-    """True for an int or float a float can hold; a bool is no number."""
-    return isinstance(x, float) or (
-        isinstance(x, int) and not isinstance(x, bool)
-        and abs(x) <= sys.float_info.max)
-
-
 def _id_repr(task: TaskId) -> str:
     """Repr of an int/str task id, rejecting everything else up front.
 
     The repr is a Python literal, so :func:`repro.graph.io._parse_id`
     inverts it exactly (escapes and embedded newlines included) and the
     one-line-per-record formats stay line-based."""
-    if not _is_interchange_id(task):
+    if not is_task_id(task):
         raise GraphError(
             f"interchange formats support int and str task ids; got "
             f"{task!r} ({type(task).__name__}) — relabel with "
@@ -405,8 +393,8 @@ def read_stg(
         if key == "name":
             if graph_name is None:
                 try:
-                    decoded = json.loads(value)
-                except ValueError:
+                    decoded = loads(value, GraphError, "#@ name")
+                except GraphError:
                     decoded = value  # hand-written unquoted name
                 graph_name = decoded if isinstance(decoded, str) else value
         elif key == "task":
@@ -831,27 +819,23 @@ def trace_from_dict(doc, name: Optional[str] = None) -> ExternalWorkload:
         raise GraphError("trace tasks carry neither 'cost' nor 'costs'")
     n_procs = doc.get("n_procs")
     if has_vectors:
-        if type(n_procs) is not int or n_procs <= 0:
+        if not is_int(n_procs) or n_procs <= 0:
             raise GraphError(
                 "trace with per-processor 'costs' vectors must declare a "
                 "positive integer 'n_procs'"
             )
-    doc_name = doc.get("name", "trace")
-    if not isinstance(doc_name, str):
-        raise GraphError(f"trace field name must be a string, got {doc_name!r:.60}")
+    doc_name = want(doc.get("name", "trace"), str, "trace field name", GraphError)
     graph = TaskGraph(name=name or doc_name)
     exec_costs: Dict[TaskId, Tuple[float, ...]] = {}
     for entry in tasks:
-        tid = entry["id"]
-        if not _is_interchange_id(tid):
-            raise GraphError(f"trace task id must be int or str, got {tid!r}")
+        tid = want(entry["id"], is_task_id, "trace task id", GraphError)
         if has_vectors:
             row = entry.get("costs")
             if not isinstance(row, list) or len(row) != n_procs:
                 raise GraphError(
                     f"task {tid!r}: 'costs' must be a list of {n_procs} numbers"
                 )
-            if not all(map(_is_number, row)):
+            if not all(map(is_number, row)):
                 raise GraphError(
                     f"task {tid!r}: 'costs' must be numbers, got {row!r:.60}")
             row_t = tuple(map(float, row))
@@ -863,24 +847,17 @@ def trace_from_dict(doc, name: Optional[str] = None) -> ExternalWorkload:
             graph.add_task(tid, min(row_t))
             exec_costs[tid] = row_t
         else:
-            cost = entry.get("cost")
-            if not _is_number(cost):
-                raise GraphError(
-                    f"task {tid!r}: 'cost' must be a number, got {cost!r:.60}")
+            cost = want(entry.get("cost"), is_number, f"task {tid!r}: 'cost'",
+                        GraphError)
             graph.add_task(tid, float(cost))
-    edges = doc.get("edges", [])
-    if not isinstance(edges, list):
-        raise GraphError(f"trace field edges must be a list, got {edges!r:.60}")
-    for entry in edges:
+    for entry in want(doc.get("edges", []), list, "trace field edges", GraphError):
         if not isinstance(entry, dict) or "src" not in entry or "dst" not in entry:
             raise GraphError(f"malformed trace edge entry {entry!r:.60}")
         src, dst, comm = entry["src"], entry["dst"], entry.get("comm", 0.0)
-        if not (_is_interchange_id(src) and _is_interchange_id(dst)):
+        if not (is_task_id(src) and is_task_id(dst)):
             raise GraphError(
                 f"trace edge ids must be int or str, got {src!r:.60}->{dst!r:.60}")
-        if not _is_number(comm):
-            raise GraphError(
-                f"edge {src!r}->{dst!r}: 'comm' must be a number, got {comm!r:.60}")
+        want(comm, is_number, f"edge {src!r}->{dst!r}: 'comm'", GraphError)
         graph.add_edge(src, dst, float(comm))
     return ExternalWorkload(
         graph=graph,
@@ -905,11 +882,7 @@ def read_trace(text: str, name: Optional[str] = None) -> ExternalWorkload:
     >>> wl.graph.cost("a"), wl.exec_costs["a"], wl.n_procs
     (2.0, (4.0, 2.0), 2)
     """
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:
-        raise GraphError(f"trace is not valid JSON: {exc}") from None
-    workload = trace_from_dict(doc, name=name)
+    workload = trace_from_dict(loads(text, GraphError, "trace"), name=name)
     return dataclasses.replace(workload, content_hash=content_hash(text))
 
 
@@ -1235,7 +1208,7 @@ def _wf_file_size(entry: Mapping, what: str) -> float:
     size = entry.get("sizeInBytes", entry.get("size"))
     if size is None:
         return 0.0
-    if not _is_number(size):
+    if not is_number(size):
         raise GraphError(f"{what}: file size {size!r:.60} is not a number")
     return float(size)
 
@@ -1246,17 +1219,10 @@ def _wf_list(entry: Mapping, key: str, what: str, ids: bool = False) -> list:
     value = entry.get(key)
     if value is None:
         return []
-    if not isinstance(value, list):
-        raise GraphError(f"{what}: {key!r} must be a list, got {value!r:.60}")
+    want(value, list, f"{what}: {key!r}", GraphError)
     if ids:
         for x in value:
-            _wf_id(x, f"{what}: {key!r} entry")
-    return value
-
-
-def _wf_id(value, what: str):
-    if not _is_interchange_id(value):
-        raise GraphError(f"{what} must be an int or str id, got {value!r:.60}")
+            want(x, is_task_id, f"{what}: {key!r} entry", GraphError)
     return value
 
 
@@ -1287,10 +1253,7 @@ def read_wfcommons(
     (['a', 'b'], 0.5)
     """
     _positive_scales(runtime_scale, size_scale, default_comm, "WfCommons")
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:
-        raise GraphError(f"WfCommons document is not valid JSON: {exc}") from None
+    doc = loads(text, GraphError, "WfCommons document")
     if not isinstance(doc, dict) or not isinstance(doc.get("workflow"), dict):
         raise GraphError("not a WfCommons document (no 'workflow' object)")
     wf = doc["workflow"]
@@ -1301,9 +1264,7 @@ def read_wfcommons(
         tid = entry.get(prefer[0], entry.get(prefer[1]))
         if tid is None:
             raise GraphError(f"WfCommons task entry without id/name: {entry!r}")
-        if not _is_interchange_id(tid):
-            raise GraphError(f"WfCommons task id must be int or str, got {tid!r}")
-        return tid
+        return want(tid, is_task_id, "WfCommons task id", GraphError)
 
     def task_cost(tid: TaskId, runtime) -> float:
         if runtime is None:
@@ -1311,7 +1272,7 @@ def read_wfcommons(
                 f"WfCommons task {tid!r} has no runtime; runtimes are the "
                 f"only execution-cost signal a workflow instance carries"
             )
-        if not _is_number(runtime):
+        if not is_number(runtime):
             raise GraphError(
                 f"WfCommons task {tid!r}: runtime {runtime!r:.60} is not a number")
         c = float(runtime) * runtime_scale
@@ -1337,14 +1298,15 @@ def read_wfcommons(
         for f in _wf_list(spec, "files", "WfCommons specification"):
             fid = f.get("id", f.get("name")) if isinstance(f, dict) else None
             if fid is not None:
-                sizes[_wf_id(fid, "WfCommons file id")] = _wf_file_size(f, "WfCommons")
+                sizes[want(fid, is_task_id, "WfCommons file id", GraphError)] = \
+                    _wf_file_size(f, "WfCommons")
         runtimes: Dict[TaskId, Any] = {}
         execution = wf.get("execution")
         if isinstance(execution, dict):
             for e in _wf_list(execution, "tasks", "WfCommons execution"):
                 if isinstance(e, dict):
-                    eid = _wf_id(e.get("id", e.get("name")),
-                                 "WfCommons execution task id")
+                    eid = want(e.get("id", e.get("name")), is_task_id,
+                               "WfCommons execution task id", GraphError)
                     runtimes[eid] = e.get("runtimeInSeconds", e.get("runtime"))
         for entry in spec["tasks"]:
             tid = task_key(entry, ("id", "name"))
@@ -1384,7 +1346,7 @@ def read_wfcommons(
                 fname = f.get("id", f.get("name"))
                 if fname is None:
                     continue
-                _wf_id(fname, f"{what}: file id")
+                want(fname, is_task_id, f"{what}: file id", GraphError)
                 link = f.get("link")
                 if link is not None and not isinstance(link, str):
                     raise GraphError(
@@ -1488,8 +1450,8 @@ def _json_doc(text: str) -> Optional[dict]:
     if not text.lstrip().startswith("{"):
         return None
     try:
-        doc = json.loads(text)
-    except ValueError:
+        doc = loads(text, GraphError, "document")
+    except GraphError:
         return None
     return doc if isinstance(doc, dict) else None
 
@@ -1850,7 +1812,7 @@ def relabel_tasks(
     """
     if rename is None:
         def rename(t: TaskId) -> TaskId:
-            if _is_interchange_id(t):
+            if is_task_id(t):
                 return t
             if isinstance(t, tuple):
                 return "_".join(str(part) for part in t)

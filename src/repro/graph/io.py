@@ -22,6 +22,7 @@ from typing import Any, Dict
 
 from repro.errors import GraphError
 from repro.graph.model import TaskGraph
+from repro.util.checked import is_number, loads, want
 
 _FORMAT_VERSION = 1
 
@@ -54,18 +55,13 @@ def graph_from_dict(data: Dict[str, Any]) -> TaskGraph:
     >>> graph_from_dict(graph_to_dict(g)).cost(7)
     2.5
     """
-    if not isinstance(data, dict):
-        raise GraphError(f"json graph must be an object, got {data!r:.60}")
+    want(data, dict, "json graph", GraphError)
     if data.get("version") != _FORMAT_VERSION:
         raise GraphError(f"unsupported graph format version {data.get('version')!r}")
-    name = data.get("name", "graph")
-    if not isinstance(name, str):
-        raise GraphError(f"json graph field name must be a string, got {name!r:.60}")
+    name = want(data.get("name", "graph"), str, "json graph field name", GraphError)
     g = TaskGraph(name=name)
     for field, width, add in (("tasks", 2, g.add_task), ("edges", 3, g.add_edge)):
-        rows = data.get(field)
-        if not isinstance(rows, list):
-            raise GraphError(f"json graph field {field} must be a list, got {rows!r:.60}")
+        rows = want(data.get(field), list, f"json graph field {field}", GraphError)
         for i, row in enumerate(rows):
             add(*_row(row, f"{field}[{i}]", width))
     return g
@@ -82,9 +78,7 @@ def _row(row, field: str, width: int) -> list:
         if not isinstance(raw, str):
             raise GraphError(
                 f"json graph field {field}[{j}] must be a task id repr string, got {raw!r:.60}")
-    if isinstance(cost, bool) or not isinstance(cost, (int, float)):
-        raise GraphError(
-            f"json graph field {field}[{width - 1}] must be a number, got {cost!r:.60}")
+    want(cost, is_number, f"json graph field {field}[{width - 1}]", GraphError)
     return [*map(_parse_id, ids), cost]
 
 
@@ -131,11 +125,7 @@ def graph_from_json(text: str) -> TaskGraph:
     ... ).n_tasks
     1
     """
-    try:
-        data = json.loads(text)
-    except ValueError as exc:
-        raise GraphError(f"json graph is not valid JSON: {exc}") from None
-    return graph_from_dict(data)
+    return graph_from_dict(loads(text, GraphError, "json graph"))
 
 
 def to_networkx(graph: TaskGraph):

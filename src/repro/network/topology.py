@@ -25,10 +25,12 @@ tests and the link-model ablations.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import TopologyError
+from repro.util.checked import is_int, is_number, loads, want
 from repro.util.rng import RngStream, stable_uniform
 
 Proc = int
@@ -36,11 +38,6 @@ Link = Tuple[int, int]
 
 #: duplex modes a link can operate in
 DUPLEX_MODES = ("half", "full")
-
-
-def _is_int(value) -> bool:
-    """An int that is not a bool (JSON ``true`` parses to one)."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def link_id(x: Proc, y: Proc) -> Link:
@@ -67,9 +64,11 @@ class LinkSpec:
     duplex: str = "half"
 
     def __post_init__(self):
-        if not (self.bandwidth > 0):
+        # a hop lasts cost / bandwidth: an infinite bandwidth gives
+        # zero-length hops, and an int a float cannot hold overflows
+        if not 0 < self.bandwidth <= sys.float_info.max:
             raise TopologyError(
-                f"link bandwidth must be positive, got {self.bandwidth}"
+                f"link bandwidth must be positive and finite, got {self.bandwidth!r}"
             )
         if self.duplex not in DUPLEX_MODES:
             raise TopologyError(
@@ -83,18 +82,13 @@ class LinkSpec:
     def from_dict(cls, d: Mapping) -> "LinkSpec":
         """Rebuild a spec exported by :meth:`to_dict`; a malformed field
         raises :class:`TopologyError` naming it."""
-        if not isinstance(d, Mapping):
-            raise TopologyError(
-                f"link spec must be an object, got {type(d).__name__}")
-        bandwidth = d.get("bandwidth", 1.0)
-        if isinstance(bandwidth, bool) or not isinstance(bandwidth, (int, float)):
-            raise TopologyError(
-                f"link spec field 'bandwidth' must be a number, got {bandwidth!r}")
-        duplex = d.get("duplex", "half")
-        if not isinstance(duplex, str):
-            raise TopologyError(
-                f"link spec field 'duplex' must be a string, got {duplex!r}")
-        return cls(bandwidth=bandwidth, duplex=duplex)
+        want(d, dict, "link spec", TopologyError)
+        return cls(
+            bandwidth=want(d.get("bandwidth", 1.0), is_number,
+                           "link spec field 'bandwidth'", TopologyError),
+            duplex=want(d.get("duplex", "half"), str,
+                        "link spec field 'duplex'", TopologyError),
+        )
 
 
 #: the paper's uniform link: unit bandwidth, half duplex
@@ -318,21 +312,13 @@ class Topology:
         topology file, a bundle), so every field is checked and a
         malformed one raises :class:`TopologyError` naming it.
         """
-        if not isinstance(d, Mapping):
-            raise TopologyError(
-                f"topology must be an object, got {type(d).__name__}")
-        n_procs = d.get("n_procs")
-        if not _is_int(n_procs):
-            raise TopologyError(
-                f"topology field 'n_procs' must be an integer, got {n_procs!r}")
-        links = d.get("links")
-        if not isinstance(links, list):
-            raise TopologyError(
-                f"topology field 'links' must be a list of processor pairs, "
-                f"got {links!r}")
+        want(d, dict, "topology", TopologyError)
+        n_procs = want(d.get("n_procs"), is_int, "topology field 'n_procs'",
+                       TopologyError)
+        links = want(d.get("links"), list, "topology field 'links'", TopologyError)
         for k, pair in enumerate(links):
             if not (isinstance(pair, (list, tuple)) and len(pair) == 2
-                    and _is_int(pair[0]) and _is_int(pair[1])):
+                    and is_int(pair[0]) and is_int(pair[1])):
                 raise TopologyError(
                     f"topology field 'links[{k}]' must be a pair of processor "
                     f"ids, got {pair!r}")
@@ -342,16 +328,12 @@ class Topology:
             raise TopologyError(
                 f"topology field 'n_procs' is {n_procs}, but {len(links)} "
                 f"links connect at most {len(links) + 1} processors")
-        name = d.get("name", "topology")
-        if not isinstance(name, str):
-            raise TopologyError(
-                f"topology field 'name' must be a string, got {name!r}")
+        name = want(d.get("name", "topology"), str, "topology field 'name'",
+                    TopologyError)
         raw_specs = d.get("link_specs")
         if raw_specs is None:
             raw_specs = {}
-        if not isinstance(raw_specs, Mapping):
-            raise TopologyError(
-                f"topology field 'link_specs' must be an object, got {raw_specs!r}")
+        want(raw_specs, dict, "topology field 'link_specs'", TopologyError)
         specs: Dict[Link, LinkSpec] = {}
         for key, spec in raw_specs.items():
             a, sep, b = key.partition("-") if isinstance(key, str) else ("", "", "")
@@ -444,10 +426,7 @@ def topology_from_json(text: str) -> Topology:
     >>> topology_from_json(topology_to_json(ring(4))).n_procs
     4
     """
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:
-        raise TopologyError(f"topology file is not valid JSON: {exc}") from None
+    doc = loads(text, TopologyError, "topology file")
     if not isinstance(doc, dict) or doc.get("format") != TOPOLOGY_FORMAT:
         raise TopologyError(
             f"not a {TOPOLOGY_FORMAT} document "
@@ -473,8 +452,8 @@ def is_topology_json(text: str) -> bool:
     if not text.lstrip().startswith("{"):
         return False
     try:
-        doc = json.loads(text)
-    except ValueError:
+        doc = loads(text, TopologyError, "topology file")
+    except TopologyError:
         return False
     return isinstance(doc, dict) and doc.get("format") == TOPOLOGY_FORMAT
 
@@ -488,7 +467,7 @@ def save_topology(topology: Topology, path: str) -> None:
 def load_topology(path: str) -> Topology:
     """Read a topology file written by :func:`save_topology` (or by
     hand — the format is :meth:`Topology.to_dict` plus an envelope)."""
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         return topology_from_json(fh.read())
 
 

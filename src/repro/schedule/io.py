@@ -28,29 +28,19 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.errors import SchedulingError
 from repro.network.system import HeterogeneousSystem, LinkHeterogeneity
 from repro.schedule.schedule import Schedule
+from repro.util.checked import is_int, is_number, is_task_id, loads, want
 
 _FORMAT_VERSION = 1
 
 BUNDLE_FORMAT = "repro-schedule-bundle"
 BUNDLE_VERSION = 1
 
-_NUMBER = (int, float)
-_KIND_NAMES = {
-    dict: "an object", list: "a list", str: "a string", int: "an integer",
-    bool: "true or false", _NUMBER: "a number",
-}
-
 
 def _expect(value, kind, field: str):
-    """``value`` when it is a ``kind`` (a bool passes only as a bool),
-    else a :class:`SchedulingError` naming the bundle ``field``: bundles
+    """:func:`~repro.util.checked.want` for the bundle ``field``: bundles
     are untrusted input, so a malformed one fails typed, not with a
     ``KeyError`` or ``TypeError`` from deep inside the rebuild."""
-    if isinstance(value, kind) and (kind is bool or type(value) is not bool):
-        return value
-    raise SchedulingError(
-        f"bundle field {field} must be {_KIND_NAMES[kind]}, got {value!r:.60}"
-    )
+    return want(value, kind, f"bundle field {field}", SchedulingError)
 
 
 def _numbers(value, field: str, length: int):
@@ -61,7 +51,7 @@ def _numbers(value, field: str, length: int):
             f"bundle field {field} must hold {length} numbers, got {len(value)}"
         )
     for i, x in enumerate(value):
-        _expect(x, _NUMBER, f"{field}[{i}]")
+        _expect(x, is_number, f"{field}[{i}]")
     return value
 
 
@@ -128,9 +118,9 @@ def read_schedule_section(data) -> Tuple[List[tuple], List[tuple]]:
         field = f"schedule.tasks[{i}]"
         _expect(entry, dict, field)
         tasks.append((_expect(entry.get("task"), str, f"{field}.task"),
-                      _expect(entry.get("proc"), int, f"{field}.proc"),
-                      _expect(entry.get("start"), _NUMBER, f"{field}.start"),
-                      _expect(entry.get("finish"), _NUMBER, f"{field}.finish")))
+                      _expect(entry.get("proc"), is_int, f"{field}.proc"),
+                      _expect(entry.get("start"), is_number, f"{field}.start"),
+                      _expect(entry.get("finish"), is_number, f"{field}.finish")))
     messages = []
     for i, msg in enumerate(_expect(data.get("messages"), list, "schedule.messages")):
         field = f"schedule.messages[{i}]"
@@ -144,16 +134,16 @@ def read_schedule_section(data) -> Tuple[List[tuple], List[tuple]]:
         for j, hop in enumerate(_expect(msg.get("hops"), list, f"{field}.hops")):
             where = f"{field}.hops[{j}]"
             _expect(hop, dict, where)
-            hops.append((_expect(hop.get("src"), int, f"{where}.src"),
-                         _expect(hop.get("dst"), int, f"{where}.dst"),
-                         _expect(hop.get("start"), _NUMBER, f"{where}.start"),
-                         _expect(hop.get("finish"), _NUMBER, f"{where}.finish")))
+            hops.append((_expect(hop.get("src"), is_int, f"{where}.src"),
+                         _expect(hop.get("dst"), is_int, f"{where}.dst"),
+                         _expect(hop.get("start"), is_number, f"{where}.start"),
+                         _expect(hop.get("finish"), is_number, f"{where}.finish")))
         messages.append((u, v, local, hops))
     length = data.get("schedule_length")
     if length is not None:
         # the same max, over the same order, as Schedule.schedule_length
         latest = max((t[3] for t in tasks), default=0.0)
-        if _expect(length, _NUMBER, "schedule.schedule_length") != latest:
+        if _expect(length, is_number, "schedule.schedule_length") != latest:
             raise SchedulingError(
                 f"bundle field schedule.schedule_length is {length!r}, but "
                 f"the latest recorded finish is {latest!r}"
@@ -199,7 +189,7 @@ def schedule_from_dict(data: Dict[str, Any], system: HeterogeneousSystem) -> Sch
 
 
 def schedule_from_json(text: str, system: HeterogeneousSystem) -> Schedule:
-    return schedule_from_dict(json.loads(text), system)
+    return schedule_from_dict(loads(text, SchedulingError, "schedule"), system)
 
 
 # ----------------------------------------------------------------------
@@ -221,7 +211,6 @@ def bundle_to_dict(schedule: Schedule) -> Dict[str, Any]:
     """
     from repro.graph.interchange import (
         ExternalWorkload,
-        _is_interchange_id,
         relabel_tasks,
         trace_to_dict,
     )
@@ -230,7 +219,7 @@ def bundle_to_dict(schedule: Schedule) -> Dict[str, Any]:
     graph = system.graph
     tasks = graph.tasks()
     named = graph
-    if not all(_is_interchange_id(t) for t in tasks):
+    if not all(map(is_task_id, tasks)):
         if system.link_mode is LinkHeterogeneity.PER_MESSAGE_LINK:
             raise SchedulingError(
                 "cannot export a schedule over a PER_MESSAGE_LINK system "
@@ -306,7 +295,7 @@ def bundle_from_dict(data: Dict[str, Any]) -> Schedule:
                 f"bundle field link_model.per_link key {key!r} is not '<proc>-<proc>'"
             )
         per_link[int(a), int(b)] = _expect(
-            factor, _NUMBER, f"link_model.per_link[{key!r}]")
+            factor, is_number, f"link_model.per_link[{key!r}]")
     system = HeterogeneousSystem.from_exec_table(
         graph,
         topology,
@@ -315,7 +304,7 @@ def bundle_from_dict(data: Dict[str, Any]) -> Schedule:
         per_link_factors=per_link or None,
         link_factor_range=tuple(_numbers(
             lm.get("factor_range", [1.0, 1.0]), "link_model.factor_range", 2)),
-        link_seed=_expect(lm.get("seed", 0), int, "link_model.seed"),
+        link_seed=_expect(lm.get("seed", 0), is_int, "link_model.seed"),
     )
     return schedule_from_dict(data.get("schedule"), system)
 
@@ -486,12 +475,9 @@ def bundle_to_json(schedule: Schedule) -> str:
     return json.dumps(doc, indent=2) if text is None else text
 
 
-def bundle_from_json(text: str) -> Schedule:
-    try:
-        data = json.loads(text)
-    except ValueError as exc:
-        raise SchedulingError(f"bundle is not valid JSON: {exc}") from None
-    return bundle_from_dict(data)
+def bundle_from_json(text) -> Schedule:
+    """Rebuild a bundle from its JSON text (or UTF-8 bytes)."""
+    return bundle_from_dict(loads(text, SchedulingError, "bundle"))
 
 
 def write_bundle(schedule: Schedule, path: str) -> None:
@@ -504,5 +490,6 @@ def read_bundle(path: str) -> Schedule:
     """Read a bundle back into a fully-bound :class:`Schedule` — no
     generating code needed; feed the result to ``validate_schedule``
     for a complete replay audit."""
-    with open(path) as fh:
-        return bundle_from_json(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return bundle_from_dict(loads(data, SchedulingError, f"bundle {path}"))

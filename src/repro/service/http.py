@@ -80,6 +80,7 @@ from repro.service.requests import (
     ScheduleRequest,
     SweepRequest,
 )
+from repro.util.checked import loads, want
 
 __all__ = ["ReproServer", "make_server", "serve"]
 
@@ -291,18 +292,8 @@ class _Handler(BaseHTTPRequestHandler):
         raw = self.rfile.read(length) if length > 0 else b""
         if not raw:
             raise ConfigurationError("request body is empty; expected JSON")
-        try:
-            doc = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError) as exc:
-            raise ConfigurationError(
-                f"request body is not valid JSON: {exc}"
-            ) from None
-        if not isinstance(doc, dict):
-            raise ConfigurationError(
-                f"request body must be a JSON object, got "
-                f"{type(doc).__name__}"
-            )
-        return doc
+        return want(loads(raw, ConfigurationError, "request body"), dict,
+                    "request body", ConfigurationError)
 
     def _wall_headers(self, response,
                       extra: Optional[Dict[str, str]] = None) -> Dict[str, str]:

@@ -34,7 +34,6 @@ may both compute, but they compute the same bytes.
 
 from __future__ import annotations
 
-import json
 import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional
@@ -48,6 +47,7 @@ from repro.service.requests import (
     SimulateRequest,
     SweepRequest,
 )
+from repro.util.checked import loads
 
 __all__ = ["ServiceResponse", "execute", "build_schedule_system"]
 
@@ -424,13 +424,8 @@ def _execute_simulate(req: SimulateRequest) -> ServiceResponse:
     sched = _run_scheduler(req, system)
     static_sl = sched.schedule_length()
     if req.events is not None:
-        try:
-            doc = json.loads(req.events)
-        except ValueError as exc:
-            raise ConfigurationError(
-                f"inline event trace is not valid JSON: {exc}"
-            ) from None
-        events = events_from_dict(doc)
+        events = events_from_dict(
+            loads(req.events, ConfigurationError, "inline event trace"))
         source = "inline events"
     elif req.events_path is not None:
         events = read_event_trace(req.events_path)

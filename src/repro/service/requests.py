@@ -49,6 +49,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Type
 
 from repro.errors import ConfigurationError, WorkloadError
+from repro.util.checked import is_int, is_number, loads, want
 
 __all__ = [
     "ScheduleRequest",
@@ -68,25 +69,9 @@ _DUPLEXES = ("half", "full")
 # field validation helpers
 # ----------------------------------------------------------------------
 
-def _want(kind: str, name: str, value, types, extra: str = ""):
-    if isinstance(value, bool) and bool not in (
-        types if isinstance(types, tuple) else (types,)
-    ):
-        raise ConfigurationError(
-            f"{kind}.{name} must not be a boolean, got {value!r}"
-        )
-    if not isinstance(value, types):
-        raise ConfigurationError(
-            f"{kind}.{name} has the wrong type: got {type(value).__name__} "
-            f"{value!r}{extra}"
-        )
-    return value
-
-
 def _positive(kind: str, name: str, value) -> float:
-    _want(kind, name, value, (int, float))
-    # json.loads parses NaN, Infinity and ints too large for a float;
-    # none of them passes
+    want(value, is_number, f"{kind}.{name}", ConfigurationError)
+    # JSON documents carry NaN and Infinity; neither passes
     if not 0 < value <= sys.float_info.max:
         raise ConfigurationError(
             f"{kind}.{name} must be a finite number > 0, got {value!r}")
@@ -94,7 +79,7 @@ def _positive(kind: str, name: str, value) -> float:
 
 
 def _choice(kind: str, name: str, value, choices) -> str:
-    _want(kind, name, value, str)
+    want(value, str, f"{kind}.{name}", ConfigurationError)
     if value not in choices:
         raise ConfigurationError(
             f"{kind}.{name} must be one of {list(choices)}, got {value!r}"
@@ -110,14 +95,14 @@ def _check_grid(kind: str, suite: str, apps, topologies, n_procs: int,
     topology that cannot take ``n_procs`` (built once each, raising
     the builder's own error)."""
     from repro.experiments.runner import build_topology
-    from repro.workloads.suites import EXTENSION_APPS, REGULAR_APPS
+    from repro.workloads.suites import WORKLOAD_NAMES
 
     if n_procs < 1:
         raise ConfigurationError(f"{kind}.n_procs must be >= 1, got {n_procs}")
     if het_lo > het_hi:
         raise ConfigurationError(
             f"{kind}: het_lo {het_lo!r} exceeds het_hi {het_hi!r}")
-    known = ("random",) if suite == "random" else (*REGULAR_APPS, *EXTENSION_APPS)
+    known = WORKLOAD_NAMES[:1] if suite == "random" else WORKLOAD_NAMES[1:]
     for app in apps:
         if app not in known:
             raise WorkloadError(
@@ -129,11 +114,7 @@ def _check_grid(kind: str, suite: str, apps, topologies, n_procs: int,
 
 def _from_dict(cls, data) -> Any:
     """Strict dataclass hydration: unknown keys are an error."""
-    if not isinstance(data, dict):
-        raise ConfigurationError(
-            f"a {cls.__name__} must be a JSON object, got "
-            f"{type(data).__name__}"
-        )
+    want(data, dict, f"a {cls.__name__}", ConfigurationError)
     names = {f.name for f in dataclasses.fields(cls)}
     unknown = sorted(set(data) - names - {"type"})
     if unknown:
@@ -188,13 +169,7 @@ class _RequestBase:
 
     @classmethod
     def from_json(cls, text: str):
-        try:
-            data = json.loads(text)
-        except ValueError as exc:
-            raise ConfigurationError(
-                f"request is not valid JSON: {exc}"
-            ) from None
-        return cls.from_dict(data)
+        return cls.from_dict(loads(text, ConfigurationError, "request"))
 
 
 # ----------------------------------------------------------------------
@@ -246,15 +221,15 @@ class ScheduleRequest(_RequestBase):
                 f"(a file), not both"
             )
         if self.graph is not None:
-            _want(kind, "graph", self.graph, str)
+            want(self.graph, str, f"{kind}.graph", ConfigurationError)
         if self.graph_path is not None:
-            _want(kind, "graph_path", self.graph_path, str)
+            want(self.graph_path, str, f"{kind}.graph_path", ConfigurationError)
         if self.format is not None:
             _choice(kind, "format", self.format, format_names())
         _choice(kind, "bridge", self.bridge, _BRIDGES)
-        _want(kind, "overlay", self.overlay, str)
-        _want(kind, "workload", self.workload, str)
-        _want(kind, "size", self.size, int)
+        want(self.overlay, str, f"{kind}.overlay", ConfigurationError)
+        want(self.workload, str, f"{kind}.workload", ConfigurationError)
+        want(self.size, is_int, f"{kind}.size", ConfigurationError)
         if self.size < 1:
             raise ConfigurationError(f"{kind}.size must be >= 1, got {self.size}")
         _positive(kind, "granularity", self.granularity)
@@ -264,17 +239,17 @@ class ScheduleRequest(_RequestBase):
                 f"topology_file (a file), not both"
             )
         if self.topology_spec is not None:
-            _want(kind, "topology_spec", self.topology_spec, dict)
+            want(self.topology_spec, dict, f"{kind}.topology_spec", ConfigurationError)
         elif self.topology_file is not None:
-            _want(kind, "topology_file", self.topology_file, str)
+            want(self.topology_file, str, f"{kind}.topology_file", ConfigurationError)
         else:
             _choice(kind, "topology", self.topology, TOPOLOGY_NAMES)
         if self.n_procs is not None:
-            _want(kind, "n_procs", self.n_procs, int)
+            want(self.n_procs, is_int, f"{kind}.n_procs", ConfigurationError)
         _choice(kind, "duplex", self.duplex, _DUPLEXES)
         _positive(kind, "bandwidth_skew", self.bandwidth_skew)
         _choice(kind, "algorithm", self.algorithm, ALGORITHM_NAMES)
-        _want(kind, "seed", self.seed, int)
+        want(self.seed, is_int, f"{kind}.seed", ConfigurationError)
         # a malformed overlay token should fail at validation time, not
         # halfway through a pipeline run
         _overlay_token(self.overlay, self.bridge)
@@ -350,6 +325,11 @@ class ConvertRequest(_RequestBase):
         from repro.graph.interchange import format_names
 
         kind = type(self).__name__
+        for name in ("validate_graph", "require_connected", "topology"):
+            want(getattr(self, name), bool, f"{kind}.{name}", ConfigurationError)
+        for name in ("graph", "src", "dst"):
+            if getattr(self, name) is not None:
+                want(getattr(self, name), str, f"{kind}.{name}", ConfigurationError)
         if self.topology:
             if self.src is None or self.dst is None:
                 raise ConfigurationError(
@@ -371,7 +351,7 @@ class ConvertRequest(_RequestBase):
         for name, value in (("default_comm", self.default_comm),
                             ("default_cost", self.default_cost)):
             if value is not None:
-                _want(kind, name, value, (int, float))
+                want(value, is_number, f"{kind}.{name}", ConfigurationError)
         _choice(kind, "bridge", self.bridge, _BRIDGES)
 
     def idempotency_key(self) -> str:
@@ -426,12 +406,12 @@ class SweepRequest(_RequestBase):
         _choice(kind, "suite", self.suite, ("random", "regular"))
         for name, value, elem in (
             ("apps", self.apps, str),
-            ("sizes", self.sizes, int),
-            ("granularities", self.granularities, (int, float)),
+            ("sizes", self.sizes, is_int),
+            ("granularities", self.granularities, is_number),
             ("topologies", self.topologies, str),
             ("algorithms", self.algorithms, str),
-            ("graph_seeds", self.graph_seeds, int),
-            ("system_seeds", self.system_seeds, int),
+            ("graph_seeds", self.graph_seeds, is_int),
+            ("system_seeds", self.system_seeds, is_int),
             ("scenarios", self.scenarios, str),
         ):
             if not isinstance(value, tuple) or not value:
@@ -439,14 +419,14 @@ class SweepRequest(_RequestBase):
                     f"{kind}.{name} must be a non-empty list"
                 )
             for v in value:
-                _want(kind, f"{name}[]", v, elem)
+                want(v, elem, f"{kind}.{name}[]", ConfigurationError)
         for g in self.granularities:
             _positive(kind, "granularities[]", g)
         for t in self.topologies:
             _choice(kind, "topologies[]", t, TOPOLOGY_NAMES)
         for a in self.algorithms:
             _choice(kind, "algorithms[]", a, ALGORITHM_NAMES)
-        _want(kind, "n_procs", self.n_procs, int)
+        want(self.n_procs, is_int, f"{kind}.n_procs", ConfigurationError)
         _positive(kind, "het_lo", self.het_lo)
         _positive(kind, "het_hi", self.het_hi)
         _choice(kind, "duplex", self.duplex, _DUPLEXES)
@@ -537,7 +517,11 @@ class SimulateRequest(_RequestBase):
     def validate(self) -> None:
         self._as_schedule().validate()
         kind = type(self).__name__
-        _want(kind, "scenario", self.scenario, str)
+        want(self.scenario, str, f"{kind}.scenario", ConfigurationError)
+        want(self.compare_replan, bool, f"{kind}.compare_replan", ConfigurationError)
+        for name in ("events", "events_path"):
+            if getattr(self, name) is not None:
+                want(getattr(self, name), str, f"{kind}.{name}", ConfigurationError)
         if self.events is not None and self.events_path is not None:
             raise ConfigurationError(
                 f"{kind}: give either events (inline) or events_path "
@@ -577,7 +561,7 @@ class ParetoRequest(_RequestBase):
 
     TYPE = "pareto"
 
-    workload: str = "random"             # random | gauss | lu | laplace | mva
+    workload: str = "random"             # a WORKLOAD_NAMES entry
     size: int = 100
     granularity: float = 1.0
     topology: str = "hypercube"
@@ -608,16 +592,16 @@ class ParetoRequest(_RequestBase):
         from repro.errors import ConfigurationError as _CE
 
         kind = type(self).__name__
-        _want(kind, "workload", self.workload, str)
-        _want(kind, "size", self.size, int)
+        want(self.workload, str, f"{kind}.workload", ConfigurationError)
+        want(self.size, is_int, f"{kind}.size", ConfigurationError)
         if self.size < 1:
             raise _CE(f"{kind}.size must be >= 1, got {self.size}")
         _positive(kind, "granularity", self.granularity)
         _choice(kind, "topology", self.topology, TOPOLOGY_NAMES)
-        _want(kind, "n_procs", self.n_procs, int)
+        want(self.n_procs, is_int, f"{kind}.n_procs", ConfigurationError)
         _positive(kind, "het_lo", self.het_lo)
         _positive(kind, "het_hi", self.het_hi)
-        _want(kind, "seed", self.seed, int)
+        want(self.seed, is_int, f"{kind}.seed", ConfigurationError)
         _choice(kind, "duplex", self.duplex, _DUPLEXES)
         _positive(kind, "bandwidth_skew", self.bandwidth_skew)
         if not isinstance(self.algorithms, tuple):
@@ -630,6 +614,8 @@ class ParetoRequest(_RequestBase):
             seen.add(a)
         if not isinstance(self.objectives, tuple):
             raise _CE(f"{kind}.objectives must be a list")
+        for o in self.objectives:
+            want(o, str, f"{kind}.objectives[]", _CE)
         resolved = self.resolved_objectives()  # rejects unknown/duplicates
         if len(resolved) < 2:
             raise _CE(
@@ -678,13 +664,9 @@ REQUEST_TYPES: Dict[str, Type[_RequestBase]] = {
 
 def request_from_dict(data: dict):
     """Hydrate any request from a dict carrying a ``"type"`` tag."""
-    if not isinstance(data, dict):
-        raise ConfigurationError(
-            f"a service request must be a JSON object, got "
-            f"{type(data).__name__}"
-        )
+    want(data, dict, "a service request", ConfigurationError)
     tag = data.get("type")
-    cls = REQUEST_TYPES.get(tag)
+    cls = REQUEST_TYPES.get(tag) if isinstance(tag, str) else None
     if cls is None:
         raise ConfigurationError(
             f"unknown request type {tag!r}; known: {sorted(REQUEST_TYPES)}"

@@ -50,6 +50,11 @@ EXTENSION_APPS: Dict[str, Tuple[Callable, Callable]] = {
 }
 
 
+#: every generated workload family, the random suite first: the CLI's
+#: ``--workload`` choices and the apps a service grid may name
+WORKLOAD_NAMES = ("random", *REGULAR_APPS, *EXTENSION_APPS)
+
+
 def _fft(n, mean_exec):
     from repro.workloads.fft import fft_butterfly
 
@@ -92,6 +97,17 @@ def paper_granularities() -> List[float]:
     return [0.1, 1.0, 10.0]
 
 
+#: the most tasks a generated graph is asked for: the graph is built in
+#: memory before anything runs, so no size from a request goes past it
+MAX_TASKS = 100_000
+
+
+def _check_size(size: int) -> None:
+    if size > MAX_TASKS:
+        raise WorkloadError(
+            f"a generated graph has at most {MAX_TASKS} tasks, got size {size}")
+
+
 def _solve_param(size_fn: Callable[[int], int], target: int) -> int:
     """Smallest structural parameter whose task count is closest to target."""
     best_param, best_err = 2, abs(size_fn(2) - target)
@@ -127,6 +143,7 @@ def regular_graph(
         raise WorkloadError(
             f"unknown regular app {app!r}; choose from {sorted(registry)}"
         ) from None
+    _check_size(approx_size)
     param = _solve_param(size_fn, approx_size)
     graph = builder(param, mean_exec=mean_exec)
     apply_granularity(graph, granularity, seed=seed)
@@ -145,6 +162,7 @@ def random_graph(
     >>> g.n_tasks, g.name
     (60, 'random(n=60,g=0.1,seed=4)')
     """
+    _check_size(n_tasks)
     graph = random_layered_graph(n_tasks, seed=seed)
     apply_granularity(graph, granularity, seed=seed)
     graph.name = f"random(n={n_tasks},g={granularity:g},seed={seed})"

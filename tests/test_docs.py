@@ -16,6 +16,7 @@ from repro.cli import build_parser
 from repro.experiments.config import ALGORITHM_NAMES, TOPOLOGY_NAMES
 from repro.experiments.runner import _SCHEDULERS, build_topology
 from repro.graph.interchange import format_names
+from repro.workloads.suites import WORKLOAD_NAMES
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -70,6 +71,9 @@ class TestRegistriesAgree:
         assert _flag_choices(sub["convert"], "--to") == list(format_names())
         assert _flag_choices(sub["simulate"], "--algorithm") == list(ALGORITHM_NAMES)
         assert _flag_choices(sub["simulate"], "--topology") == list(TOPOLOGY_NAMES)
+        # the generated families the service accepts, extensions included
+        for command in ("schedule", "simulate", "pareto", "profile"):
+            assert _flag_choices(sub[command], "--workload") == list(WORKLOAD_NAMES)
 
     def test_corpus_cli_choices_come_from_registries(self):
         corpus = _subparsers(build_parser())["corpus"]
@@ -91,6 +95,10 @@ class TestReadme:
         assert _readme_flag_list(readme, "--topology") == list(TOPOLOGY_NAMES)
         assert _readme_flag_list(readme, "--format") == list(format_names())
         assert _readme_flag_list(readme, "--duplex") == ["half", "full"]
+
+    def test_readme_workload_list_matches_registry(self):
+        readme = _read("README.md")
+        assert _readme_flag_list(readme, "--workload") == list(WORKLOAD_NAMES)
 
     def test_readme_documents_every_subcommand(self):
         readme = _read("README.md")
