@@ -9,10 +9,11 @@ to BSA's substrate, only the route choice differs (table vs incremental).
 
 HEFT, CPOP and spdecomp share one earliest-finish argmin,
 :meth:`ListScheduleBuilder.place_earliest_finish`, which screens the
-candidate processors with a committed-load lower bound before planning
-any message exactly. DLS and ETF share one argmin over ready (task,
-processor) pairs, :meth:`ListScheduleBuilder.place_ready_pairs`, which
-keeps the pairs in a lazy priority queue when links append.
+candidate processors with a one-hop bound, then a committed-load bound
+toward the survivors, before planning their messages exactly. DLS and
+ETF share one argmin over ready (task, processor) pairs,
+:meth:`ListScheduleBuilder.place_ready_pairs`, which keeps the pairs in
+a lazy priority queue when links append.
 """
 
 from __future__ import annotations
@@ -30,8 +31,9 @@ from repro.obs import counters as _obs
 from repro.schedule.events import Edge
 from repro.schedule.linkplan import (
     LinkPlanner,
-    arrival_lower_bound,
+    chain_arrival_bounds,
     committed_arrival_bounds,
+    one_hop_arrival_bounds,
     slot_start,
 )
 from repro.schedule.schedule import Schedule
@@ -67,6 +69,9 @@ class ListScheduleBuilder:
         #: exact plans / skipped candidates of the two argmins
         self.candidates_evaluated = 0
         self.candidates_pruned = 0
+        #: earliest-finish placements whose one-hop screen pruned every
+        #: processor but the incumbent, so no route trie was walked
+        self.walks_skipped = 0
 
     # ------------------------------------------------------------------
     # evaluation
@@ -105,25 +110,6 @@ class ListScheduleBuilder:
         return slot_start(self.sched, proc, data_arrival, duration,
                           self.proc_insertion)
 
-    def arrival_bounds(self, task: TaskId) -> List[float]:
-        """Per-processor lower bound on ``task``'s data-arrival time
-        (indexed by processor): each incoming message walked over the
-        committed link load along the table's route trie
-        (:func:`~repro.schedule.linkplan.committed_arrival_bounds`), then
-        the plain max over messages :meth:`plan_messages` takes. Sound
-        only under link insertion."""
-        sched = self.sched
-        lbs = [0.0] * self.system.topology.n_procs
-        tl_memo: dict = {}
-        for k in self.system.graph.predecessors(task):
-            trie = self.routing.trie(sched.proc_of(k))
-            for p, b in enumerate(
-                committed_arrival_bounds(sched, (k, task), trie, tl_memo)
-            ):
-                if b > lbs[p]:
-                    lbs[p] = b
-        return lbs
-
     def place_earliest_finish(
         self, task: TaskId, tail: Sequence[TaskId] = ()
     ) -> Proc:
@@ -132,46 +118,94 @@ class ListScheduleBuilder:
 
         ``tail`` prices further tasks that will follow ``task`` on the
         same processor (spdecomp's chain lookahead); HEFT and CPOP pass
-        none. The engine sorts the candidates by a lower bound on that
-        score — the earliest slot after :meth:`arrival_bounds`, plus the
-        execution and tail costs — and plans them exactly, cheapest
-        first, until a candidate's ``(bound, proc)`` exceeds the best
-        exact ``(score, proc)``: neither it nor any later candidate can
-        win. Every step of the bound is float-monotone in the exact
-        plan's operands (earliest-gap queries grow with ready time and
-        reservation set; the arrival is a plain max; the sums add the
-        same floats), so no slack is needed and the chosen processor is
-        the exhaustive loop's. The legacy reference mode, and the
-        append link policy (which that argument does not cover),
-        evaluate every processor in order.
+        none. A processor's lower bound on that score is the earliest
+        slot after a lower bound on its data arrival, plus the execution
+        and tail costs, added as the exact score adds them. The screen
+        bounds every processor with
+        :func:`~repro.schedule.linkplan.one_hop_arrival_bounds` first
+        and plans the best-bounded one exactly as the incumbent. Then it
+        walks each producer's route trie
+        (:func:`~repro.schedule.linkplan.committed_arrival_bounds`) only
+        toward the processors whose ``(bound, proc)`` is still below the
+        best exact ``(score, proc)``, and prunes again after each
+        producer. When the one-hop screen leaves none, no trie is walked
+        (:attr:`walks_skipped`). The survivors are planned exactly,
+        cheapest bound first, until a bound exceeds the best score.
+
+        A processor is skipped only when a lower bound on its exact score
+        exceeds an exact ``(score, proc)``, so the chosen processor is
+        the exhaustive loop's. No slack is needed: the one-hop bound is
+        at most the walk and the walk at most the planned arrival (see
+        :mod:`repro.schedule.linkplan`), a max over operands that are
+        each no larger is no larger, ``slot_start`` grows with its ready
+        time, and the sums add the same floats in the same order. The
+        legacy reference mode, and the append link policy (which the
+        walk's argument does not cover), plan every processor.
         """
         system = self.system
+        sched = self.sched
         procs = system.topology.processors
         exec_row = system.exec_cost_row(task)
-        tail_cost = [sum(system.exec_cost(m, p) for m in tail) for p in procs]
-        if reference_mode() or not self.link_insertion:
-            candidates = [(float("-inf"), p) for p in procs]
+        if tail:
+            tail_cost = [sum(system.exec_cost(m, p) for m in tail)
+                         for p in procs]
         else:
-            lbs = self.arrival_bounds(task)
-            candidates = sorted(
-                (slot_start(self.sched, p, lbs[p], exec_row[p],
-                            self.proc_insertion)
-                 + exec_row[p] + tail_cost[p], p)
-                for p in procs
-            )
-        best = None  # (score, proc, start, plans)
-        evaluated = 0
-        for bound, proc in candidates:
-            if best is not None and (bound, proc) > best[:2]:
-                break
+            tail_cost = [0.0] * len(procs)
+
+        def plan(proc: Proc):
             da, plans = self.plan_messages(task, proc)
             start = self.earliest_start(task, proc, da)
-            score = start + exec_row[proc] + tail_cost[proc]
-            evaluated += 1
-            if best is None or (score, proc) < best[:2]:
-                best = (score, proc, start, plans)
+            return (start + exec_row[proc] + tail_cost[proc], proc, start,
+                    plans)
+
+        if reference_mode() or not self.link_insertion:
+            best = min(plan(p) for p in procs)
+            evaluated = len(procs)
+        else:
+            graph = system.graph
+            slots = sched.slots
+            preds = graph.predecessors(task)
+            insertion = self.proc_insertion
+            lbs = one_hop_arrival_bounds(
+                [(slots[k].proc, slots[k].finish, graph.comm_cost(k, task))
+                 for k in preds],
+                len(procs), system.uniform_hops)
+
+            def bound(p: Proc) -> float:
+                return (slot_start(sched, p, lbs[p], exec_row[p], insertion)
+                        + exec_row[p] + tail_cost[p])
+
+            bounds = [bound(p) for p in procs]
+            best = plan(min(procs, key=bounds.__getitem__))
+            evaluated = 1
+            alive = [p for p in procs
+                     if p != best[1] and (bounds[p], p) < best[:2]]
+            if not alive:
+                self.walks_skipped += 1
+            tl_memo: dict = {}
+            for k in preds:
+                if not alive:
+                    break
+                kb = committed_arrival_bounds(
+                    sched, (k, task), self.routing.trie(slots[k].proc),
+                    tl_memo, alive)
+                kept = []
+                for p in alive:
+                    if kb[p] > lbs[p]:
+                        lbs[p] = kb[p]
+                        bounds[p] = bound(p)
+                    if (bounds[p], p) < best[:2]:
+                        kept.append(p)
+                alive = kept
+            for b, p in sorted((bounds[p], p) for p in alive):
+                if (b, p) > best[:2]:
+                    break
+                candidate = plan(p)
+                evaluated += 1
+                if candidate[:2] < best[:2]:
+                    best = candidate
         self.candidates_evaluated += evaluated
-        self.candidates_pruned += len(candidates) - evaluated
+        self.candidates_pruned += len(procs) - evaluated
         _, proc, start, plans = best
         self.commit(task, proc, start, plans)
         return proc
@@ -184,8 +218,9 @@ class ListScheduleBuilder:
     def queue_free_arrival_bounds(self, task: TaskId) -> List[float]:
         """Per-processor lower bound on ``task``'s data arrival under
         either link policy (indexed by processor), from
-        :func:`~repro.schedule.linkplan.arrival_lower_bound`: the
-        store-and-forward chain over the table route's hop count under
+        :func:`~repro.schedule.linkplan.chain_arrival_bounds`: each
+        message's store-and-forward chain over the table's hop-distance
+        row from its producer (:meth:`RoutingTable.hop_row`) under
         uniform hops (``HeterogeneousSystem.uniform_hops``), else the
         latest producer finish."""
         system = self.system
@@ -195,9 +230,9 @@ class ListScheduleBuilder:
             (sched.proc_of(k), sched.slots[k].finish, graph.comm_cost(k, task))
             for k in graph.predecessors(task)
         ]
-        hop_distance = self.routing.hop_distance if system.uniform_hops else None
-        return [arrival_lower_bound(pred_info, proc, hop_distance)
-                for proc in system.topology.processors]
+        hop_row = self.routing.hop_row if system.uniform_hops else None
+        return chain_arrival_bounds(pred_info, system.topology.n_procs,
+                                    hop_row)
 
     def place_ready_pairs(
         self, key: Callable[[TaskId, Proc, float], tuple]
@@ -362,4 +397,5 @@ class ListScheduleBuilder:
         if _obs.ACTIVE:
             _obs.inc("list.candidates_evaluated", self.candidates_evaluated)
             _obs.inc("list.candidates_pruned", self.candidates_pruned)
+            _obs.inc("list.walks_skipped", self.walks_skipped)
         return self.sched

@@ -47,7 +47,7 @@ from repro.core.migration import (
 )
 from repro.core.serialization import PivotSelection, serial_injection
 from repro.schedule.linkplan import (
-    arrival_lower_bound,
+    chain_arrival_bounds,
     committed_arrival_bounds,
     one_hop_arrival_bounds,
 )
@@ -301,7 +301,7 @@ class BSAScheduler:
         and incremental routes, where the committed-load walk is no
         bound.
 
-        :func:`~repro.schedule.linkplan.arrival_lower_bound` applies: the
+        :func:`~repro.schedule.linkplan.chain_arrival_bounds` applies: the
         store-and-forward chain over the exact hop count under shortest
         routes and uniform hops, else the latest producer finish.
         """
@@ -311,15 +311,13 @@ class BSAScheduler:
         comm_cost = system.graph.comm_cost
         pred_info = [(slots[k].proc, slots[k].finish, comm_cost(k, task))
                      for k in system.graph.predecessors(task)]
-        hop_distance = (
-            (lambda p, nb: len(shortest_path(topology, p, nb)) - 1)
+        hop_row = (
+            (lambda p: [len(shortest_path(topology, p, q)) - 1
+                        for q in topology.processors])
             if self.options.route_mode == "shortest" and system.uniform_hops
             else None
         )
-        return [
-            arrival_lower_bound(pred_info, p, hop_distance)
-            for p in topology.processors
-        ]
+        return chain_arrival_bounds(pred_info, topology.n_procs, hop_row)
 
     def _screen_candidates(
         self,

@@ -190,7 +190,7 @@ def _plan_in_incremental(
         return InRoutePlan(_TRUNCATE, new_path, None, arrival)
     # extended: one new hop src -> dst appended to the route
     ready = route.arrival if old_path is not None else sched.slots[edge[0]].finish
-    duration = sched.system.comm_cost(edge, link_id(src, dst))
+    duration = sched.system.hop_cost(edge, link_id(src, dst))
     start = planner.reserve(sched.system.topology.channel(src, dst), ready, duration)
     return InRoutePlan(_EXTEND, new_path, [start], start + duration)
 
@@ -306,7 +306,7 @@ def _commit_out_incremental(
         sched.set_route(edge, new_path, hop_starts=starts)
     else:
         # the prepended hop travels dst -> src (new proc toward old)
-        duration = sched.system.comm_cost(edge, link_id(dst, src))
+        duration = sched.system.hop_cost(edge, link_id(dst, src))
         start = planner.reserve(
             sched.system.topology.channel(dst, src), producer_finish, duration
         )

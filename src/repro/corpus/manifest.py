@@ -35,7 +35,7 @@ from repro.experiments.config import ALGORITHM_NAMES, Cell
 from repro.experiments.external import corpus_paths
 from repro.graph.interchange import ExternalWorkload, load_workload
 from repro.graph.validation import weak_components
-from repro.util.checked import loads
+from repro.util.checked import is_int, is_number, loads, read_text, want
 from repro.workloads.external import external_cell
 
 __all__ = [
@@ -87,8 +87,27 @@ class ManifestEntry:
         return dataclasses.asdict(self)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ManifestEntry":
-        return cls(**{f.name: d[f.name] for f in dataclasses.fields(cls)})
+    def from_dict(cls, d: dict,
+                  where: str = "manifest entry") -> "ManifestEntry":
+        want(d, dict, where, ConfigurationError)
+        values = {}
+        for f in dataclasses.fields(cls):
+            field = f"{where}.{f.name}"
+            if f.name not in d:
+                raise ConfigurationError(f"{field} is missing")
+            value = values[f.name] = d[f.name]
+            if not (f.name == "n_procs" and value is None):
+                want(value, _ENTRY_KINDS[f.name], field, ConfigurationError)
+        return cls(**values)
+
+
+#: the kind of each :class:`ManifestEntry` field (``n_procs`` may also
+#: be null), as :func:`~repro.util.checked.want` checks it
+_ENTRY_KINDS = {
+    "path": str, "fmt": str, "name": str, "n_tasks": is_int,
+    "n_edges": is_int, "components": is_int, "ccr": is_number,
+    "n_procs": is_int, "content_hash": str,
+}
 
 
 @dataclass(frozen=True)
@@ -127,9 +146,13 @@ class Manifest:
             raise ConfigurationError(
                 f"unsupported manifest version {d.get('version')!r}"
             )
+        entries = want(d.get("entries", []), list, "manifest field 'entries'",
+                       ConfigurationError)
         return cls(
-            directory=d.get("directory", ""),
-            entries=tuple(ManifestEntry.from_dict(e) for e in d.get("entries", [])),
+            directory=want(d.get("directory", ""), str,
+                           "manifest field 'directory'", ConfigurationError),
+            entries=tuple(ManifestEntry.from_dict(e, f"manifest entries[{i}]")
+                          for i, e in enumerate(entries)),
         )
 
     @classmethod
@@ -142,8 +165,8 @@ class Manifest:
 
     @classmethod
     def load(cls, path: str) -> "Manifest":
-        with open(path) as fh:
-            return cls.from_json(fh.read())
+        return cls.from_json(
+            read_text(path, ConfigurationError, f"manifest {path}"))
 
 
 def scan_corpus(

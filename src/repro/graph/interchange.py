@@ -84,7 +84,14 @@ from repro.errors import ConfigurationError, GraphError
 from repro.graph.io import _parse_id, graph_from_json, graph_to_json
 from repro.graph.model import TaskGraph, TaskId
 from repro.graph.validation import validate_graph
-from repro.util.checked import is_int, is_number, is_task_id, loads, want
+from repro.util.checked import (
+    is_int,
+    is_number,
+    is_task_id,
+    loads,
+    read_text,
+    want,
+)
 
 __all__ = [
     "ExternalWorkload",
@@ -1723,8 +1730,7 @@ def load_workload(
     (``default_comm``, ``strip_dummies``, ``default_cost``,
     ``runtime_scale``, ...) pass through to the format's reader.
     """
-    with open(path) as fh:
-        text = fh.read()
+    text = read_text(path, GraphError, f"graph file {path}")
     if fmt is None:
         fmt = sniff_format(text, filename=path)
     workload = loads_workload(

@@ -60,6 +60,7 @@ class RoutingTable:
         # materialized-path memo (the table is immutable), in both modes
         self._path_cache: Dict[Tuple[Proc, Proc], List[Proc]] = {}
         self._trie_cache: Dict[Proc, PathTrie] = {}
+        self._hop_rows: Dict[Proc, List[int]] = {}
         if strategy == "ecube":
             _check_hypercube(topology)
             for src in topology.processors:
@@ -156,6 +157,16 @@ class RoutingTable:
 
     def hop_distance(self, src: Proc, dst: Proc) -> int:
         return len(self.path(src, dst)) - 1
+
+    def hop_row(self, src: Proc) -> List[int]:
+        """Hop count of this table's route from ``src`` to every
+        processor (0 at ``src``). Memoized per table, like :meth:`trie`;
+        shared, do not mutate."""
+        row = self._hop_rows.get(src)
+        if row is None:
+            row = self._hop_rows[src] = [self.hop_distance(src, dst)
+                                         for dst in self.topology.processors]
+        return row
 
     def trie(self, src: Proc) -> PathTrie:
         """This table's routes from ``src``, merged by shared prefix into

@@ -93,10 +93,27 @@ class HeterogeneousSystem:
         # free of an objectives import.
         self.power_model = None       # Optional[PowerModel]
         self.failure_model = None     # Optional[ReliabilityModel]
-        # comm_cost memo, shared by both engine modes: every factor source
-        # is a pure function of (edge, link) for a fixed system, so it is
-        # exact.
+        # comm_cost memo, filled only under PER_MESSAGE_LINK, whose
+        # factors are hashed per (message, link); shared by both engine
+        # modes, and exact since the factor source is a pure function of
+        # (edge, link) for a fixed system.
         self._comm_cache: Dict[Tuple[Tuple[TaskId, TaskId], Link], float] = {}
+        #: the planners' hop prices: ``(factor, bandwidth)`` per canonical
+        #: link, so a hop of message ``c`` lasts ``factor * c /
+        #: bandwidth``, :meth:`comm_cost`'s float. None where the factor
+        #: depends on the message (PER_MESSAGE_LINK), or a PER_LINK
+        #: factor is missing (:meth:`comm_cost` raises when a hop uses
+        #: that link); planners then call :meth:`comm_cost`.
+        self.hop_prices: Optional[Dict[Link, Tuple[float, float]]] = None
+        if link_mode is LinkHeterogeneity.PER_LINK:
+            factors = self._per_link
+        else:
+            factors = dict.fromkeys(topology.links, 1.0)
+        if (link_mode is not LinkHeterogeneity.PER_MESSAGE_LINK
+                and all(lid in factors for lid in topology.links)):
+            self.hop_prices = {
+                lid: (factors[lid], topology.spec(*lid).bandwidth)
+                for lid in topology.links}
 
     # ------------------------------------------------------------------
     # constructors
@@ -234,6 +251,10 @@ class HeterogeneousSystem:
         lid = link_id(*link)
         if not self.topology.has_link(*lid):
             raise TopologyError(f"no link {lid} in topology {self.topology.name!r}")
+        return self._factor(edge, lid)
+
+    def _factor(self, edge: Tuple[TaskId, TaskId], lid: Link) -> float:
+        """:meth:`link_factor` of an existing canonical link."""
         if self.link_mode is LinkHeterogeneity.HOMOGENEOUS:
             return 1.0
         if self.link_mode is LinkHeterogeneity.PER_LINK:
@@ -250,19 +271,35 @@ class HeterogeneousSystem:
 
         Bandwidth comes from the link's :class:`~repro.network.topology.
         LinkSpec`; the default 1.0 divides out bit-exactly, so uniform
-        topologies reproduce the paper's ``h' * c_ij`` unchanged.
+        topologies reproduce the paper's ``h' * c_ij`` unchanged. Only
+        PER_MESSAGE_LINK memoizes. The planners price from
+        :attr:`hop_prices` instead, and this method never reads that
+        table, so the validator, which prices every hop here, checks
+        the planners' prices independently.
         """
-        hit = self._comm_cache.get((edge, link))
-        if hit is not None:
-            return hit
+        memo = self.link_mode is LinkHeterogeneity.PER_MESSAGE_LINK
+        if memo:
+            hit = self._comm_cache.get((edge, link))
+            if hit is not None:
+                return hit
+        lid = link_id(*link)
+        spec = self.topology.spec(*lid)
         src, dst = edge
-        cost = (
-            self.link_factor(edge, link)
-            * self.graph.comm_cost(src, dst)
-            / self.topology.bandwidth(*link)
-        )
-        self._comm_cache[(edge, link)] = cost
+        cost = (self._factor(edge, lid) * self.graph.comm_cost(src, dst)
+                / spec.bandwidth)
+        if memo:
+            self._comm_cache[(edge, link)] = cost
         return cost
+
+    def hop_cost(self, edge: Tuple[TaskId, TaskId], link: Link) -> float:
+        """A planner's price of one hop of ``edge`` on canonical ``link``:
+        from :attr:`hop_prices` when the system has the table, else
+        :meth:`comm_cost`. The same float either way."""
+        prices = self.hop_prices
+        if prices is None:
+            return self.comm_cost(edge, link)
+        factor, bandwidth = prices[link]
+        return factor * self.graph.comm_cost(*edge) / bandwidth
 
     @property
     def uniform_hops(self) -> bool:

@@ -85,6 +85,9 @@ COUNTERS: Dict[str, str] = {
     "list.candidates_pruned":
         "list-scheduler candidates never planned: skipped by a lower bound "
         "or left in the DLS/ETF ready-pair queue",
+    "list.walks_skipped":
+        "HEFT/CPOP/spdecomp placements whose one-hop bound pruned every "
+        "processor but the incumbent before any route-trie walk",
     "route.trie_hits":
         "candidate-screen route-trie cache hits",
     "route.trie_misses":

@@ -21,27 +21,33 @@ Two implementations, selected by the process-wide hot-path mode:
 Both modes yield bit-identical plans (see
 ``tests/test_hotpath_equivalence.py`` and ``benchmarks/bench_hotpath.py``).
 
-Hop durations are ``HeterogeneousSystem.comm_cost(edge, link)``, which
-memoizes ``h' * c / bandwidth`` per (message, link). Under uniform hops
-(``HeterogeneousSystem.uniform_hops``) that is ``1.0 * c / 1.0``, the
-nominal ``c`` bit for bit, so where the link is known to exist (a hop
-of a planned route or of a route trie, and ``Schedule.set_route`` after
-its link check) ``c`` is read once per message instead of the memo once
-per hop. The validator still prices every hop through ``comm_cost``, so
-it checks that read independently.
+Hop durations come from the system's per-link price table
+(``HeterogeneousSystem.hop_prices``), built when link factors do not
+depend on the message (HOMOGENEOUS and PER_LINK): a hop of message
+``c`` on a link with ``(factor, bandwidth)`` lasts ``factor * c /
+bandwidth``, ``comm_cost``'s operands in its order, so it is the same
+float; under uniform hops that is ``1.0 * c / 1.0``, the nominal ``c``
+bit for bit. :meth:`LinkPlanner.walk_path`,
+:func:`committed_arrival_bounds` and ``Schedule.set_route`` read ``c``
+once per message and the table once per hop. Under PER_MESSAGE_LINK,
+whose factors are hashed per message, there is no table, and they call
+``HeterogeneousSystem.comm_cost``, which memoizes per (message, link).
+``comm_cost`` prices from the topology's ``LinkSpec`` and the factor
+source, never from the table, and the validator prices every hop
+through it, so it checks the planners' prices independently.
 
 The candidate screens' lower-bound kernels live here too, so their
-float-exactness arguments sit in one place: :func:`arrival_lower_bound`,
+float-exactness arguments sit in one place: :func:`chain_arrival_bounds`,
 :func:`one_hop_arrival_bounds` and :func:`committed_arrival_bounds`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.network.routing import PathTrie
-from repro.network.topology import Link, Proc, link_id
+from repro.network.topology import Link, Proc
 from repro.schedule.events import Edge
 from repro.schedule.schedule import Schedule
 from repro.util.intervals import (
@@ -115,66 +121,77 @@ class LinkPlanner:
     ) -> Tuple[List[float], float]:
         """Reserve every hop of ``path``; returns (hop starts, arrival).
 
-        Hop *durations* are looked up by canonical link id, or read once
-        per message under uniform hops (see the module docstring); hop
-        *reservations* go to the traversal direction's channel (identical
-        on half-duplex links, per-direction on full-duplex ones).
+        Hop *durations* are priced per canonical link (see the module
+        docstring); hop *reservations* go to the traversal direction's
+        channel (identical on half-duplex links, per-direction on
+        full-duplex ones).
         """
         system = self.sched.system
         # hot path: index the precomputed directed-pair -> channel map
         # directly (it maps half-duplex directions to the canonical lid)
         channel_of = system.topology._channel
-        comm_cache = system._comm_cache
+        prices = system.hop_prices
         comm_cost = system.comm_cost
-        nominal = system.graph.comm_cost(*edge) if system.uniform_hops else None
+        c = system.graph.comm_cost(*edge)
         reserve = self.reserve
         starts: List[float] = []
         for a, b in zip(path, path[1:]):
-            duration = nominal
-            if duration is None:
-                lid = (a, b) if a < b else (b, a)
-                duration = comm_cache.get((edge, lid))
-                if duration is None:
-                    duration = comm_cost(edge, lid)
+            lid = (a, b) if a < b else (b, a)
+            if prices is None:
+                duration = comm_cost(edge, lid)
+            else:
+                factor, bandwidth = prices[lid]
+                duration = factor * c / bandwidth
             start = reserve(channel_of[(a, b)], ready, duration)
             starts.append(start)
             ready = start + duration
         return starts, ready
 
 
-def arrival_lower_bound(
+def chain_arrival_bounds(
     pred_info: List[Tuple[Proc, float, float]],
-    dst: Proc,
-    hop_distance=None,
-) -> float:
-    """Queue-free lower bound on a task's data-ready time at ``dst``.
+    n_procs: int,
+    hop_row: Optional[Callable[[Proc], List[int]]] = None,
+) -> List[float]:
+    """Queue-free lower bound on a task's data-ready time at *every*
+    processor (indexed by processor).
 
     ``pred_info`` holds ``(producer proc, producer finish, nominal comm
-    cost)`` per predecessor. With ``hop_distance`` (a ``(src, dst) ->
-    hops`` callable, valid only under uniform hops, where every hop of a
+    cost)`` per predecessor. With ``hop_row`` (``src -> [hops to each
+    processor]``, valid only under uniform hops, where every hop of a
     message costs its nominal ``c``, and when routes have exactly that
-    many hops), each arrival is bounded by the store-and-forward
-    chain ``finish + c + c + ...``; the repeated addition mirrors the
-    hop-by-hop float chain of a real plan, so the bound is float-exact
-    (``arrival >= bound`` bit-for-bit, queueing only delays hops).
-    Without ``hop_distance`` the bound degrades to the latest producer
-    finish, which is always valid.
+    many hops), each message's store-and-forward chain ``finish,
+    finish + c, finish + c + c, ...`` is built once, up to the row's
+    largest count, and the arrival at ``dst`` is bounded by the chain's
+    entry at ``row[dst]`` (the finish itself at the producer's
+    processor). The repeated addition mirrors the hop-by-hop float chain
+    of a real plan, so the bound is float-exact (``arrival >= bound``
+    bit-for-bit, queueing only delays hops). Without ``hop_row`` the
+    bound degrades to the latest producer finish, which is always valid.
 
     The bound holds under either link policy, since queueing only delays
     a hop. It gives BSA's screen its fallback bound (append slots or
     incremental routes), the DLS/ETF ready-pair queue the first key of
     each pair, and DLS's insertion rescan its screen.
     """
-    lb = 0.0
-    for (p, f, c) in pred_info:
-        if hop_distance is not None and p != dst:
-            d = hop_distance(p, dst)
-            while d > 0:
-                f = f + c
-                d -= 1
-        if f > lb:
-            lb = f
-    return lb
+    if hop_row is None:
+        lb = 0.0
+        for _, f, _ in pred_info:
+            if f > lb:
+                lb = f
+        return [lb] * n_procs
+    lbs = [0.0] * n_procs
+    for p, f, c in pred_info:
+        row = hop_row(p)
+        chain = [f]
+        for _ in range(max(row)):
+            f = f + c
+            chain.append(f)
+        for q, d in enumerate(row):
+            a = chain[d]
+            if a > lbs[q]:
+                lbs[q] = a
+    return lbs
 
 
 def one_hop_arrival_bounds(
@@ -185,7 +202,7 @@ def one_hop_arrival_bounds(
     """Lower bound on a task's data-ready time at *every* processor from
     one nominal hop per message, in O(predecessors + processors).
 
-    ``pred_info`` is :func:`arrival_lower_bound`'s. A message from
+    ``pred_info`` is :func:`chain_arrival_bounds`'s. A message from
     another processor crosses at least one link, so under uniform hops it
     arrives no earlier than ``finish + c``, otherwise no earlier than
     ``finish``; a producer on the processor itself gives its finish. Only
@@ -198,9 +215,9 @@ def one_hop_arrival_bounds(
     ``Timeline.earliest_gap`` never returns less than its ready time, so
     the first hop arrives at or after ``finish + c`` in floats (float
     addition is monotone) and every later hop at or after the one before
-    (``c >= 0``). Under uniform hops the walk's ``c`` is the nominal one
-    bit for bit. So this bound is at most the walk's at every processor,
-    per message and in the max over messages.
+    (``c >= 0``). Under uniform hops the walk prices each hop ``1.0 * c
+    / 1.0``, the nominal ``c`` bit for bit. So this bound is at most the
+    walk's at every processor, per message and in the max over messages.
     """
     local: Dict[Proc, float] = {}
     remote: Dict[Proc, float] = {}
@@ -240,9 +257,8 @@ def committed_arrival_bounds(
     schedulers :meth:`~repro.network.routing.RoutingTable.trie`. One
     earliest-gap query runs per trie node, against the schedule's
     committed load and without a planner's tentative reservations. Hop
-    durations are the floats :meth:`LinkPlanner.walk_path` reads (the
-    ``HeterogeneousSystem.comm_cost`` memo, or the nominal cost under
-    uniform hops), so every float matches the real plan's.
+    durations are priced as :meth:`LinkPlanner.walk_path` prices them
+    (see the module docstring), so every float matches the real plan's.
 
     Soundness: under the insertion slot policy ``earliest_gap`` is
     monotone nondecreasing in both the ready time and the reservation
@@ -250,7 +266,7 @@ def committed_arrival_bounds(
     maximum, never admit an earlier start), so hop by hop the committed
     walk lower-bounds the planned arrival, and equals it whenever no
     tentative reservation shares a channel with this message. Unlike
-    :func:`arrival_lower_bound`'s distance chain it holds for
+    :func:`chain_arrival_bounds`' distance chain it holds for
     heterogeneous links and skewed bandwidths. The argument covers the
     insertion policy only, and callers use the walk only there; the
     append-policy list schedulers need no bound (see
@@ -282,25 +298,24 @@ def committed_arrival_bounds(
                 walked.add(n)
                 n = parents[n]
         nodes = sorted(walked)
-    nominal = system.graph.comm_cost(*edge) if system.uniform_hops else None
-    comm_cache = system._comm_cache
+    prices = system.hop_prices
     comm_cost = system.comm_cost
+    c = system.graph.comm_cost(*edge)
     link_timeline = sched.link_timeline
     arr = [finish] * len(parents)
     for n in nodes:
         p = parents[n]
         ready = finish if p < 0 else arr[p]
-        c = nominal
-        if c is None:
-            lid = links[n]
-            c = comm_cache.get((edge, lid))
-            if c is None:
-                c = comm_cost(edge, lid)
+        if prices is None:
+            d = comm_cost(edge, links[n])
+        else:
+            factor, bandwidth = prices[links[n]]
+            d = factor * c / bandwidth
         ch = channels[n]
         tl = tl_memo.get(ch)
         if tl is None:
             tl = tl_memo[ch] = link_timeline(ch)
-        arr[n] = tl.earliest_gap(ready, c) + c
+        arr[n] = tl.earliest_gap(ready, d) + d
     return [finish if n < 0 else arr[n] for n in dst_node]
 
 

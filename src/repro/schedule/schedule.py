@@ -25,7 +25,7 @@ from repro.errors import SchedulingError
 from repro.graph.model import TaskId
 from repro.network.system import HeterogeneousSystem
 from repro.obs import counters as _obs
-from repro.network.topology import Link, Proc, link_id
+from repro.network.topology import Link, Proc
 from repro.schedule.events import Edge, MessageHop, Route, TaskSlot
 from repro.util.intervals import Timeline
 
@@ -276,17 +276,20 @@ class Schedule:
         txn = self._txn
         link_tl = self._link_tl
         link_pos = self._link_pos
-        # under uniform hops every hop costs the nominal c bit for bit
-        # (see repro.schedule.linkplan)
-        nominal = system.graph.comm_cost(*edge) if system.uniform_hops else None
+        # hop prices as the planners read them (see repro.schedule.linkplan)
+        prices = system.hop_prices
+        c = system.graph.comm_cost(*edge)
         hops: List[MessageHop] = []
         entries: List[Tuple[Link, int]] = []
         for i, (a, b) in enumerate(zip(proc_path, proc_path[1:])):
             if not topology.has_link(a, b):
                 raise SchedulingError(f"no link between {a} and {b} for {edge}")
-            duration = nominal
-            if duration is None:
-                duration = system.comm_cost(edge, link_id(a, b))
+            lid = (a, b) if a < b else (b, a)
+            if prices is None:
+                duration = system.comm_cost(edge, lid)
+            else:
+                factor, bandwidth = prices[lid]
+                duration = factor * c / bandwidth
             start = hop_starts[i] if hop_starts else 0.0
             # _rpos/_chan: backrefs for the incremental settle engine —
             # index within the route (stable: routes are rebuilt whole,
@@ -344,15 +347,19 @@ class Schedule:
         link_pos = self._link_pos
         for hop in route.hops:
             ch = channel(hop.src, hop.dst)
-            link_pos.pop(ch, None)
             order = self.link_order[ch]
             # identity removal: dataclass __eq__ could match a different
-            # but value-equal hop of another message on the same channel
-            for pos, h in enumerate(order):
-                if h is hop:
-                    break
-            else:  # pragma: no cover - container invariant violated
-                raise SchedulingError(f"hop of {edge} missing from link order")
+            # but value-equal hop on the same channel. The cached
+            # position map is keyed by identity; without one, scan.
+            positions = link_pos.pop(ch, None)
+            pos = -1 if positions is None else positions.get(id(hop), -1)
+            if not (0 <= pos < len(order) and order[pos] is hop):
+                for pos, h in enumerate(order):
+                    if h is hop:
+                        break
+                else:  # pragma: no cover - container invariant violated
+                    raise SchedulingError(
+                        f"hop of {edge} missing from link order")
             order.pop(pos)
             tl = link_tl.get(ch)
             if tl is not None:

@@ -48,8 +48,8 @@ import sys
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Type
 
-from repro.errors import ConfigurationError, WorkloadError
-from repro.util.checked import is_int, is_number, loads, want
+from repro.errors import ConfigurationError, GraphError, WorkloadError
+from repro.util.checked import is_int, is_number, loads, read_text, want
 
 __all__ = [
     "ScheduleRequest",
@@ -265,8 +265,8 @@ class ScheduleRequest(_RequestBase):
         if self.graph is not None or self.graph_path is not None:
             text = self.graph
             if text is None:
-                with open(self.graph_path) as fh:
-                    text = fh.read()
+                text = read_text(self.graph_path, GraphError,
+                                 f"graph file {self.graph_path}")
             token = f"#{_sha12(text)}"
             return f"{token}!{ovl}" if ovl else token
         token = f"{self.workload}/n{self.size}/g{self.granularity:g}"
@@ -537,8 +537,9 @@ class SimulateRequest(_RequestBase):
         if self.events is not None:
             suffix = f"ev#{_sha12(self.events)}"
         elif self.events_path is not None:
-            with open(self.events_path) as fh:
-                suffix = f"ev#{_sha12(fh.read())}"
+            text = read_text(self.events_path, ConfigurationError,
+                             f"event trace {self.events_path}")
+            suffix = f"ev#{_sha12(text)}"
         else:
             suffix = f"sc{self.scenario}"
         return f"simulate/{base}/{suffix}"

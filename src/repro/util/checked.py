@@ -8,6 +8,9 @@ readers make two decisions here and nowhere else:
   through :func:`json.loads`; bad syntax, bad UTF-8, an integer too
   long to convert and nesting deeper than the parser's recursion limit
   raise the caller's typed error, naming the document;
+* **text** — :func:`read_text` reads a text file (a graph, an event
+  trace, a manifest) as bytes and :func:`decode` decodes them strictly
+  as UTF-8, raising the caller's typed error on a bad byte;
 * **types** — an integer is an ``int`` that is not a ``bool``; a number
   is a ``float``, or an integer a float can hold; a task id is an
   integer or a ``str``. Nothing is coerced: ``"1"`` is no number and
@@ -22,7 +25,8 @@ from __future__ import annotations
 import json
 import sys
 
-__all__ = ["loads", "want", "is_int", "is_number", "is_task_id", "KINDS"]
+__all__ = ["loads", "decode", "read_text", "want", "is_int", "is_number",
+           "is_task_id", "KINDS"]
 
 _MAX = sys.float_info.max
 
@@ -35,6 +39,26 @@ def loads(data, error, what: str):
         return json.loads(data)  # JSONDecodeError is a ValueError
     except (ValueError, RecursionError) as exc:
         raise error(f"{what} is not valid JSON: {exc}") from None
+
+
+def decode(data: bytes, error, what: str) -> str:
+    """``data`` decoded strictly as UTF-8, with ``\\r\\n`` and ``\\r`` read
+    as ``\\n`` as text-mode ``open`` reads them, or ``error("<what> is
+    not valid UTF-8: ...")``."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} is not valid UTF-8: {exc}") from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
+def read_text(path: str, error, what: str) -> str:
+    """The file at ``path`` through :func:`decode`. A file that cannot
+    be opened raises ``OSError`` as ``open`` does."""
+    with open(path, "rb") as fh:
+        return decode(fh.read(), error, what)
 
 
 def is_int(x) -> bool:

@@ -9,6 +9,10 @@ from repro.baselines.common import ListScheduleBuilder
 from repro.errors import SchedulingError
 from repro.experiments.config import Cell
 from repro.experiments.runner import _SCHEDULERS, build_cell_system
+from repro.schedule.linkplan import (
+    committed_arrival_bounds,
+    one_hop_arrival_bounds,
+)
 from repro.schedule.validator import schedule_violations
 from repro.util.intervals import hotpath_mode, set_hotpath_mode
 from tests.test_hotpath_equivalence import LIST_SCREEN_CELLS
@@ -108,16 +112,28 @@ class TestEarliestFinishScreen:
     ], ids=["ring16", "random16-link-het", "torus-fd-skew"])
     def test_arrival_bounds_never_exceed_planned_arrival(self, cell):
         """The screen's soundness, step by step: before every placement
-        the committed-load bound is at most the exact planned arrival on
-        every processor, bit for bit."""
+        the one-hop bound is at most the committed-load bound (every
+        producer's whole trie walked, then a plain max), which is at
+        most the exact planned arrival on every processor, bit for bit."""
         system = build_cell_system(cell)
         b = ListScheduleBuilder(system, algorithm="test",
                                 proc_insertion=True)
+        n = system.topology.n_procs
         for task in system.graph.topological_order():
-            lbs = b.arrival_bounds(task)
+            walk = [0.0] * n
+            pred_info = []
+            for k in system.graph.predecessors(task):
+                src = b.sched.proc_of(k)
+                pred_info.append((src, b.sched.slots[k].finish,
+                                  system.graph.comm_cost(k, task)))
+                kb = committed_arrival_bounds(b.sched, (k, task),
+                                              b.routing.trie(src), {})
+                walk = [max(w, x) for w, x in zip(walk, kb)]
+            one_hop = one_hop_arrival_bounds(pred_info, n,
+                                             system.uniform_hops)
             for proc in system.topology.processors:
                 da, _ = b.plan_messages(task, proc)
-                assert lbs[proc] <= da
+                assert one_hop[proc] <= walk[proc] <= da
             b.place_earliest_finish(task)
         assert schedule_violations(b.finish()) == []
 

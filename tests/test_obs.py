@@ -122,16 +122,21 @@ GOLDEN_INCREMENTAL_N40 = {
     "txn.rollbacks": 2,
 }
 
-#: the same pinned cell under HEFT: the earliest-finish screen plans one
-#: candidate exactly per task (40 of 640) and walks a routing-table trie
-#: once per incoming message (64 walks, 15 of them building the trie).
-#: The legacy oracle plans all 640. Each of the 16 processor and 16
-#: link timelines is built once; every placement after that patches it.
+#: the same pinned cell under HEFT: the earliest-finish screen plans the
+#: best one-hop bound exactly as the incumbent, and for 26 of the 40
+#: tasks that bound prunes every other processor, so no trie is walked.
+#: The other 14 walk a routing-table trie only toward the processors
+#: still alive (22 walks, 12 of them building the trie; 64 when every
+#: message walked its whole trie), and 5 of them plan a second
+#: processor that beats the incumbent (45 of 640 plans). The legacy
+#: oracle plans all 640. Each of the 16 processor and 16 link timelines
+#: is built once; every placement after that patches it.
 GOLDEN_HEFT_N40 = {
-    "list.candidates_evaluated": 40,
-    "list.candidates_pruned": 600,
-    "route.trie_hits": 49,
-    "route.trie_misses": 15,
+    "list.candidates_evaluated": 45,
+    "list.candidates_pruned": 595,
+    "list.walks_skipped": 26,
+    "route.trie_hits": 10,
+    "route.trie_misses": 12,
     "timeline.patches": 249,
     "timeline.rebuilds": 32,
 }

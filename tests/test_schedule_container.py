@@ -93,6 +93,26 @@ class TestRoutes:
         assert sched.link_order[(0, 1)] == []
         assert ("a", "b") not in sched.routes
 
+    @pytest.mark.parametrize("cached", [True, False],
+                             ids=["position-map", "scan"])
+    def test_clear_route_removes_by_identity(self, sched, cached):
+        """A value-equal hop ahead of the route's own on its channel
+        stays, whether the index comes from the cached position map or
+        from the scan."""
+        sched.set_route(("a", "c"), [0, 1], hop_starts=[0.0])
+        hop = sched.set_route(("a", "b"), [0, 1], hop_starts=[0.0]).hops[0]
+        twin = MessageHop(hop.edge, hop.src, hop.dst, hop.start, hop.finish,
+                          cost=hop.cost)
+        order = sched.link_order[(0, 1)]
+        order.insert(0, twin)
+        sched._link_pos.pop((0, 1), None)
+        if cached:
+            assert sched.link_positions((0, 1))[id(hop)] == 2
+        sched.clear_route(("a", "b"))
+        assert [id(h) for h in order] == [
+            id(twin), id(sched.routes[("a", "c")].hops[0])]
+        assert (0, 1) not in sched._link_pos
+
     def test_mark_local(self, sched):
         sched.set_route(("a", "b"), [0, 1], hop_starts=[0.0])
         sched.mark_local(("a", "b"))

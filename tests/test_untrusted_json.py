@@ -28,6 +28,7 @@ from repro.cli import main
 from repro.corpus.manifest import Manifest
 from repro.errors import (
     ConfigurationError,
+    GraphError,
     ReproError,
     SchedulingError,
     TopologyError,
@@ -35,7 +36,12 @@ from repro.errors import (
 from repro.experiments.cache import CACHE_VERSION, ResultCache
 from repro.experiments.config import Cell
 from repro.experiments.runner import CellResult, run_cell, run_cells
-from repro.graph.interchange import read_stg, read_trace, read_wfcommons
+from repro.graph.interchange import (
+    load_workload,
+    read_stg,
+    read_trace,
+    read_wfcommons,
+)
 from repro.graph.io import graph_from_json
 from repro.graph.model import TaskGraph
 from repro.baselines.heft import schedule_heft
@@ -57,7 +63,7 @@ from repro.service import (
     http_status_for,
     request_from_dict,
 )
-from repro.util.checked import is_int, is_number, loads, want
+from repro.util.checked import is_int, is_number, loads, read_text, want
 from tests.test_service import _request, fresh_cache, server  # noqa: F401
 
 #: the hostile values; "deep" is written as 10 000 nested arrays
@@ -214,6 +220,16 @@ _REQUESTS = {
 }
 
 
+_MANIFEST = {"format": "repro-corpus-manifest", "version": 1,
+             "directory": "corpus", "entries": [
+                 {"path": "corpus/a.stg", "fmt": "stg", "name": "a",
+                  "n_tasks": 3, "n_edges": 2, "components": 1, "ccr": 0.5,
+                  "n_procs": None, "content_hash": "ab"},
+                 {"path": "corpus/b.trace.json", "fmt": "trace", "name": "b",
+                  "n_tasks": 2, "n_edges": 1, "components": 2, "ccr": 1.5,
+                  "n_procs": 4, "content_hash": "cd"}]}
+
+
 def _read_request(text):
     request_from_dict(loads(text, ConfigurationError, "request")).idempotency_key()
 
@@ -231,6 +247,7 @@ READERS = {
     "json-graph": (_JSON_GRAPH, graph_from_json),
     "events": (_EVENTS, lambda text: events_from_dict(
         loads(text, ConfigurationError, "event trace"))),
+    "manifest": (_MANIFEST, Manifest.from_json),
     **{f"request-{name}": (seed, _read_request)
        for name, seed in _REQUESTS.items()},
 }
@@ -393,6 +410,102 @@ class TestDeepNesting:
         assert main(argv) == code
         err = capsys.readouterr().err
         assert "not valid JSON" in err and "Traceback" not in err
+
+
+# ----------------------------------------------------------------------
+# text files read as bytes: graphs, event traces, manifests
+# ----------------------------------------------------------------------
+
+#: the example text graphs, one per text format
+TEXT_GRAPHS = ("examples/graphs/forkjoin.stg",
+               "examples/graphs/series_parallel.dot",
+               "examples/corpus/montage_sample.dax")
+
+
+def _byte_mutants(data: bytes):
+    """A fixed set: a 0xff byte, a NUL and a truncation at five places."""
+    n = len(data)
+    for pos in sorted({0, n // 4, n // 2, 3 * n // 4, n - 1}):
+        yield f"ff@{pos}", data[:pos] + b"\xff" + data[pos + 1:]
+        yield f"nul@{pos}", data[:pos] + b"\x00" + data[pos + 1:]
+        yield f"cut@{pos}", data[:pos]
+
+
+class TestTextFiles:
+    @pytest.mark.parametrize("graph", TEXT_GRAPHS)
+    def test_mutated_graph_parses_or_fails_typed(self, tmp_path, capsys,
+                                                 graph):
+        with open(graph, "rb") as fh:
+            data = fh.read()
+        bad = []
+        for name, mutant in _byte_mutants(data):
+            path = tmp_path / (name + "_" + os.path.basename(graph))
+            path.write_bytes(mutant)
+            try:
+                load_workload(str(path))
+            except ReproError:
+                pass
+            except Exception as exc:  # noqa: BLE001 - the failure under test
+                bad.append(f"{name}: {type(exc).__name__}: {exc}"[:200])
+            code = main(["convert", str(path),
+                         str(tmp_path / "out.trace.json")])
+            err = capsys.readouterr().err
+            if code == 70 or "Traceback" in err:  # 70: internal
+                bad.append(f"{name}: convert exited {code}: {err[-200:]}")
+        assert not bad, "\n".join(bad)
+
+    def test_non_utf8_graph_exits_4(self, tmp_path, capsys):
+        path = tmp_path / "bad.stg"
+        path.write_bytes(b"2\n0 10 0\n1 20 1 0\xff\n")
+        for argv in (["convert", str(path), str(tmp_path / "out.trace.json")],
+                     ["schedule", "--graph", str(path), "-a", "heft", "-t",
+                      "ring", "-p", "4"]):
+            assert main(argv) == 4, argv
+            err = capsys.readouterr().err
+            assert "is not valid UTF-8" in err and "Traceback" not in err
+
+    def test_non_utf8_event_trace_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(json.dumps(_EVENTS).encode() + b"\xff")
+        assert main(["simulate", "-w", "gauss", "-n", "18", "-t", "ring",
+                     "-p", "4", "-a", "heft", "--events", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "is not valid UTF-8" in err and "Traceback" not in err
+
+    def test_non_utf8_manifest_fails_typed(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_bytes(json.dumps(_MANIFEST).encode() + b"\xff")
+        with pytest.raises(ConfigurationError, match="is not valid UTF-8"):
+            Manifest.load(str(path))
+
+    def test_text_is_read_as_text_mode_reads_it(self, tmp_path):
+        """Newlines translate as ``open(path)`` translates them, so
+        content hashes and idempotency keys keep their bytes."""
+        path = tmp_path / "g.stg"
+        path.write_bytes("2\r\n0 10 0\r1 20 1 0\n# é\n".encode())
+        with open(path) as fh:
+            assert read_text(str(path), GraphError, "g") == fh.read()
+
+
+class TestManifestEntries:
+    @pytest.mark.parametrize("entries,field", [
+        (5, "manifest field 'entries' must be a list"),
+        ([5], r"manifest entries\[0\] must be an object"),
+        ([{}], r"manifest entries\[0\].path is missing"),
+        ([dict(_MANIFEST["entries"][0], n_tasks="3")],
+         r"manifest entries\[0\].n_tasks must be an integer"),
+        ([_MANIFEST["entries"][0], dict(_MANIFEST["entries"][1], ccr=True)],
+         r"manifest entries\[1\].ccr must be a number"),
+    ], ids=["entries-int", "entry-int", "entry-empty", "string-count",
+            "bool-ccr"])
+    def test_refused_naming_the_field(self, entries, field):
+        doc = dict(_MANIFEST, entries=entries)
+        with pytest.raises(ConfigurationError, match=field):
+            Manifest.from_json(json.dumps(doc))
+
+    def test_round_trip(self):
+        manifest = Manifest.from_json(json.dumps(_MANIFEST))
+        assert manifest.to_dict() == _MANIFEST
 
 
 @pytest.fixture(scope="module")
