@@ -170,16 +170,21 @@ class ListScheduleBuilder:
                 [(slots[k].proc, slots[k].finish, graph.comm_cost(k, task))
                  for k in preds],
                 len(procs), system.uniform_hops)
+            # slot_start's production branch, read straight off the
+            # live timeline: this branch never runs in the reference mode
+            timeline = sched.proc_timeline
 
             def bound(p: Proc) -> float:
-                return (slot_start(sched, p, lbs[p], exec_row[p], insertion)
-                        + exec_row[p] + tail_cost[p])
+                tl = timeline(p)
+                slot = (tl.earliest_gap(lbs[p], exec_row[p]) if insertion
+                        else max(lbs[p], tl.last_finish()))
+                return (slot + exec_row[p]) + tail_cost[p]
 
             bounds = [bound(p) for p in procs]
             best = plan(min(procs, key=bounds.__getitem__))
             evaluated = 1
-            alive = [p for p in procs
-                     if p != best[1] and (bounds[p], p) < best[:2]]
+            top = best[:2]
+            alive = [p for p in procs if p != top[1] and (bounds[p], p) < top]
             if not alive:
                 self.walks_skipped += 1
             tl_memo: dict = {}

@@ -80,7 +80,7 @@ from typing import (
     Tuple,
 )
 
-from repro.errors import ConfigurationError, GraphError
+from repro.errors import ConfigurationError, GraphError, SchedulingError
 from repro.graph.io import _parse_id, graph_from_json, graph_to_json
 from repro.graph.model import TaskGraph, TaskId
 from repro.graph.validation import validate_graph
@@ -105,6 +105,7 @@ __all__ = [
     "dumps_workload",
     "convert_file",
     "relabel_tasks",
+    "interchange_ids",
     "graphs_equal",
     "content_hash",
     "read_stg",
@@ -1807,9 +1808,10 @@ def relabel_tasks(
 ) -> TaskGraph:
     """Copy ``graph`` with every task id passed through ``rename``.
 
-    The default rename makes any graph interchange-safe: int/str ids
-    pass through, everything else (e.g. the tuple ids of the generated
-    regular applications) becomes a compact string.
+    The default rename, :func:`interchange_ids`, makes any graph
+    interchange-safe: int/str ids pass through, everything else (e.g.
+    the tuple ids of the generated regular applications) becomes a
+    compact string.
 
     >>> from repro.workloads.forkjoin import fork_join
     >>> g = relabel_tasks(fork_join(1, 2))
@@ -1817,21 +1819,58 @@ def relabel_tasks(
     ['J_0', 'F_1', 'W_1_0', 'W_1_1', 'J_1']
     """
     if rename is None:
-        def rename(t: TaskId) -> TaskId:
-            if is_task_id(t):
-                return t
-            if isinstance(t, tuple):
-                return "_".join(str(part) for part in t)
-            return str(t)
-    mapping = {t: rename(t) for t in graph.tasks()}
-    if len(set(mapping.values())) != len(mapping):
-        raise GraphError("relabel_tasks: rename collapsed distinct task ids")
+        mapping = interchange_ids(graph) or {t: t for t in graph.tasks()}
+    else:
+        mapping = _distinct({t: rename(t) for t in graph.tasks()})
     out = TaskGraph(name=name or graph.name)
     for t in graph.tasks():
         out.add_task(mapping[t], graph.cost(t))
     for u, v in graph.edges():
         out.add_edge(mapping[u], mapping[v], graph.comm_cost(u, v))
     return out
+
+
+def interchange_ids(
+    graph: TaskGraph, per_message_links: bool = False
+) -> Optional[Dict[TaskId, TaskId]]:
+    """The id rule: each task's id as the interchange formats write it,
+    or None when every id is already an int or str and is written as
+    it is.
+
+    Otherwise every id maps to itself if it is an int or str, to its
+    parts joined by ``_`` if it is a tuple, and to ``str(id)`` else;
+    renamed ids that collide raise ``GraphError``. Set
+    ``per_message_links`` for a ``PER_MESSAGE_LINK`` system: its link
+    factors are hashed from task ids, so there a rename raises
+    ``SchedulingError`` instead of changing communication costs.
+
+    >>> from repro.workloads.forkjoin import fork_join
+    >>> interchange_ids(fork_join(1, 1))[("W", 1, 0)]
+    'W_1_0'
+    >>> interchange_ids(relabel_tasks(fork_join(1, 1))) is None
+    True
+    """
+    tasks = graph.tasks()
+    if all(map(is_task_id, tasks)):
+        return None
+    if per_message_links:
+        raise SchedulingError(
+            "cannot export a schedule over a PER_MESSAGE_LINK system "
+            "whose task ids need renaming: link factors are keyed by "
+            "task id, so renamed ids would change communication costs"
+        )
+    return _distinct({
+        t: t if is_task_id(t)
+        else "_".join(map(str, t)) if isinstance(t, tuple)
+        else str(t)
+        for t in tasks
+    })
+
+
+def _distinct(mapping: Dict[TaskId, TaskId]) -> Dict[TaskId, TaskId]:
+    if len(set(mapping.values())) != len(mapping):
+        raise GraphError("relabel_tasks: rename collapsed distinct task ids")
+    return mapping
 
 
 def graphs_equal(a: TaskGraph, b: TaskGraph, check_name: bool = False) -> bool:

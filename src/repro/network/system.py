@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import sys
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, TopologyError
 from repro.graph.model import TaskGraph, TaskId
@@ -61,15 +61,7 @@ class HeterogeneousSystem:
         for t in graph.tasks():
             if t not in exec_costs:
                 raise ConfigurationError(f"no execution costs for task {t!r}")
-            row = tuple(float(c) for c in exec_costs[t])
-            if len(row) != topology.n_procs:
-                raise ConfigurationError(
-                    f"task {t!r}: expected {topology.n_procs} costs, got {len(row)}"
-                )
-            if not all(0 < c <= _MAX for c in row):
-                raise ConfigurationError(
-                    f"task {t!r}: execution costs must be positive and finite")
-            self._exec[t] = row
+            self._exec[t] = self._cost_row(t, exec_costs[t])
         self._per_link: Dict[Link, float] = dict(per_link_factors or {})
         if link_mode is LinkHeterogeneity.PER_LINK and not self._per_link:
             raise ConfigurationError("PER_LINK mode requires per_link_factors")
@@ -141,13 +133,14 @@ class HeterogeneousSystem:
         if not (0 < lo <= hi):
             raise ConfigurationError(f"bad heterogeneity range [{lo}, {hi}]")
         rng = RngStream(seed).fork("exec-factors", graph.name, topology.n_procs)
-        exec_costs: Dict[TaskId, Tuple[float, ...]] = {}
+        exec_costs: Dict[TaskId, List[float]] = {}
+        n_procs = topology.n_procs
         for t in graph.tasks():
-            factors = [rng.uniform(lo, hi) for _ in range(topology.n_procs)]
+            factors = rng.uniforms(lo, hi, n_procs)
             # normalize: fastest processor runs the task at factor `lo`
-            fastest = min(range(topology.n_procs), key=lambda p: factors[p])
-            factors[fastest] = lo
-            exec_costs[t] = tuple(f * graph.cost(t) for f in factors)
+            factors[min(range(n_procs), key=factors.__getitem__)] = lo
+            cost = graph.cost(t)
+            exec_costs[t] = [f * cost for f in factors]
         if link_het_range is None:
             return cls(graph, topology, exec_costs,
                        link_mode=LinkHeterogeneity.HOMOGENEOUS)
@@ -215,15 +208,21 @@ class HeterogeneousSystem:
             )
         if task in self._exec:
             raise ConfigurationError(f"task {task!r} already has execution costs")
-        row = tuple(float(c) for c in costs)
+        self._exec[task] = self._cost_row(task, costs)
+
+    def _cost_row(self, task: TaskId, costs: Sequence[float]) -> Tuple[float, ...]:
+        """``costs`` as a row of floats, one per processor, each positive
+        and finite: ``0 < c <= float max`` entry by entry, in C, so a NaN
+        anywhere in the row fails it."""
+        row = tuple(map(float, costs))
         if len(row) != self.topology.n_procs:
             raise ConfigurationError(
                 f"task {task!r}: expected {self.topology.n_procs} costs, got {len(row)}"
             )
-        if not all(0 < c <= _MAX for c in row):
+        if not (all(map((0.0).__lt__, row)) and all(map(_MAX.__ge__, row))):
             raise ConfigurationError(
                 f"task {task!r}: execution costs must be positive and finite")
-        self._exec[task] = row
+        return row
 
     def exec_cost_fn(self, proc: Proc):
         """Cost accessor for a fixed processor (feeds level analysis)."""

@@ -21,14 +21,26 @@ Two export granularities:
 
 from __future__ import annotations
 
+import functools
 import json
+from itertools import chain, starmap
 from json.encoder import encode_basestring_ascii
-from typing import Any, Dict, List, Optional, Tuple
+from operator import attrgetter
+from typing import Any, Dict, List, Tuple
 
 from repro.errors import SchedulingError
+from repro.graph.interchange import (
+    TRACE_FORMAT,
+    TRACE_VERSION,
+    ExternalWorkload,
+    interchange_ids,
+    relabel_tasks,
+    trace_from_dict,
+    trace_to_dict,
+)
 from repro.network.system import HeterogeneousSystem, LinkHeterogeneity
 from repro.schedule.schedule import Schedule
-from repro.util.checked import is_int, is_number, is_task_id, loads, want
+from repro.util.checked import is_int, is_number, loads, want
 
 _FORMAT_VERSION = 1
 
@@ -201,32 +213,18 @@ def bundle_to_dict(schedule: Schedule) -> Dict[str, Any]:
     rebuild its system (trace-dict graph with exact exec vectors and
     nominal costs, topology dict, link-model parameters).
 
-    A task id that is not an int or str (the regular applications'
-    tuples) is written through
-    :func:`~repro.graph.interchange.relabel_tasks`' default rename,
-    without copying the schedule or its system; ids that collide after
-    renaming raise ``GraphError``. Over a ``PER_MESSAGE_LINK`` system
-    renaming raises ``SchedulingError``: its link factors are keyed by
-    task id, so the replay would draw different hop costs.
+    Task ids are written by :func:`~repro.graph.interchange.interchange_ids`
+    (tuple ids become strings, without copying the schedule or its
+    system), which raises ``GraphError`` for renamed ids that collide
+    and ``SchedulingError`` for a ``PER_MESSAGE_LINK`` system whose ids
+    need renaming: its link factors are keyed by task id, so the replay
+    would draw different hop costs.
     """
-    from repro.graph.interchange import (
-        ExternalWorkload,
-        relabel_tasks,
-        trace_to_dict,
-    )
-
     system = schedule.system
     graph = system.graph
     tasks = graph.tasks()
-    named = graph
-    if not all(map(is_task_id, tasks)):
-        if system.link_mode is LinkHeterogeneity.PER_MESSAGE_LINK:
-            raise SchedulingError(
-                "cannot export a schedule over a PER_MESSAGE_LINK system "
-                "whose task ids need renaming: link factors are keyed by "
-                "task id, so renamed ids would change communication costs"
-            )
-        named = relabel_tasks(graph)
+    ids = _export_ids(system)
+    named = graph if ids is None else relabel_tasks(graph, ids.__getitem__)
     renamed = dict(zip(tasks, named.tasks()))
     workload = ExternalWorkload(
         graph=named,
@@ -242,22 +240,32 @@ def bundle_to_dict(schedule: Schedule) -> Dict[str, Any]:
         # the rebuilt system is exact even when they differ
         "nominal_costs": [graph.cost(t) for t in tasks],
         "topology": system.topology.to_dict(),
-        "link_model": {
-            "mode": system.link_mode.name,
-            "factor_range": list(system.link_factor_range),
-            "seed": system.link_seed,
-            "per_link": {
-                f"{a}-{b}": factor
-                for (a, b), factor in sorted(system.per_link_factors.items())
-            },
-        },
+        "link_model": _link_model(system),
         "schedule": _schedule_dict(schedule, written.__getitem__),
+    }
+
+
+def _export_ids(system: HeterogeneousSystem):
+    """The system's task -> written id map (None: ids written as is)."""
+    return interchange_ids(
+        system.graph,
+        system.link_mode is LinkHeterogeneity.PER_MESSAGE_LINK)
+
+
+def _link_model(system: HeterogeneousSystem) -> Dict[str, Any]:
+    return {
+        "mode": system.link_mode.name,
+        "factor_range": list(system.link_factor_range),
+        "seed": system.link_seed,
+        "per_link": {
+            f"{a}-{b}": factor
+            for (a, b), factor in sorted(system.per_link_factors.items())
+        },
     }
 
 
 def bundle_from_dict(data: Dict[str, Any]) -> Schedule:
     """Rebuild system and schedule from :func:`bundle_to_dict` output."""
-    from repro.graph.interchange import trace_from_dict
     from repro.network.topology import Topology
 
     if not isinstance(data, dict) or data.get("format") != BUNDLE_FORMAT:
@@ -310,169 +318,180 @@ def bundle_from_dict(data: Dict[str, Any]) -> Schedule:
 
 
 # ----------------------------------------------------------------------
-# the canonical indent=2 text, written without the pure-Python encoder
+# the canonical indent=2 text, written straight from the live schedule
 # ----------------------------------------------------------------------
-# CPython serves json.dumps from its C encoder only when indent is None,
-# and four lists hold most of a bundle's bytes: graph.tasks,
-# graph.edges, schedule.tasks and schedule.messages (one record per
-# hop). Each has a writer for its fixed shape that emits exactly what
-# json.dumps(indent=2) emits at its depth; every other value still goes
-# through json.dumps(indent=2), re-indented to its depth (safe: the
-# ensure_ascii output never holds a raw newline). An entry off its
-# shape sends the whole document back to json.dumps(indent=2), which
-# stays the oracle the tests compare against.
+# CPython serves json.dumps from its C encoder only when indent is None.
+# bundle_to_json writes the text json.dumps(bundle_to_dict(s), indent=2)
+# would, in the same order, from the schedule and its system: json
+# writes an exact int or finite float as its repr, which is what %r
+# templates emit, so each bulk list's numbers are checked once, at C
+# speed, and its rows formatted with one template per row shape. Any
+# other value (a NaN time, a float subclass, a bool processor) sends the
+# whole schedule to json.dumps(bundle_to_dict(s), indent=2), which stays
+# the oracle the tests compare against.
 
 class _OffShape(Exception):
-    """A bulk-list entry does not have the shape its writer emits."""
+    """A value the direct writer would not write as json.dumps does."""
 
 
 _INF = float("inf")
-_float_repr = float.__repr__
-_int_repr = int.__repr__
+_NUMBER_TYPES = frozenset((int, float))
 
 
-def _number(x) -> str:
-    """json's text for an exact int or float (NaN/Infinity spelled as
-    json spells them); anything else, bool included, is off shape."""
-    kind = type(x)
-    if kind is float:
-        if -_INF < x < _INF:
-            return _float_repr(x)
-        return "NaN" if x != x else ("Infinity" if x > 0 else "-Infinity")
-    if kind is int:
-        return _int_repr(x)
-    raise _OffShape
+def _checked(values: list) -> list:
+    """``values`` when every one is an exact int or float and finite."""
+    if not _NUMBER_TYPES.issuperset(map(type, values)):
+        raise _OffShape
+    try:
+        total = sum(values)
+    except OverflowError:  # an int past float range beside a float
+        raise _OffShape from None
+    # a NaN or an infinity leaves the sum non-finite (so does an
+    # overflowing sum of finite values, which merely takes the fallback)
+    if not -_INF < total < _INF:
+        raise _OffShape
+    return values
 
 
-def _id(x) -> str:
-    """json's text for an exact str or int task id."""
+def _scalar(x) -> str:
+    """json's text for an exact str, int or finite float."""
     kind = type(x)
     if kind is str:
         return encode_basestring_ascii(x)
-    if kind is int:
-        return _int_repr(x)
+    if kind is int or (kind is float and -_INF < x < _INF):
+        return repr(x)
     raise _OffShape
 
 
-def _list(items, level: int) -> str:
+def _id_text(t) -> str:
+    """json's text for an int or str task id (subclasses included)."""
+    return encode_basestring_ascii(t) if isinstance(t, str) else int.__repr__(t)
+
+
+def _items(texts: List[str], level: int) -> str:
     """A list of already-written items whose lines sit at ``level``."""
-    if not items:
+    if not texts:
         return "[]"
     pad = "\n" + "  " * level
-    return "[" + pad + ("," + pad).join(items) + "\n" + "  " * (level - 1) + "]"
+    return "[" + pad + ("," + pad).join(texts) + "\n" + "  " * (level - 1) + "]"
 
 
-def _entry_template(keys, level: int) -> str:
-    """``%``-template of a dict with ``keys`` written as an item at ``level``."""
+def _entry(level: int, **fields: str) -> str:
+    """``%``-template of a dict whose keys sit at ``level + 1``; each
+    field maps a key to the text, or the conversion, of its value."""
     pad = "\n" + "  " * (level + 1)
-    fields = ",".join(f"{pad}{encode_basestring_ascii(k)}: %s" for k in keys)
-    return "{" + fields + "\n" + "  " * level + "}"
+    return ("{" + ",".join(f"{pad}{encode_basestring_ascii(k)}: {v}"
+                           for k, v in fields.items())
+            + "\n" + "  " * level + "}")
 
 
-def _rows(entries, keys):
-    """The values of each entry of a list of dicts keyed exactly ``keys``."""
-    if type(entries) is not list:
-        raise _OffShape
-    for entry in entries:
-        if type(entry) is not dict or tuple(entry) != keys:
-            raise _OffShape
-        yield entry.values()
+@functools.lru_cache(maxsize=None)
+def _graph_task(n_procs: int) -> str:
+    return _entry(3, id="%s", costs=_items(["%r"] * n_procs, 5))
 
 
-# the four lists' items sit at level 3: bundle -> section -> list -> item
-_GRAPH_TASK_KEYS = ("id", "costs")
-_GRAPH_EDGE_KEYS = ("src", "dst", "comm")
-_TASK_KEYS = ("task", "proc", "start", "finish")
-_MESSAGE_KEYS = ("edge", "local", "hops")
-_HOP_KEYS = ("src", "dst", "start", "finish")
-_GRAPH_TASK = _entry_template(_GRAPH_TASK_KEYS, 3)
-_GRAPH_EDGE = _entry_template(_GRAPH_EDGE_KEYS, 3)
-_TASK = _entry_template(_TASK_KEYS, 3)
-_MESSAGE = _entry_template(_MESSAGE_KEYS, 3)
-_HOP = _entry_template(_HOP_KEYS, 5)
+# rows sit at level 3 (bundle -> section -> list -> row), hops at 5
+_GRAPH_EDGE = _entry(3, src="%s", dst="%s", comm="%r")
+_TASK = _entry(3, task="%s", proc="%r", start="%r", finish="%r")
+_HOP = _entry(5, src="%r", dst="%r", start="%r", finish="%r")
+_MESSAGE = _entry(3, edge=_items(["%s", "%s"], 5), local="%s", hops="%s")
+_BUNDLE = _entry(
+    0,
+    format=encode_basestring_ascii(BUNDLE_FORMAT),
+    version=repr(BUNDLE_VERSION),
+    graph=_entry(1, format=encode_basestring_ascii(TRACE_FORMAT),
+                 version=repr(TRACE_VERSION),
+                 name="%(name)s", n_procs="%(n_procs)s",
+                 tasks="%(graph_tasks)s", edges="%(graph_edges)s"),
+    nominal_costs="%(nominal_costs)s",
+    topology="%(topology)s",
+    link_model="%(link_model)s",
+    schedule=_entry(1, version=repr(_FORMAT_VERSION),
+                    algorithm="%(algorithm)s", graph="%(name)s",
+                    topology="%(topology_name)s",
+                    schedule_length="%(schedule_length)s",
+                    tasks="%(tasks)s", messages="%(messages)s"),
+)
+_SLOT_FIELDS = ("proc", "start", "finish")
+_HOP_FIELDS = ("src", "dst", "start", "finish")
 
 
-def _graph_tasks(tasks) -> str:
-    out = []
-    for tid, costs in _rows(tasks, _GRAPH_TASK_KEYS):
-        if type(costs) is not list:
-            raise _OffShape
-        out.append(_GRAPH_TASK % (_id(tid), _list([*map(_number, costs)], 5)))
-    return _list(out, 3)
+def _columns(objects: list, fields) -> List[list]:
+    """The ``fields`` attributes of ``objects``, one checked list each."""
+    return [_checked(list(map(attrgetter(f), objects))) for f in fields]
 
 
-def _graph_edges(edges) -> str:
-    return _list([
-        _GRAPH_EDGE % (_id(u), _id(v), _number(comm))
-        for u, v, comm in _rows(edges, _GRAPH_EDGE_KEYS)
-    ], 3)
+def _nested(value, level: int) -> str:
+    """json.dumps(indent=2) of a small value whose lines sit at ``level``
+    (safe: the ensure_ascii output never holds a raw newline)."""
+    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * level)
 
 
-def _schedule_tasks(tasks) -> str:
-    return _list([
-        _TASK % (_id(task), _number(proc), _number(start), _number(finish))
-        for task, proc, start, finish in _rows(tasks, _TASK_KEYS)
-    ], 3)
+def _write_bundle(schedule: Schedule) -> str:
+    """The canonical bundle text of ``schedule``; raises _OffShape at a
+    value json.dumps would write differently. Each section's row texts
+    are joined as soon as they are written, so only the section texts
+    are held at the end."""
+    system = schedule.system
+    graph = system.graph
+    topology = system.topology
+    tasks = graph.tasks()
+    if not tasks:
+        raise _OffShape  # trace_to_dict reads n_procs off a task's row
+    ids = _export_ids(system)
+    new_ids = tasks if ids is None else list(map(ids.__getitem__, tasks))
+    id_text = dict(zip(tasks, map(_id_text, new_ids)))
+    # the schedule section names a task by the repr of its written id
+    names = dict(zip(tasks, map(encode_basestring_ascii, map(repr, new_ids))))
+    rows = list(map(system.exec_cost_row, tasks))
+    _checked(list(chain.from_iterable(rows)))
+    template = _graph_task(len(rows[0]))
+    edges = graph.edges()
+    comms = _checked(list(starmap(graph.comm_cost, edges)))
+    nominal = _checked(list(map(graph.cost, tasks)))
+    slots = schedule.slots
+    return _BUNDLE % {
+        "name": _scalar(graph.name),
+        "n_procs": repr(len(rows[0])),
+        "graph_tasks": _items([template % (id_text[t], *row)
+                               for t, row in zip(tasks, rows)], 3),
+        "graph_edges": _items([_GRAPH_EDGE % (id_text[u], id_text[v], comm)
+                               for (u, v), comm in zip(edges, comms)], 3),
+        "nominal_costs": _items(list(map(repr, nominal)), 2),
+        "topology": _nested(topology.to_dict(), 1),
+        "link_model": _nested(_link_model(system), 1),
+        "algorithm": _scalar(schedule.algorithm),
+        "topology_name": _scalar(topology.name),
+        "schedule_length": _scalar(schedule.schedule_length()),
+        "tasks": _items(list(map(_TASK.__mod__, zip(
+            map(names.__getitem__, slots),
+            *_columns(list(slots.values()), _SLOT_FIELDS)))), 3),
+        "messages": _messages(schedule.routes, names),
+    }
 
 
-def _schedule_messages(messages) -> str:
-    out = []
-    for edge, local, hops in _rows(messages, _MESSAGE_KEYS):
-        if type(edge) is not list or type(local) is not bool:
-            raise _OffShape
-        out.append(_MESSAGE % (
-            _list([*map(_id, edge)], 5),
-            "true" if local else "false",
-            _list([
-                _HOP % (_number(a), _number(b), _number(start), _number(finish))
-                for a, b, start, finish in _rows(hops, _HOP_KEYS)
-            ], 5),
-        ))
-    return _list(out, 3)
-
-
-def _object(obj, level: int, writers) -> str:
-    """A dict whose keys sit at ``level``: keys named in ``writers`` go
-    through their writer, every other value through json.dumps(indent=2)."""
-    if type(obj) is not dict:
-        raise _OffShape
-    if not obj:
-        return "{}"
-    pad = "\n" + "  " * level
-    parts = []
-    for key, value in obj.items():
-        if type(key) is not str:
-            raise _OffShape
-        write = writers.get(key)
-        text = write(value) if write else json.dumps(value, indent=2).replace("\n", pad)
-        parts.append(f"{pad}{encode_basestring_ascii(key)}: {text}")
-    return "{" + ",".join(parts) + "\n" + "  " * (level - 1) + "}"
-
-
-_SECTION_WRITERS = {
-    "graph": lambda graph: _object(
-        graph, 2, {"tasks": _graph_tasks, "edges": _graph_edges}),
-    "schedule": lambda sched: _object(
-        sched, 2, {"tasks": _schedule_tasks, "messages": _schedule_messages}),
-}
-
-
-def _bundle_text(doc) -> Optional[str]:
-    """``json.dumps(doc, indent=2)`` for a :func:`bundle_to_dict` document,
-    or None when some part of it is off the writers' fixed shapes."""
-    try:
-        return _object(doc, 1, _SECTION_WRITERS)
-    except _OffShape:
-        return None
+def _messages(routes, names) -> str:
+    """The ``schedule.messages`` list of :func:`_write_bundle`."""
+    hops = list(chain.from_iterable(r.hops for r in routes.values()))
+    hop_texts = list(map(_HOP.__mod__, zip(*_columns(hops, _HOP_FIELDS))))
+    messages = []
+    i = 0
+    for (u, v), route in routes.items():
+        k = len(route.hops)
+        messages.append(_MESSAGE % (names[u], names[v], "false" if k else "true",
+                                    _items(hop_texts[i:i + k], 5)))
+        i += k
+    return _items(messages, 3)
 
 
 def bundle_to_json(schedule: Schedule) -> str:
     """The canonical bundle text, ``json.dumps(bundle_to_dict(schedule),
-    indent=2)``, written by the fixed-shape writers above with json.dumps
-    as the fallback."""
-    doc = bundle_to_dict(schedule)
-    text = _bundle_text(doc)
-    return json.dumps(doc, indent=2) if text is None else text
+    indent=2)``, written straight from the schedule, with json.dumps as
+    the fallback for a value off the writer's shapes."""
+    try:
+        return _write_bundle(schedule)
+    except _OffShape:
+        return json.dumps(bundle_to_dict(schedule), indent=2)
 
 
 def bundle_from_json(text) -> Schedule:

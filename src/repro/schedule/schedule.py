@@ -19,6 +19,7 @@ re-route messages without bookkeeping leaks.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SchedulingError
@@ -210,13 +211,15 @@ class Schedule:
         duration = self.system.exec_cost(task, proc)
         slot = TaskSlot(task, proc, start, start + duration, cost=duration)
         order = self.proc_order[proc]
+        tl = self._proc_tl.get(proc)
         if position is None:
-            position = self._bisect_by_start(order, start)
+            # a cached timeline's starts mirror the order's
+            position = (self._bisect_by_start(order, start) if tl is None
+                        else bisect_right(tl.starts, start))
         order.insert(position, task)
         self.slots[task] = slot
         if self._txn is not None:
             self._txn.record_place(task, proc, position, order)
-        tl = self._proc_tl.get(proc)
         if tl is not None:
             tl.insert(position, slot.start, slot.finish)
             if _obs.ACTIVE:
@@ -270,20 +273,29 @@ class Schedule:
         """
         if len(proc_path) < 2:
             raise SchedulingError(f"route for {edge} needs >= 2 processors")
-        self.clear_route(edge)
         system = self.system
-        topology = system.topology
+        # the directed-pair -> channel map holds no pair of a missing
+        # link or a repeated processor, so one lookup per hop checks the
+        # path and finds the hop's reservation channel
+        dsts = proc_path[1:]
+        channels = list(map(system.topology._channel.get, zip(proc_path, dsts)))
+        if None in channels:
+            i = channels.index(None)
+            raise SchedulingError(
+                f"no link between {proc_path[i]} and {dsts[i]} for {edge}")
+        if edge in self.routes:
+            self.clear_route(edge)
         txn = self._txn
+        link_order = self.link_order
         link_tl = self._link_tl
         link_pos = self._link_pos
+        patches = _obs.ACTIVE
         # hop prices as the planners read them (see repro.schedule.linkplan)
         prices = system.hop_prices
         c = system.graph.comm_cost(*edge)
         hops: List[MessageHop] = []
         entries: List[Tuple[Link, int]] = []
-        for i, (a, b) in enumerate(zip(proc_path, proc_path[1:])):
-            if not topology.has_link(a, b):
-                raise SchedulingError(f"no link between {a} and {b} for {edge}")
+        for i, (a, b, channel) in enumerate(zip(proc_path, dsts, channels)):
             lid = (a, b) if a < b else (b, a)
             if prices is None:
                 duration = system.comm_cost(edge, lid)
@@ -291,26 +303,25 @@ class Schedule:
                 factor, bandwidth = prices[lid]
                 duration = factor * c / bandwidth
             start = hop_starts[i] if hop_starts else 0.0
+            finish = start + duration
             # _rpos/_chan: backrefs for the incremental settle engine —
             # index within the route (stable: routes are rebuilt whole,
             # never spliced) and the reservation channel, both O(1) walks
-            hop = MessageHop(edge, a, b, start, start + duration,
-                             cost=duration, _rpos=i)
+            hop = MessageHop(edge, a, b, start, finish, duration, i, channel)
             hops.append(hop)
-            channel = topology.channel(a, b)
-            hop._chan = channel
-            order = self.link_order[channel]
+            order = link_order[channel]
             link_pos.pop(channel, None)
-            if hop_starts:
-                pos = self._bisect_hops(order, start)
-                order.insert(pos, hop)
-            else:
-                pos = len(order)
-                order.append(hop)
             tl = link_tl.get(channel)
+            if not hop_starts:
+                pos = len(order)
+            elif tl is None:
+                pos = self._bisect_hops(order, start)
+            else:  # a cached timeline's starts mirror the order's
+                pos = bisect_right(tl.starts, start)
+            order.insert(pos, hop)
             if tl is not None:
-                tl.insert(pos, hop.start, hop.finish)
-                if _obs.ACTIVE:
+                tl.insert(pos, start, finish)
+                if patches:
                     _obs.inc("timeline.patches")
             if txn is not None:
                 entries.append((channel, pos))

@@ -8,10 +8,9 @@ the sweep engine. Now the CLI and the HTTP server both call
 *byte-identical by construction*: the canonical schedule artifact is a
 single string — ``bundle_to_json(schedule) + "\\n"`` over the live
 schedule — and both transports emit it verbatim. Its bytes are
-``json.dumps(bundle_to_dict(schedule), indent=2)``; ``bundle_to_dict``
-names tuple task ids, and ``bundle_to_json`` writes the four bulk lists
-with fixed-shape writers and falls back to ``json.dumps`` for a
-document off their shapes.
+``json.dumps(bundle_to_dict(schedule), indent=2)``, which
+``bundle_to_json`` writes straight from the schedule, falling back to
+that ``json.dumps`` for a value off its shapes.
 
 Caching. Schedule responses are memoized in the
 :class:`~repro.experiments.cache.ResultCache` under the request's

@@ -209,8 +209,14 @@ class Timeline:
         """Insert the reservation ``[start, finish)`` at index ``i``."""
         self.starts.insert(i, start)
         self.finishes.insert(i, finish)
-        self._maxf.insert(i, finish)
-        self.refresh_maxf(i, i)
+        maxf = self._maxf
+        if 0 < i == len(maxf):
+            # an append takes refresh_maxf's one step past the last entry
+            m = maxf[-1]
+            maxf.append(finish if finish > m else m)
+        else:
+            maxf.insert(i, finish)
+            self.refresh_maxf(i, i)
 
     def delete(self, i: int) -> None:
         """Remove the reservation at index ``i``."""

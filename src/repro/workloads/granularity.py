@@ -35,10 +35,11 @@ def apply_granularity(
         return graph
     rng = RngStream(seed).fork("granularity", graph.name, granularity)
     target_mean = graph.mean_exec_cost() / granularity
-    for u, v in graph.edges():
-        graph.set_edge_cost(
-            u, v, rng.uniform((1 - spread) * target_mean, (1 + spread) * target_mean)
-        )
+    edges = graph.edges()
+    draws = rng.uniforms((1 - spread) * target_mean, (1 + spread) * target_mean,
+                         len(edges))
+    for (u, v), cost in zip(edges, draws):
+        graph.set_edge_cost(u, v, cost)
     achieved_mean = graph.mean_comm_cost()
     correction = target_mean / achieved_mean
     for u, v in graph.edges():

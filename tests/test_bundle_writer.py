@@ -1,7 +1,8 @@
-"""The canonical bundle text: the fixed-shape writers in
-``repro.schedule.io`` must emit exactly ``json.dumps(bundle_to_dict(s),
-indent=2)``, and the bundles the schedulers produce must take the
-writers, not the ``json.dumps`` fallback."""
+"""The canonical bundle text: ``bundle_to_json``'s direct writer must
+emit exactly ``json.dumps(bundle_to_dict(s), indent=2)`` from the live
+schedule, the bundles the schedulers produce must take the direct path,
+and a value the writer does not write as json does must send the whole
+schedule to the ``json.dumps`` fallback."""
 
 import hashlib
 import json
@@ -9,15 +10,22 @@ import math
 from enum import IntEnum
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.errors import SchedulingError
 from repro.experiments import cache as cache_mod
 from repro.experiments.runner import _SCHEDULERS
-from repro.graph.interchange import load_workload
+from repro.graph.interchange import load_workload, relabel_tasks
 from repro.network.system import HeterogeneousSystem, LinkHeterogeneity
-from repro.network.topology import apply_link_model, fat_tree, ring
-from repro.schedule.io import _bundle_text, bundle_to_dict, bundle_to_json
+from repro.network.topology import (
+    apply_link_model,
+    fat_tree,
+    hypercube,
+    ring,
+    torus2d,
+)
+from repro.schedule.io import _OffShape, _write_bundle, bundle_to_dict, bundle_to_json
 from repro.service import execute
 from repro.service.requests import ScheduleRequest
 from repro.workloads.suites import random_graph
@@ -42,14 +50,23 @@ def fresh_cache(tmp_path, monkeypatch):
     cache_mod._default_cache = None
 
 
-def _assert_writer_path(schedule) -> str:
-    """The schedule's bundle takes the fixed-shape writers (a fallback
-    would return None) and they reproduce the oracle's bytes."""
-    doc = bundle_to_dict(schedule)
-    oracle = json.dumps(doc, indent=2)
-    assert _bundle_text(doc) == oracle
+def _oracle(schedule) -> str:
+    return json.dumps(bundle_to_dict(schedule), indent=2)
+
+
+def _assert_direct_path(schedule) -> str:
+    """The schedule's bundle takes the direct writer (the fallback is
+    signalled by _OffShape) and it reproduces the oracle's bytes."""
+    oracle = _oracle(schedule)
+    assert _write_bundle(schedule) == oracle
     assert bundle_to_json(schedule) == oracle
     return oracle
+
+
+def _assert_fallback(schedule) -> None:
+    with pytest.raises(_OffShape):
+        _write_bundle(schedule)
+    assert bundle_to_json(schedule) == _oracle(schedule)
 
 
 class TestSchedulerBundles:
@@ -59,7 +76,7 @@ class TestSchedulerBundles:
         body = {"workload": "gauss", "size": 30, "topology": topology,
                 "n_procs": 8, "algorithm": algorithm, "seed": 1}
         resp = execute(ScheduleRequest.from_dict(body), use_cache=False)
-        oracle = _assert_writer_path(resp.extra["schedule"])
+        oracle = _assert_direct_path(resp.extra["schedule"])
         assert resp.bundle_text == oracle + "\n"
 
     @pytest.mark.parametrize("duplex,skew", [("full", 1.0), ("half", 6.0),
@@ -69,7 +86,7 @@ class TestSchedulerBundles:
                 "n_procs": 8, "algorithm": "heft", "seed": 2,
                 "duplex": duplex, "bandwidth_skew": skew}
         resp = execute(ScheduleRequest.from_dict(body), use_cache=False)
-        _assert_writer_path(resp.extra["schedule"])
+        _assert_direct_path(resp.extra["schedule"])
 
     def test_per_message_link_system(self):
         workload = load_workload("examples/corpus/fft8.trace.json")
@@ -78,7 +95,7 @@ class TestSchedulerBundles:
         )
         system = workload.bind(topology, link_het_range=(1.0, 5.0), seed=9)
         assert system.link_mode is LinkHeterogeneity.PER_MESSAGE_LINK
-        _assert_writer_path(_SCHEDULERS["dls"](system))
+        _assert_direct_path(_SCHEDULERS["dls"](system))
 
     def test_int_task_ids(self):
         graph = random_graph(15, seed=2)
@@ -86,19 +103,19 @@ class TestSchedulerBundles:
         system = HeterogeneousSystem.sample(
             graph, ring(4), het_range=(2.0, 10.0), seed=1
         )
-        _assert_writer_path(_SCHEDULERS["heft"](system))
+        _assert_direct_path(_SCHEDULERS["heft"](system))
 
-    def test_off_shape_schedule_falls_back(self):
-        class Time(float):
-            pass
+    def test_renamed_per_message_link_system_refused(self):
+        """Both paths run the one id rule, so a PER_MESSAGE_LINK system
+        whose tuple ids need renaming is refused by each."""
+        from repro.workloads.forkjoin import fork_join
 
-        system = HeterogeneousSystem.sample(random_graph(12, seed=1), ring(4))
+        system = HeterogeneousSystem.sample(
+            fork_join(2, 2), ring(4), link_het_range=(1.0, 5.0), seed=1)
         schedule = _SCHEDULERS["heft"](system)
-        slot = next(iter(schedule.slots.values()))
-        slot.start = Time(slot.start)
-        doc = bundle_to_dict(schedule)
-        assert _bundle_text(doc) is None
-        assert bundle_to_json(schedule) == json.dumps(doc, indent=2)
+        for export in (bundle_to_dict, _write_bundle, bundle_to_json):
+            with pytest.raises(SchedulingError, match="PER_MESSAGE_LINK"):
+                export(schedule)
 
     @pytest.mark.parametrize("algorithm", sorted(CANONICAL_SHA256))
     def test_canonical_bytes_pinned(self, algorithm):
@@ -111,151 +128,149 @@ class TestSchedulerBundles:
 
 
 # ----------------------------------------------------------------------
-# hypothesis-built documents of the bundle's shape
+# hypothesis-built schedules: awkward ids, awkward times
 # ----------------------------------------------------------------------
 
 AWKWARD_TEXT = ["", '"', "\\", "'a'", "é", "日本", "\x00", "\n", "\x7f",
-                "\ud800", "\udfff", "a b", "\U0001f600"]
-FLOATS = [-0.0, 0.0, 5e-324, 1e22, 1e16, 0.1, math.nan, math.inf, -math.inf]
+                "\ud800", "\udfff", "a b", "\U0001f600"]
+#: finite times json writes as their repr: the writer must too
+EDGE_TIMES = [-0.0, 5e-324, 1e16, 1e22, 7]
 
 texts = st.one_of(
     st.sampled_from(AWKWARD_TEXT),
-    st.text(st.characters(exclude_categories=()), max_size=8),
+    st.text(st.characters(exclude_categories=()), max_size=6),
 )
-ids = st.one_of(texts, st.integers())
-numbers = st.one_of(st.sampled_from(FLOATS), st.floats(), st.integers())
+LINK_MODES = list(LinkHeterogeneity)
 
 
-def _entry(keys, *values):
-    return st.tuples(*values).map(lambda vals: dict(zip(keys, vals)))
+def _topology(name: str, duplex: str, skew: float):
+    base = {"ring": lambda: ring(4), "torus": lambda: torus2d(2, 3),
+            "hypercube": lambda: hypercube(4),
+            "fattree": lambda: fat_tree(6)}[name]()
+    return apply_link_model(base, duplex=duplex, bandwidth_skew=skew, seed=5)
 
 
-graph_tasks = st.lists(_entry(("id", "costs"), ids,
-                              st.lists(numbers, max_size=4)), max_size=4)
-graph_edges = st.lists(_entry(("src", "dst", "comm"), ids, ids, numbers),
-                       max_size=4)
-schedule_tasks = st.lists(
-    _entry(("task", "proc", "start", "finish"), texts, st.integers(),
-           numbers, numbers), max_size=4)
-hops = st.lists(_entry(("src", "dst", "start", "finish"), st.integers(),
-                       st.integers(), numbers, numbers), max_size=3)
-messages = st.lists(_entry(("edge", "local", "hops"),
-                           st.lists(texts, min_size=2, max_size=2),
-                           st.booleans(), hops), max_size=4)
+def _system(graph, topology, mode: LinkHeterogeneity, seed: int):
+    if mode is LinkHeterogeneity.PER_MESSAGE_LINK:
+        return HeterogeneousSystem.sample(
+            graph, topology, link_het_range=(1.0, 4.0), seed=seed)
+    sampled = HeterogeneousSystem.sample(graph, topology, seed=seed)
+    if mode is LinkHeterogeneity.HOMOGENEOUS:
+        return sampled
+    return HeterogeneousSystem.from_exec_table(
+        graph, topology,
+        {t: sampled.exec_cost_row(t) for t in graph.tasks()},
+        link_mode=mode,
+        per_link_factors={lid: 1.0 + (sum(lid) % 3) * 0.75
+                          for lid in topology.links})
 
 
 @st.composite
-def bundle_docs(draw):
-    """A document with every key of a bundle, in bundle order."""
-    return {
-        "format": "repro-schedule-bundle",
-        "version": 1,
-        "graph": {
-            "format": "repro-trace",
-            "version": 1,
-            "name": draw(texts),
-            "n_procs": draw(st.integers(0, 4)),
-            "tasks": draw(graph_tasks),
-            "edges": draw(graph_edges),
-        },
-        "nominal_costs": draw(st.lists(numbers, max_size=3)),
-        "topology": {"name": draw(texts), "n_procs": 2, "links": [[0, 1]],
-                     "link_specs": {"0-1": {"bandwidth": draw(numbers)}}},
-        "link_model": {"mode": "HOMOGENEOUS", "factor_range": [1.0, 1.0],
-                       "seed": 0, "per_link": {draw(texts): draw(numbers)}},
-        "schedule": {
-            "version": 1,
-            "algorithm": draw(texts),
-            "graph": draw(texts),
-            "topology": draw(texts),
-            "schedule_length": draw(numbers),
-            "tasks": draw(schedule_tasks),
-            "messages": draw(messages),
-        },
-    }
+def schedules(draw):
+    """A schedule from any scheduler, topology and link mode over a
+    small graph whose ids are ints, tuples, awkward strs or a mix, with
+    some task and hop times set to EDGE_TIMES."""
+    n = draw(st.integers(2, 9))
+    base = random_graph(n, seed=draw(st.integers(0, 40)))
+    kind = draw(st.sampled_from(["int", "tuple", "str", "mixed"]))
+    if kind == "int":
+        graph = base
+    else:
+        words = draw(st.lists(texts, min_size=n, max_size=n, unique=True))
+        if kind == "tuple":  # the int part keeps the renamed ids apart
+            ids = [(w, i) for i, w in enumerate(words)]
+        elif kind == "str":
+            ids = words
+        else:
+            ids = [w if i % 2 else i for i, w in enumerate(words)]
+        rename = dict(zip(base.tasks(), ids))
+        graph = relabel_tasks(base, rename.__getitem__)
+    topology = _topology(draw(st.sampled_from(TOPOLOGIES)),
+                         draw(st.sampled_from(["half", "full"])),
+                         draw(st.sampled_from([1.0, 4.0])))
+    mode = draw(st.sampled_from(LINK_MODES))
+    system = _system(graph, topology, mode, draw(st.integers(0, 9)))
+    schedule = _SCHEDULERS[draw(st.sampled_from(ALGORITHMS))](system)
+    hops = [h for route in schedule.routes.values() for h in route.hops]
+    for obj in draw(st.lists(st.sampled_from(
+            list(schedule.slots.values()) + hops), max_size=4)):
+        setattr(obj, draw(st.sampled_from(["start", "finish"])),
+                draw(st.sampled_from(EDGE_TIMES)))
+    return schedule
+
+
+class TestGeneratedSchedules:
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(schedules())
+    def test_direct_path_matches_json_dumps(self, schedule):
+        system = schedule.system
+        renamed = any(type(t) not in (int, str) for t in system.graph.tasks())
+        if (renamed and system.link_mode
+                is LinkHeterogeneity.PER_MESSAGE_LINK):
+            for export in (bundle_to_dict, bundle_to_json):
+                with pytest.raises(SchedulingError):
+                    export(schedule)
+            return
+        _assert_direct_path(schedule)
+
+    def test_ids_and_times_json_escapes(self):
+        """One deterministic schedule with every awkward id text and
+        every edge time at once."""
+        base = random_graph(len(AWKWARD_TEXT), seed=3)
+        graph = relabel_tasks(base, dict(zip(base.tasks(), AWKWARD_TEXT))
+                              .__getitem__)
+        schedule = _SCHEDULERS["heft"](
+            HeterogeneousSystem.sample(graph, ring(4), seed=2))
+        hops = [h for route in schedule.routes.values() for h in route.hops]
+        assert hops
+        for obj, time in zip(list(schedule.slots.values()) + hops,
+                             EDGE_TIMES * 2):
+            obj.start = time
+        text = _assert_direct_path(schedule)
+        assert "\\ud800" in text and "-0.0" in text and "1e+22" in text
 
 
 class _Proc(IntEnum):
     P0 = 0
 
 
-class _Int(int):
+class _Time(float):
     pass
 
 
-#: ways to knock one entry of one bulk list off its fixed shape
+#: (what, mutation) pairs that knock one value off the direct writer
 _OFF_SHAPE = [
-    ("graph", "tasks", {"id": "a"}),                              # missing key
-    ("graph", "tasks", {"id": "a", "costs": [1.0], "x": 1}),      # extra key
-    ("graph", "tasks", {"costs": [1.0], "id": "a"}),              # key order
-    ("graph", "tasks", {"id": "a", "cost": [1.0]}),               # renamed key
-    ("graph", "tasks", {"id": 1.5, "costs": []}),                 # float id
-    ("graph", "tasks", {"id": None, "costs": []}),                # null id
-    ("graph", "tasks", {"id": True, "costs": []}),                # bool id
-    ("graph", "tasks", {"id": "a", "costs": (1.0,)}),             # tuple
-    ("graph", "tasks", {"id": "a", "costs": [False]}),            # bool cost
-    ("graph", "edges", {"src": "a", "dst": _Int(2), "comm": 1.0}),  # int subclass
-    ("graph", "edges", {"src": "a", "dst": "b", "comm": "1"}),    # str number
-    ("schedule", "tasks", {"task": "a", "proc": True, "start": 0.0,
-                           "finish": 1.0}),                       # bool proc
-    ("schedule", "tasks", {"task": "a", "proc": _Proc.P0, "start": 0.0,
-                           "finish": 1.0}),                       # IntEnum proc
-    ("schedule", "tasks", {"task": ["a"], "proc": 0, "start": 0.0,
-                           "finish": 1.0}),                       # list id
-    ("schedule", "messages", {"edge": ["a", "b"], "local": 1,
-                              "hops": []}),                       # int local
-    ("schedule", "messages", {"edge": ["a", "b"], "local": False,
-                              "hops": [{"src": 0, "dst": 1,
-                                        "start": 0.0}]}),         # hop missing key
-    ("schedule", "messages", {"edge": ["a", "b"], "local": False, "hops": [
-        {"dst": 1, "src": 0, "start": 0.0, "finish": 1.0}]}),     # hop key order
-    ("schedule", "messages", {"edge": ["a", "b"], "local": False,
-                              "hops": [[0, 1, 0.0, 1.0]]}),       # hop list
-    ("schedule", "messages", ["a", "b"]),                         # not a dict
+    ("nan slot start", lambda slot, hop: setattr(slot, "start", math.nan)),
+    ("inf slot finish", lambda slot, hop: setattr(slot, "finish", math.inf)),
+    ("-inf hop start", lambda slot, hop: setattr(hop, "start", -math.inf)),
+    ("nan hop finish", lambda slot, hop: setattr(hop, "finish", math.nan)),
+    ("float subclass start",
+     lambda slot, hop: setattr(slot, "start", _Time(slot.start))),
+    ("float subclass hop", lambda slot, hop: setattr(hop, "finish", _Time(1.5))),
+    ("bool proc", lambda slot, hop: setattr(slot, "proc", True)),
+    ("IntEnum proc", lambda slot, hop: setattr(slot, "proc", _Proc.P0)),
+    ("bool hop src", lambda slot, hop: setattr(hop, "src", False)),
+    ("int past float range", lambda slot, hop: setattr(slot, "start", 10 ** 400)),
 ]
 
 
-class TestGeneratedDocuments:
-    @settings(max_examples=200, deadline=None)
-    @given(bundle_docs())
-    def test_writer_matches_json_dumps(self, doc):
-        assert _bundle_text(doc) == json.dumps(doc, indent=2)
+class TestFallback:
+    @pytest.mark.parametrize("what,mutate", _OFF_SHAPE,
+                             ids=[w for w, _ in _OFF_SHAPE])
+    @pytest.mark.parametrize("algorithm", ["heft", "bsa"])
+    def test_off_shape_value_takes_the_fallback(self, what, mutate,
+                                                algorithm):
+        system = HeterogeneousSystem.sample(random_graph(12, seed=1), ring(4))
+        schedule = _SCHEDULERS[algorithm](system)
+        slot = list(schedule.slots.values())[3]
+        hop = next(h for r in schedule.routes.values() for h in r.hops)
+        mutate(slot, hop)
+        _assert_fallback(schedule)
 
-    @pytest.mark.parametrize("section,name,entry", _OFF_SHAPE)
-    @settings(max_examples=10, deadline=None)
-    @given(doc=bundle_docs(), at=st.integers(0, 4))
-    def test_off_shape_entry_takes_the_fallback(self, section, name, entry,
-                                                doc, at):
-        entries = doc[section][name]
-        entries.insert(min(at, len(entries)), entry)
-        assert _bundle_text(doc) is None
-        json.dumps(doc, indent=2)  # the fallback still renders it
-
-    def test_empty_lists_and_special_floats(self):
-        doc = {
-            "graph": {"tasks": [{"id": "", "costs": []}], "edges": []},
-            "schedule": {
-                "tasks": [],
-                "messages": [{"edge": ["'a'", "'b'"], "local": True,
-                              "hops": []},
-                             {"edge": ["x", "y"], "local": False, "hops": [
-                                 {"src": 0, "dst": 1, "start": -0.0,
-                                  "finish": math.inf},
-                                 {"src": 1, "dst": 2, "start": math.nan,
-                                  "finish": -math.inf}]}],
-            },
-            "nominal_costs": [],
-        }
-        text = _bundle_text(doc)
-        assert text == json.dumps(doc, indent=2)
-        assert "NaN" in text and "-Infinity" in text and "-0.0" in text
-
-    def test_sections_off_shape_fall_back(self):
-        assert _bundle_text({"graph": [], "schedule": {}}) is None
-        assert _bundle_text({"schedule": {"tasks": {}}}) is None
-        assert _bundle_text({1: "x"}) is None
-        # a document without the bulk sections is written whole by
-        # json.dumps pieces and still matches
-        assert _bundle_text({}) == "{}"
-        assert _bundle_text({"a": [1, {"b": "\n"}]}) == json.dumps(
-            {"a": [1, {"b": "\n"}]}, indent=2)
+    def test_non_str_algorithm_takes_the_fallback(self):
+        system = HeterogeneousSystem.sample(random_graph(8, seed=1), ring(4))
+        schedule = _SCHEDULERS["heft"](system)
+        schedule.algorithm = None
+        _assert_fallback(schedule)
+        assert '"algorithm": null' in bundle_to_json(schedule)

@@ -455,13 +455,60 @@ def _assert_orders_sorted(sched, seen, hold=()) -> None:
     seen["sorted_checks"] += 1
 
 
+def _index_checked_set_route(set_route, seen):
+    """``Schedule.set_route`` that checks, for every hop installed at a
+    given start, the order index taken against ``_bisect_hops`` over the
+    channel's order as the install finds it, the replaced route's hops
+    gone (a channel the path crosses twice would move between hops, so
+    such paths are not checked)."""
+
+    def wrapper(sched, edge, proc_path, hop_starts=None):
+        channel_of = sched.system.topology._channel
+        channels = [channel_of.get(pair)
+                    for pair in zip(proc_path, proc_path[1:])]
+        old = sched.routes.get(edge)
+        gone = {id(h) for h in old.hops} if old else set()
+        before = {ch: [h for h in sched.link_order[ch] if id(h) not in gone]
+                  for ch in channels if ch is not None}
+        cached = {ch: ch in sched._link_tl for ch in before}
+        route = set_route(sched, edge, proc_path, hop_starts)
+        if hop_starts and len(before) == len(channels):
+            for hop, ch in zip(route.hops, channels):
+                taken = next(i for i, h in enumerate(sched.link_order[ch])
+                             if h is hop)
+                assert taken == sched._bisect_hops(before[ch], hop.start)
+                seen["hops_cached" if cached[ch] else "hops_uncached"] += 1
+                seen["hop_ties"] += any(h.start == hop.start
+                                        for h in before[ch])
+                seen["zero_hops"] += hop.finish == hop.start
+        return route
+    return wrapper
+
+
+def _index_checked_place_task(place_task, seen):
+    """``Schedule.place_task`` that checks the order index a task placed
+    by start takes against ``_bisect_by_start`` over the order before."""
+
+    def wrapper(sched, task, proc, start, position=None):
+        before = list(sched.proc_order[proc])
+        cached = proc in sched._proc_tl
+        slot = place_task(sched, task, proc, start, position)
+        if position is None:
+            taken = sched.proc_order[proc].index(task)
+            assert taken == sched._bisect_by_start(before, start)
+            seen["tasks_cached" if cached else "tasks_uncached"] += 1
+        return slot
+    return wrapper
+
+
 @pytest.fixture
 def live_timelines(monkeypatch, both_modes):
     """Run the incremental engine with the live-timeline invariant
     checked after every mutator, commit, rollback, incremental settle,
-    full Kahn pass and dynamic cone repair, and the sorted-order
-    invariant after every settle. Yields a tally of what the checks
-    saw."""
+    full Kahn pass and dynamic cone repair, the sorted-order invariant
+    after every settle, and the order index of every install by start
+    against the order's own binary search. Yields a tally of what the
+    checks saw."""
     import importlib
 
     import repro.core.migration as migration
@@ -490,6 +537,10 @@ def live_timelines(monkeypatch, both_modes):
     def full_pass(args, kwargs):
         return (args[1] if len(args) > 1 else kwargs.get("frontier")) is None
 
+    monkeypatch.setattr(Schedule, "set_route", _index_checked_set_route(
+        Schedule.set_route, seen))
+    monkeypatch.setattr(Schedule, "place_task", _index_checked_place_task(
+        Schedule.place_task, seen))
     for name in ("place_task", "remove_task", "set_route", "clear_route",
                  "commit_txn"):
         monkeypatch.setattr(Schedule, name,
@@ -559,6 +610,10 @@ class TestLiveTimelines:
         sched = _SCHEDULERS[algorithm](build_cell_system(cell))
         _assert_timelines_live(sched, live_timelines)
         assert live_timelines["timelines"] > 0
+        assert live_timelines["tasks_cached"] + live_timelines[
+            "tasks_uncached"] > 0
+        if algorithm != "bsa":  # list schedulers install hops at starts
+            assert live_timelines["hops_cached"] > 0
         if algorithm == "bsa":
             assert live_timelines["settle_incremental"] > 0
             assert live_timelines["kahn_settle"] > 0
@@ -585,11 +640,73 @@ class TestLiveTimelines:
         assert live_timelines["timelines"] > 0
         if algorithm == "heft":
             assert live_timelines["non_monotone"] > 0
+            assert live_timelines["zero_hops"] > 0
+            assert live_timelines["hop_ties"] > 0
         if algorithm == "bsa":
             assert live_timelines["max_deleted"] > 0
             # zero-cost edges send every commit through the full pass
             assert (live_timelines["kahn_settle"]
                     > live_timelines["settle_incremental"] > 0)
+
+    @pytest.mark.parametrize("prebuilt", [False, True])
+    def test_install_by_start_with_and_without_timelines(
+            self, prebuilt, live_timelines):
+        """Reinstall a HEFT schedule with free messages (zero-duration
+        hops, equal starts) hop by hop and task by task, on a fresh
+        schedule whose resources have no timeline yet, and on one whose
+        every timeline is built first."""
+        from repro.network.topology import hypercube
+        from repro.schedule.schedule import Schedule
+
+        source = _SCHEDULERS["heft"](_zero_cost_system(11, hypercube(8)))
+        sched = Schedule(source.system, source.algorithm)
+        if prebuilt:
+            for ch in sched.link_order:
+                sched.link_timeline(ch)
+            for p in sched.proc_order:
+                sched.proc_timeline(p)
+        for edge, route in source.routes.items():
+            if route.hops:
+                sched.set_route(edge, route.procs,
+                                hop_starts=[h.start for h in route.hops])
+            else:
+                sched.mark_local(edge)
+        for task, slot in source.slots.items():
+            sched.place_task(task, slot.proc, start=slot.start)
+        assert schedule_to_json(sched) == schedule_to_json(source)
+        # ties land where the original commits put them
+        for ch, order in source.link_order.items():
+            assert [h.edge for h in sched.link_order[ch]] == [
+                h.edge for h in order]
+        assert sched.proc_order == source.proc_order
+        _assert_timelines_live(sched, live_timelines)
+        cached = "cached" if prebuilt else "uncached"
+        assert live_timelines[f"hops_{cached}"] > 0
+        assert live_timelines[f"tasks_{cached}"] > 0
+        assert live_timelines["hop_ties"] > 0
+        assert live_timelines["zero_hops"] > 0
+
+    @pytest.mark.parametrize("path,bad", [([0, 2], (0, 2)),
+                                          ([0, 1, 1, 3], (1, 1)),
+                                          ([0, 1, 0, 5], (0, 5))])
+    def test_path_off_the_topology_refused(self, path, bad, live_timelines):
+        """A path through a missing link or with a repeated processor
+        raises before the schedule changes: the old route stays."""
+        from repro.errors import SchedulingError
+        from repro.network.system import HeterogeneousSystem
+        from repro.network.topology import ring
+        from repro.workloads.suites import random_graph
+
+        system = HeterogeneousSystem.sample(random_graph(8, seed=1), ring(4))
+        sched = _SCHEDULERS["heft"](system)
+        edge, route = next((e, r) for e, r in sched.routes.items() if r.hops)
+        before = schedule_to_json(sched)
+        a, b = bad
+        with pytest.raises(SchedulingError) as err:
+            sched.set_route(edge, path, hop_starts=[0.0] * (len(path) - 1))
+        assert str(err.value) == f"no link between {a} and {b} for {edge}"
+        assert schedule_to_json(sched) == before
+        assert sched.routes[edge] is route
 
     def test_dynamic_cone_repair(self, live_timelines):
         from repro.dynamic import simulate_scenario
