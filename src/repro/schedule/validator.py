@@ -38,10 +38,60 @@ from repro.schedule.schedule import Schedule
 from repro.util.intervals import intervals_overlap
 from repro.util.tolerance import TOL as _TOL
 
+#: the closed set of violation kinds, one per invariant the validator
+#: checks (see the module docstring for the model behind each):
+#: every task slotted once on a real processor; a slot's start >= 0 and
+#: its length equal to the task's exec cost
+COVERAGE = "coverage"
+DURATION = "duration"
+#: two tasks on one processor, or two hops on one half-duplex link or
+#: one direction of a full-duplex link, overlap
+PROC_OVERLAP = "processor-overlap"
+HALF_DUPLEX_OVERLAP = "half-duplex-overlap"
+FULL_DUPLEX_OVERLAP = "full-duplex-overlap"
+#: a remote message's route must exist, leave the producer's processor
+#: and end at the consumer's (a local message has none), along
+#: consecutive existing links
+ROUTE_ENDPOINTS = "route-endpoints"
+CONTIGUITY = "contiguity"
+#: each hop lasts its comm cost on its link, starts once its data is at
+#: the hop's source, and the consumer starts once the last hop arrives
+HOP_DURATION = "hop-duration"
+HOP_READINESS = "hop-readiness"
+ARRIVAL = "arrival"
+#: a consumer on its producer's processor starts after the producer ends
+LOCAL_PRECEDENCE = "local-precedence"
+#: every hop a link order holds belongs to a route, and the processor
+#: and link orders hold exactly the slots and route hops on them
+ORPHAN_HOP = "orphan-hop"
+ORDER_MEMBERSHIP = "order-membership"
 
-def schedule_violations(schedule: Schedule) -> List[str]:
+KINDS = (
+    COVERAGE, DURATION,
+    PROC_OVERLAP, HALF_DUPLEX_OVERLAP, FULL_DUPLEX_OVERLAP,
+    ROUTE_ENDPOINTS, CONTIGUITY,
+    HOP_DURATION, HOP_READINESS, ARRIVAL,
+    LOCAL_PRECEDENCE,
+    ORPHAN_HOP, ORDER_MEMBERSHIP,
+)
+
+
+class Violation(str):
+    """One finding: its text, which compares equal to a plain ``str``,
+    and ``kind``, one of :data:`KINDS`."""
+
+    def __new__(cls, text: str, kind: str) -> "Violation":
+        self = super().__new__(cls, text)
+        self.kind = kind
+        return self
+
+    def __reduce__(self):
+        return Violation, (str(self), self.kind)
+
+
+def schedule_violations(schedule: Schedule) -> List[Violation]:
     """Return a list of human-readable violations (empty == valid)."""
-    v: List[str] = []
+    v: List[Violation] = []
     system = schedule.system
     graph = system.graph
     topo = system.topology
@@ -57,41 +107,40 @@ def schedule_violations(schedule: Schedule) -> List[str]:
     # 1. task coverage & durations ------------------------------------------
     for task in graph.tasks():
         if task not in schedule.slots:
-            v.append(f"task {task!r} is not scheduled")
+            v.append(Violation(f"task {task!r} is not scheduled", COVERAGE))
     for task, slot in schedule.slots.items():
         if not graph.has_task(task):
-            v.append(f"scheduled task {task!r} is not in the graph")
+            v.append(Violation(f"scheduled task {task!r} is not in the graph", COVERAGE))
             continue
         if not (0 <= slot.proc < topo.n_procs):
-            v.append(f"task {task!r} on invalid processor {slot.proc}")
+            v.append(Violation(f"task {task!r} on invalid processor {slot.proc}", COVERAGE))
             continue
         # written so a NaN time fails (every comparison with NaN is
         # false); an infinite one fails the duration check
         if not slot.start >= -_TOL:
-            v.append(f"task {task!r} starts before time 0 ({slot.start})")
+            v.append(Violation(f"task {task!r} starts before time 0 ({slot.start})", DURATION))
         expected = system.exec_cost(task, slot.proc)
         if not abs(slot.duration - expected) <= _TOL:
-            v.append(
+            v.append(Violation(
                 f"task {task!r} duration {slot.duration:.6f} != "
-                f"exec cost {expected:.6f} on P{slot.proc}"
-            )
+                f"exec cost {expected:.6f} on P{slot.proc}", DURATION))
         if task not in in_proc_order[slot.proc]:
-            v.append(f"task {task!r} missing from proc_order[{slot.proc}]")
+            v.append(Violation(f"task {task!r} missing from proc_order[{slot.proc}]", ORDER_MEMBERSHIP))
 
     for p, order in schedule.proc_order.items():
         for t in order:
             if t not in schedule.slots or schedule.slots[t].proc != p:
-                v.append(f"proc_order[{p}] lists {t!r} which is not slotted there")
+                v.append(Violation(f"proc_order[{p}] lists {t!r} which is not slotted there", ORDER_MEMBERSHIP))
 
     # 2. processor exclusivity ----------------------------------------------
     for p, order in schedule.proc_order.items():
         slots = sorted((schedule.slots[t] for t in order), key=lambda s: s.start)
         for a, b in zip(slots, slots[1:]):
             if intervals_overlap(a.start, a.finish, b.start, b.finish):
-                v.append(
+                v.append(Violation(
                     f"P{p}: tasks {a.task!r} [{a.start:.3f},{a.finish:.3f}) and "
-                    f"{b.task!r} [{b.start:.3f},{b.finish:.3f}) overlap"
-                )
+                    f"{b.task!r} [{b.start:.3f},{b.finish:.3f}) overlap",
+                    PROC_OVERLAP))
 
     # 3. link exclusivity under the duplex model ------------------------------
     # Group hops by *undirected* link and apply the topology's duplex rule
@@ -101,13 +150,12 @@ def schedule_violations(schedule: Schedule) -> List[str]:
     for ch, hops in schedule.link_order.items():
         for h in hops:
             if not topo.has_link(h.src, h.dst):
-                v.append(f"channel {ch}: hop {h.edge} uses missing link ({h.src},{h.dst})")
+                v.append(Violation(f"channel {ch}: hop {h.edge} uses missing link ({h.src},{h.dst})", ORDER_MEMBERSHIP))
                 continue
             if topo.channel(h.src, h.dst) != ch:
-                v.append(
+                v.append(Violation(
                     f"channel {ch}: hop {h.edge} {h.src}->{h.dst} belongs to "
-                    f"channel {topo.channel(h.src, h.dst)}"
-                )
+                    f"channel {topo.channel(h.src, h.dst)}", ORDER_MEMBERSHIP))
             by_link.setdefault(h.link, []).append(h)
     for l, hops in sorted(by_link.items()):
         half = topo.duplex(*l) == "half"
@@ -120,10 +168,10 @@ def schedule_violations(schedule: Schedule) -> List[str]:
             for a, b in zip(shops, shops[1:]):
                 if intervals_overlap(a.start, a.finish, b.start, b.finish):
                     dir_note = "" if half else f" (direction {a.src}->{a.dst})"
-                    v.append(
+                    v.append(Violation(
                         f"link {l}{dir_note}: hops {a.edge}[{a.start:.3f},{a.finish:.3f}) and "
-                        f"{b.edge}[{b.start:.3f},{b.finish:.3f}) overlap"
-                    )
+                        f"{b.edge}[{b.start:.3f},{b.finish:.3f}) overlap",
+                        HALF_DUPLEX_OVERLAP if half else FULL_DUPLEX_OVERLAP))
 
     # 4 & 5. message routing and precedence ----------------------------------
     for u, uv in graph.edges():
@@ -134,56 +182,53 @@ def schedule_violations(schedule: Schedule) -> List[str]:
         route = schedule.routes.get(edge)
         if su.proc == sv.proc:
             if route is not None and not route.is_local:
-                v.append(f"message {edge} routed although both tasks on P{su.proc}")
+                v.append(Violation(f"message {edge} routed although both tasks on P{su.proc}", ROUTE_ENDPOINTS))
             if sv.start < su.finish - _TOL:
-                v.append(
+                v.append(Violation(
                     f"precedence violated: {uv!r} starts {sv.start:.3f} < "
-                    f"{u!r} finishes {su.finish:.3f} (same P{su.proc})"
-                )
+                    f"{u!r} finishes {su.finish:.3f} (same P{su.proc})",
+                    LOCAL_PRECEDENCE))
             continue
         # inter-processor: route must exist and be coherent
         if route is None or route.is_local:
-            v.append(f"message {edge} between P{su.proc} and P{sv.proc} has no route")
+            v.append(Violation(f"message {edge} between P{su.proc} and P{sv.proc} has no route", ROUTE_ENDPOINTS))
             continue
         procs = route.procs
         if procs[0] != su.proc:
-            v.append(f"message {edge} departs from P{procs[0]}, producer on P{su.proc}")
+            v.append(Violation(f"message {edge} departs from P{procs[0]}, producer on P{su.proc}", ROUTE_ENDPOINTS))
         if procs[-1] != sv.proc:
-            v.append(f"message {edge} arrives at P{procs[-1]}, consumer on P{sv.proc}")
+            v.append(Violation(f"message {edge} arrives at P{procs[-1]}, consumer on P{sv.proc}", ROUTE_ENDPOINTS))
         if not route.check_contiguous():
-            v.append(f"message {edge} route is not a contiguous path: {procs}")
+            v.append(Violation(f"message {edge} route is not a contiguous path: {procs}", CONTIGUITY))
         prev_finish = su.finish
         for k, hop in enumerate(route.hops):
             if not topo.has_link(hop.src, hop.dst):
-                v.append(f"message {edge} hop {k} uses missing link ({hop.src},{hop.dst})")
+                v.append(Violation(f"message {edge} hop {k} uses missing link ({hop.src},{hop.dst})", CONTIGUITY))
                 continue
             expected = system.comm_cost(edge, hop.link)
             if not abs(hop.duration - expected) <= _TOL:
-                v.append(
+                v.append(Violation(
                     f"message {edge} hop {k} duration {hop.duration:.6f} != "
-                    f"comm cost {expected:.6f} on link {hop.link}"
-                )
+                    f"comm cost {expected:.6f} on link {hop.link}", HOP_DURATION))
             if hop.start < prev_finish - _TOL:
-                v.append(
+                v.append(Violation(
                     f"message {edge} hop {k} starts {hop.start:.3f} before "
-                    f"its data is ready at {prev_finish:.3f}"
-                )
+                    f"its data is ready at {prev_finish:.3f}", HOP_READINESS))
             ch = topo.channel(hop.src, hop.dst)
             if id(hop) not in in_link_order[ch]:
-                v.append(f"message {edge} hop {k} missing from link_order[{ch}]")
+                v.append(Violation(f"message {edge} hop {k} missing from link_order[{ch}]", ORDER_MEMBERSHIP))
             prev_finish = hop.finish
         if sv.start < route.arrival - _TOL:
-            v.append(
+            v.append(Violation(
                 f"task {uv!r} starts {sv.start:.3f} before message {edge} "
-                f"arrives at {route.arrival:.3f}"
-            )
+                f"arrives at {route.arrival:.3f}", ARRIVAL))
 
     # 6. no orphan hops --------------------------------------------------------
     route_hops = {id(h) for r in schedule.routes.values() for h in r.hops}
     for l, hops in schedule.link_order.items():
         for h in hops:
             if id(h) not in route_hops:
-                v.append(f"link {l} holds orphan hop for {h.edge}")
+                v.append(Violation(f"link {l} holds orphan hop for {h.edge}", ORPHAN_HOP))
 
     return v
 
