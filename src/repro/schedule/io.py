@@ -168,8 +168,9 @@ def schedule_from_dict(data: Dict[str, Any], system: HeterogeneousSystem) -> Sch
 
     Task ids are matched by repr against the system's graph (ints and
     strings round-trip; other id types need a custom loader). Every
-    recorded time is kept, finishes too, so the validator judges the
-    document's own times.
+    recorded time is kept, finishes too, and every hop's recorded source,
+    so the validator judges the document's own times and routes: a hop
+    that does not leave where the one before it arrived stays that way.
     """
     tasks, messages = read_schedule_section(data)
     by_repr = {repr(t): t for t in system.graph.tasks()}
@@ -196,6 +197,7 @@ def schedule_from_dict(data: Dict[str, Any], system: HeterogeneousSystem) -> Sch
         path = [hops[0][0]] + [h[1] for h in hops]
         route = sched.set_route(edge, path, hop_starts=[h[2] for h in hops])
         for hop, record in zip(route.hops, hops):
+            hop.src = record[0]
             hop.finish = record[3]
     return sched
 

@@ -297,6 +297,18 @@ class TestRecordedTimes:
         with pytest.raises(InvalidScheduleError, match="hop 0 duration"):
             validate_schedule(bundle_from_json(json.dumps(blob)))
 
+    def test_tampered_hop_src_fails_the_audit(self, bundle_blob):
+        """Each hop's recorded src is kept too, not re-chained from the
+        hop before it, so a route that does not chain is judged as
+        written."""
+        blob = copy.deepcopy(bundle_blob)
+        hops = next(m["hops"] for m in blob["schedule"]["messages"]
+                    if len(m["hops"]) > 1)
+        hops[1]["src"] = hops[0]["src"]
+        with pytest.raises(InvalidScheduleError,
+                           match="route is not a contiguous path"):
+            validate_schedule(bundle_from_json(json.dumps(blob)))
+
     def test_honest_bundle_keeps_every_time(self, bundle_blob):
         replay = bundle_from_json(json.dumps(bundle_blob))
         validate_schedule(replay)
