@@ -32,18 +32,6 @@ class ScheduleMetrics:
     proc_utilization: Dict[Proc, float]
     link_utilization: Dict[Link, float]
 
-    @property
-    def mean_proc_utilization(self) -> float:
-        if not self.proc_utilization:
-            return 0.0
-        return sum(self.proc_utilization.values()) / len(self.proc_utilization)
-
-    @property
-    def mean_link_utilization(self) -> float:
-        if not self.link_utilization:
-            return 0.0
-        return sum(self.link_utilization.values()) / len(self.link_utilization)
-
 
 def compute_metrics(schedule: Schedule) -> ScheduleMetrics:
     """Compute :class:`ScheduleMetrics` for a complete schedule."""
@@ -55,14 +43,14 @@ def compute_metrics(schedule: Schedule) -> ScheduleMetrics:
     n_routed = sum(1 for r in schedule.routes.values() if not r.is_local)
     n_hops = sum(len(r.hops) for r in schedule.routes.values())
 
-    serial_best = min(
-        sum(system.exec_cost(t, p) for t in graph.tasks())
-        for p in system.topology.processors
-    )
+    # one cost row per task; each processor's column summed in task order
+    tasks = graph.tasks()
+    rows = list(map(system.exec_cost_row, tasks))
+    serial_best = min(map(sum, zip(*rows)), default=0)
 
     # exec-only critical path with each task on its fastest processor: no
     # schedule can beat the heaviest chain even with free communication.
-    fastest = {t: min(system.exec_cost_row(t)) for t in graph.tasks()}
+    fastest = dict(zip(tasks, map(min, rows)))
     bl = static_b_levels(graph, fastest)
     lower = max(bl.values()) if bl else 0.0
 

@@ -38,10 +38,9 @@ def apply_granularity(
     edges = graph.edges()
     draws = rng.uniforms((1 - spread) * target_mean, (1 + spread) * target_mean,
                          len(edges))
+    # the draws' mean as mean_comm_cost would read it once they were
+    # written: edges() lists them in total_comm_cost's summing order
+    correction = target_mean / (sum(draws) / len(edges))
     for (u, v), cost in zip(edges, draws):
-        graph.set_edge_cost(u, v, cost)
-    achieved_mean = graph.mean_comm_cost()
-    correction = target_mean / achieved_mean
-    for u, v in graph.edges():
-        graph.set_edge_cost(u, v, graph.comm_cost(u, v) * correction)
+        graph.set_edge_cost(u, v, cost * correction)
     return graph

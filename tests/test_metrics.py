@@ -3,6 +3,33 @@
 import pytest
 
 from repro import compute_metrics, schedule_bsa, schedule_serial
+from repro.experiments.runner import _SCHEDULERS
+from repro.graph.analysis import static_b_levels
+from repro.network.system import HeterogeneousSystem
+from repro.network.topology import fat_tree, hypercube, ring, torus2d
+from repro.workloads.suites import random_graph
+
+TOPOLOGIES = {"ring": lambda: ring(6), "hypercube": lambda: hypercube(8),
+              "torus": lambda: torus2d(3, 3), "fattree": lambda: fat_tree(7)}
+
+
+@pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
+@pytest.mark.parametrize("algorithm",
+                         ["bsa", "dls", "heft", "cpop", "etf", "spdecomp"])
+def test_cost_row_sums_match_per_cost_formulas(algorithm, topology):
+    """serial_best sums each processor's column of the cost rows and the
+    lower bound takes each row's minimum, in C: both sum and compare in
+    the order of the per-(task, processor) formulas, so the floats are
+    equal, not just close."""
+    graph = random_graph(30, seed=4)
+    system = HeterogeneousSystem.sample(graph, TOPOLOGIES[topology](), seed=4)
+    m = compute_metrics(_SCHEDULERS[algorithm](system))
+    procs = system.topology.processors
+    assert m.serial_best == min(
+        sum(system.exec_cost(t, p) for t in graph.tasks()) for p in procs)
+    fastest = {t: min(system.exec_cost(t, p) for p in procs)
+               for t in graph.tasks()}
+    assert m.cp_exec_lower_bound == max(static_b_levels(graph, fastest).values())
 
 
 class TestMetrics:
@@ -49,5 +76,3 @@ class TestMetrics:
             assert 0.0 <= u <= 1.0 + 1e-9
         for u in m.link_utilization.values():
             assert 0.0 <= u <= 1.0 + 1e-9
-        assert 0.0 <= m.mean_proc_utilization <= 1.0
-        assert 0.0 <= m.mean_link_utilization <= 1.0

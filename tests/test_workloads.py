@@ -124,7 +124,39 @@ class TestRandomGraphs:
             random_layered_graph(1)
 
 
+def _two_pass_granularity(graph, granularity, seed, spread=0.5):
+    """The former apply_granularity: write every draw, read the mean back
+    through the graph, then rescale every edge (two writes per edge)."""
+    from repro.util.rng import RngStream
+
+    rng = RngStream(seed).fork("granularity", graph.name, granularity)
+    target_mean = graph.mean_exec_cost() / granularity
+    edges = graph.edges()
+    draws = rng.uniforms((1 - spread) * target_mean, (1 + spread) * target_mean,
+                         len(edges))
+    for (u, v), cost in zip(edges, draws):
+        graph.set_edge_cost(u, v, cost)
+    correction = target_mean / graph.mean_comm_cost()
+    for u, v in graph.edges():
+        graph.set_edge_cost(u, v, graph.comm_cost(u, v) * correction)
+
+
 class TestGranularity:
+    @pytest.mark.parametrize("app", ["gauss", "lu", "laplace", "mva", "random"])
+    @pytest.mark.parametrize("target", [0.1, 1.0, 10.0])
+    def test_one_write_per_edge_matches_two_pass(self, app, target):
+        """Each edge cost is written once, as draw * correction, with the
+        draws summed in the order the graph sums its edges: the floats
+        equal the two-pass rescale's bit for bit."""
+        def build():
+            return (random_layered_graph(80, seed=6) if app == "random"
+                    else regular_graph(app, 120, granularity=1.0))
+        for seed in range(3):
+            once, twice = build(), build()
+            apply_granularity(once, target, seed=seed)
+            _two_pass_granularity(twice, target, seed)
+            assert [once.comm_cost(u, v) for u, v in once.edges()] == \
+                [twice.comm_cost(u, v) for u, v in twice.edges()]
     @pytest.mark.parametrize("target", [0.1, 1.0, 10.0])
     def test_exact_granularity(self, target):
         g = random_layered_graph(60, seed=2)
