@@ -168,15 +168,3 @@ class GraphAnalysis:
         self.cp = critical_path(self.graph, self.exec_cost, self.rng)
         self.cp_len = max(self.b_level.values()) if self.b_level else 0.0
 
-    def is_cp_task(self, task: TaskId) -> bool:
-        return task in set(self.cp)
-
-    def path_length(self, path: Sequence[TaskId]) -> float:
-        """Total exec+comm length of an explicit path (validation helper)."""
-        cost = _resolve_cost(self.graph, self.exec_cost)
-        total = 0.0
-        for i, t in enumerate(path):
-            total += cost(t)
-            if i + 1 < len(path):
-                total += self.graph.comm_cost(t, path[i + 1])
-        return total

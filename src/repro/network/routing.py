@@ -151,10 +151,6 @@ class RoutingTable:
         self._path_cache[(src, dst)] = path
         return path
 
-    def links_on_path(self, src: Proc, dst: Proc) -> List[Link]:
-        procs = self.path(src, dst)
-        return [link_id(a, b) for a, b in zip(procs, procs[1:])]
-
     def hop_distance(self, src: Proc, dst: Proc) -> int:
         return len(self.path(src, dst)) - 1
 

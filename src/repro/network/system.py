@@ -228,10 +228,6 @@ class HeterogeneousSystem:
         """Cost accessor for a fixed processor (feeds level analysis)."""
         return lambda task: self.exec_cost(task, proc)
 
-    def fastest_proc(self, task: TaskId) -> Proc:
-        row = self._exec[task]
-        return min(range(len(row)), key=lambda p: row[p])
-
     def median_exec_cost(self, task: TaskId) -> float:
         """Median over processors — DLS's machine-independent cost ``E*``."""
         row = sorted(self._exec[task])

@@ -180,9 +180,6 @@ class Schedule:
                 id(h): i for i, h in enumerate(self.link_order[channel])}
         return m
 
-    def route_of(self, edge: Edge) -> Optional[Route]:
-        return self.routes.get(edge)
-
     def arrival_time(self, edge: Edge) -> float:
         """When the message of ``edge`` is available at the consumer's
         processor: producer finish if local, else last-hop finish."""
@@ -485,15 +482,6 @@ class Schedule:
         self._proc_pos.clear()
         self._link_pos.clear()
         self.drop_timelines()
-
-    def stats_summary(self) -> str:
-        """One-line human summary used by the CLI and examples."""
-        return (
-            f"{self.algorithm}: SL={self.schedule_length():.1f}, "
-            f"tasks={len(self.slots)}, "
-            f"routed_msgs={sum(1 for r in self.routes.values() if not r.is_local)}, "
-            f"hops={sum(len(r.hops) for r in self.routes.values())}"
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -55,7 +55,10 @@ class TestCriticalPath:
 
     def test_cp_length_matches_path(self, diamond):
         analysis = GraphAnalysis(diamond)
-        assert analysis.path_length(analysis.cp) == pytest.approx(analysis.cp_len)
+        cp = analysis.cp
+        length = sum(map(diamond.cost, cp)) + sum(
+            map(diamond.comm_cost, cp, cp[1:]))
+        assert length == pytest.approx(analysis.cp_len)
 
     def test_cp_tie_prefers_larger_exec_sum(self):
         g = TaskGraph()

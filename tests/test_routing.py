@@ -32,10 +32,6 @@ class TestRoutingTable:
                 if a != b:
                     assert table.hop_distance(a, b) == bin(a ^ b).count("1")
 
-    def test_links_on_path(self):
-        table = RoutingTable(ring(6))
-        assert table.links_on_path(0, 2) == [(0, 1), (1, 2)]
-
     def test_next_hop_self_rejected(self):
         table = RoutingTable(ring(4))
         with pytest.raises(RoutingError):

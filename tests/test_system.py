@@ -15,7 +15,6 @@ class TestFromExecTable:
 
     def test_row_access(self, paper_system):
         assert paper_system.exec_cost_row("T3") == (15, 28, 39, 6)
-        assert paper_system.fastest_proc("T3") == 3
 
     def test_median_and_mean(self, paper_system):
         # T9: (8, 16, 15, 20) -> sorted (8, 15, 16, 20), median 15.5
