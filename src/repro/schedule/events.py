@@ -102,7 +102,3 @@ class Route:
     def arrival(self) -> float:
         """Finish time on the last hop (message finish time at destination)."""
         return self.hops[-1].finish if self.hops else 0.0
-
-    def check_contiguous(self) -> bool:
-        """True when consecutive hops share endpoints (a real path)."""
-        return all(a.dst == b.src for a, b in zip(self.hops, self.hops[1:]))

@@ -69,7 +69,7 @@ class TestRoutes:
     def test_multihop_route(self, sched):
         route = sched.set_route(("a", "c"), [0, 1, 2], hop_starts=[0.0, 20.0])
         assert route.procs == [0, 1, 2]
-        assert route.check_contiguous()
+        assert [h.src for h in route.hops] == [0, 1]
         assert len(sched.link_order[(0, 1)]) == 1
         assert len(sched.link_order[(1, 2)]) == 1
 
@@ -159,13 +159,6 @@ class TestRouteObject:
     def test_route_procs_empty_when_local(self):
         assert Route(("a", "b"), []).procs == []
         assert Route(("a", "b"), []).is_local
-
-    def test_contiguity_check(self):
-        h1 = MessageHop(("a", "b"), 0, 1)
-        h2 = MessageHop(("a", "b"), 1, 2)
-        h3 = MessageHop(("a", "b"), 3, 2)
-        assert Route(("a", "b"), [h1, h2]).check_contiguous()
-        assert not Route(("a", "b"), [h1, h3]).check_contiguous()
 
     def test_hop_link_canonical(self):
         assert MessageHop(("a", "b"), 3, 1).link == (1, 3)
