@@ -5,6 +5,7 @@ import pytest
 from repro import apply_granularity, validate_graph
 from repro.errors import WorkloadError
 from repro.graph.analysis import granularity as measure_granularity
+from repro.util.rng import RngStream
 from repro.workloads import (
     gaussian_elimination,
     gaussian_size,
@@ -127,8 +128,6 @@ class TestRandomGraphs:
 def _two_pass_granularity(graph, granularity, seed, spread=0.5):
     """The former apply_granularity: write every draw, read the mean back
     through the graph, then rescale every edge (two writes per edge)."""
-    from repro.util.rng import RngStream
-
     rng = RngStream(seed).fork("granularity", graph.name, granularity)
     target_mean = graph.mean_exec_cost() / granularity
     edges = graph.edges()
