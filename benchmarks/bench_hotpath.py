@@ -12,7 +12,7 @@ settle and undo-log rollback) — and:
   and every message hop);
 * reports the single-process speedup legacy->incremental;
 * records the engine's **scaling curve** (BSA wall clock, n=100 ->
-  2000, every rep reported) and checks that the reps agree byte for
+  5000, every rep reported) and checks that the reps agree byte for
   byte;
 * optionally measures parallel-runner scaling (``--jobs N`` wall clock
   vs serial) on the same sweep;
@@ -155,9 +155,9 @@ def run_single_process(cells: List[Cell]) -> Dict:
 
 
 #: scaling-curve sizes: one gauss workload per size on the 16-processor
-#: hypercube, from paper-grid scale up to n=2000
+#: hypercube, from paper-grid scale up to n=5000
 SCALING_SIZES = {
-    "default": (100, 250, 500, 1000, 2000),
+    "default": (100, 250, 500, 1000, 2000, 5000),
     "smoke": (100, 1000),
 }
 
@@ -179,7 +179,7 @@ def _settle_pops(cell: Cell) -> int:
 
 
 def run_scaling_curve(preset: str, reps: int = 3) -> Dict:
-    """Engine BSA wall clock, n=100 -> 2000, every rep reported.
+    """Engine BSA wall clock, n=100 -> 5000, every rep reported.
 
     Each point records the median and every rep (shared boxes are noisy,
     so one number would hide the spread), and whether every rep produced

@@ -157,8 +157,8 @@ class TaskGraph:
     def has_zero_cost_edge(self) -> bool:
         """True when any message has nominal cost 0 (cached; such hops
         have zero duration on every link, which the incremental settle
-        engine's cycle-growth argument cannot handle — it falls back to
-        the full pass for these graphs)."""
+        engine's cycle check cannot handle — it falls back to the full
+        pass for these graphs)."""
         if self._zero_comm is None:
             self._zero_comm = any(
                 c == 0.0 for s in self._succ.values() for c in s.values()

@@ -69,8 +69,6 @@ COUNTERS: Dict[str, str] = {
         "change-driven cone settles completed without fallback",
     "settle.cone_pops":
         "worklist pops across incremental settles (total cone size)",
-    "settle.budget_fallbacks":
-        "incremental settles abandoned to the full pass (pop budget)",
     "settle.full_passes":
         "full Kahn settle passes (settle() calls and incremental fallbacks)",
     "txn.rollbacks":

@@ -394,8 +394,8 @@ class Schedule:
     # transactions (undo log)
     # ------------------------------------------------------------------
     def begin_txn(self) -> "ScheduleTxn":
-        """Open a transaction: record every structural mutation (and any
-        time write-back a settle performs) in an undo log
+        """Open a transaction: record every structural mutation (and every
+        time a Kahn pass writes) in an undo log
         so a failed commit can be reversed in O(#mutations) instead of
         restoring a whole-schedule :meth:`copy`. Also accumulates the seed
         set the incremental settle engine recomputes from.
@@ -502,8 +502,11 @@ class ScheduleTxn:
     in LIFO order, which restores each container to the exact state it
     had before the op (later mutations of the same list have already
     been reversed when an op replays, so recorded indices are valid).
-    Every time a settle writes (the incremental worklist or the Kahn
-    pass) is recorded in ``times`` first and restored the same way.
+    Every time the Kahn pass writes is recorded in ``times`` first and
+    restored the same way (the dynamic repair rolls back after its tail
+    settle has written). The incremental settle logs no time: it raises
+    :class:`~repro.errors.CycleError` before writing anything, and no
+    caller rolls back after a settle that wrote.
     Compared to a :meth:`Schedule.copy` per commit this costs O(actual
     mutations) instead of O(tasks + hops) — and commits vastly
     outnumber rollbacks.
@@ -554,10 +557,6 @@ class ScheduleTxn:
 
     def record_set_local(self, edge: Edge) -> None:
         self.ops.append((_OP_SET_LOCAL, edge))
-
-    def record_time(self, obj, start: float, finish: float) -> None:
-        """Remember ``obj``'s times before the settle write-back."""
-        self.times.append((obj, start, finish))
 
     # -- closing ---------------------------------------------------------
     def rollback(self) -> None:

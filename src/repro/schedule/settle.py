@@ -45,16 +45,18 @@ Two engines and an oracle:
   (the reference oracle, hot-path mode ``legacy``);
 * :func:`kahn_settle` — the one production Kahn pass, with flattened
   loops. Without a frontier it is the full pass (what :func:`settle`
-  runs in the production engine, and the exact fallback of the
-  incremental engine); with one it settles only the nodes at or after
-  it, treating earlier ones as constants (the dynamic repair's
-  :func:`repro.dynamic.repair.tail_settle`);
+  runs in the production engine, and what the incremental engine runs
+  on graphs with a zero-cost edge); with one it settles only the nodes
+  at or after it, treating earlier ones as constants (the dynamic
+  repair's :func:`repro.dynamic.repair.tail_settle`);
 * :func:`settle_incremental` — the change-driven engine: instead of
   rebuilding the whole constraint DAG it starts from the *seed set* a
   :class:`~repro.schedule.schedule.ScheduleTxn` collected during the
-  mutations (every node whose constraint predecessors changed) and
-  propagates recomputed times forward only while they actually change,
-  never into the tasks it is told to hold.
+  mutations (every node whose constraint predecessors changed). One
+  exact check on the seeds decides, before anything is written,
+  whether the new orders hold a cycle; if they do not, recomputed times
+  propagate forward only while they actually change, never into the
+  tasks it is told to hold. A rejected settle writes nothing.
   Called by ``commit_migration`` and, once per examined task in BSA's
   first phase, by ``BSAScheduler._run_phase``; :func:`settle` itself
   always runs a full pass (it has no seed information).
@@ -257,20 +259,34 @@ def settle_incremental(schedule: Schedule, seed_tasks, seed_hops,
     (and their times) are unchanged, so its settled times are still the
     longest-path fixpoint and need no work.
 
-    Seeds are recomputed from their live predecessors; a node whose
-    start moves (in either direction — "bubbling up" is a *decrease*)
-    has its successors re-enqueued, so recomputation propagates exactly
-    as far as times actually change. A worklist pop budget bounds the
-    pathological cases: contradictory orders make times grow around the
-    cycle without converging, so exceeding the budget falls back to the
-    full Kahn pass, which detects the cycle exactly (and is bit-identical
-    when there is none). Zero-cost message edges could hide a
-    contradictory all-zero-duration hop cycle from the growth argument,
-    so graphs containing one always take the full pass.
+    Before anything is written, one exact check decides whether the
+    orders hold a cycle. Call a constraint edge *backward* when its head
+    starts before its tail finishes. Only a seed can head one: every
+    other node starts no earlier than each of its unchanged
+    predecessors finishes. With positive durations every other edge's
+    head starts strictly after its tail starts, so the latest-starting
+    node of a cycle is the tail of a backward edge into a seed, and no
+    node of the cycle starts later than that tail finishes. The seed
+    pass reads each seed's predecessor finishes (the reads its first pop
+    makes) and, if any seed heads a backward edge, one DFS from those
+    seeds over the nodes starting no later than the latest such finish
+    finds a cycle exactly when one exists. It never enters the hold,
+    which no edge leaves. This is the affected region of Pearce and
+    Kelly's dynamic topological sort (ACM JEA 2006), with the settled
+    times as the topological order. On a cycle the settle raises
+    :class:`~repro.errors.CycleError` naming it, before any time, cached
+    timeline or counter changes (a position map the seed pass builds is
+    exact, since no order changes). Zero-cost message edges make
+    zero-duration hops, which the argument cannot order, so graphs
+    containing one always take the full pass.
 
-    When a transaction is open, every time write-back is recorded in its
-    undo log first, so a rollback after the fallback's ``CycleError``
-    restores the pre-commit times exactly.
+    Otherwise seeds are recomputed from their live predecessors; a node
+    whose start moves (in either direction — "bubbling up" is a
+    *decrease*) has its successors re-enqueued, so recomputation
+    propagates exactly as far as times actually change, and the worklist
+    runs to its fixpoint. No time is logged in an open transaction: a
+    settle that writes always completes, and no caller rolls back after
+    one.
 
     The result is the same longest-path fixpoint a full pass computes,
     so every order is left sorted by ``(start, finish)`` (see the module
@@ -305,7 +321,6 @@ def settle_incremental(schedule: Schedule, seed_tasks, seed_hops,
     link_order = schedule.link_order
     exec_cost = system.exec_cost
     comm_cost = system.comm_cost
-    txn = schedule._txn
     pred_edges = graph.pred_edges
     succ_of = graph._succ
 
@@ -324,63 +339,93 @@ def settle_incremental(schedule: Schedule, seed_tasks, seed_hops,
     # Live timelines: each write-back is rewritten into the resource's
     # cached Timeline (if it has one) at the order position looked up
     # per pop; ``stale`` keeps the rewritten index span per timeline so
-    # its running maximum is refreshed once, after the loop. The early
-    # exits (full-pass fallback, CycleError) drop the timelines instead.
+    # its running maximum is refreshed once, after the loop.
     proc_tl_get = schedule._proc_tl.get
     link_tl_get = schedule._link_tl.get
     stale: Dict[Timeline, List[int]] = {}
     stale_get = stale.get
     patches = 0
 
-    # -- worklist ---------------------------------------------------------
+    # -- seeds and the cycle check ----------------------------------------
     heap: List[tuple] = []
     pending: set = set()
     heappush = heapq.heappush
     heappop = heapq.heappop
     seq = 0
+    # the seeds that head a backward edge, and the latest finish of a
+    # backward edge's tail
+    heads: List[tuple] = []
+    reach = _NEG_INF
 
     for t in seed_tasks:
         slot = slots_get(t)
-        if slot is not None and t not in hold:
-            oid = id(slot)
-            if oid not in pending:
-                pending.add(oid)
-                seq += 1
-                heappush(heap, (slot.start, seq, False, slot))
+        if slot is None or t in hold:
+            continue
+        oid = id(slot)
+        if oid in pending:
+            continue
+        pending.add(oid)
+        seq += 1
+        s = slot.start
+        heappush(heap, (s, seq, False, slot))
+        p = slot.proc
+        m = pp_get(p)
+        if m is None:
+            m = proc_pos[p] = sched_ppos(p)
+        i = m[t]
+        f = slots[proc_order[p][i - 1]].finish if i > 0 else 0.0
+        for u, ue in pred_edges(t):
+            us = slots_get(u)
+            if us is None:
+                continue  # partial schedule: constraint not yet active
+            r = routes_get(ue)
+            a = r.hops[-1].finish if (r is not None and r.hops) else us.finish
+            if a > f:
+                f = a
+        if f > s:
+            heads.append((slot, False))
+            if f > reach:
+                reach = f
     for hop in seed_hops:
         r = routes_get(hop.edge)
         if r is None or not any(h is hop for h in r.hops):
             continue  # a later mutation of the batch removed it
         oid = id(hop)
-        if oid not in pending:
-            pending.add(oid)
-            seq += 1
-            heappush(heap, (hop.start, seq, True, hop))
+        if oid in pending:
+            continue
+        pending.add(oid)
+        seq += 1
+        s = hop.start
+        heappush(heap, (s, seq, True, hop))
+        ch = hop._chan
+        m = lp_get(ch)
+        if m is None:
+            m = link_pos[ch] = sched_lpos(ch)
+        i = m[oid]
+        f = link_order[ch][i - 1].finish if i > 0 else 0.0
+        u, v = hop.edge
+        if u in slots and v in slots:
+            k = hop._rpos
+            a = slots[u].finish if k == 0 else r.hops[k - 1].finish
+            if a > f:
+                f = a
+        if f > s:
+            heads.append((hop, True))
+            if f > reach:
+                reach = f
+    if heads:
+        cycle = _order_cycle(schedule, heads, reach, hold)
+        if cycle:
+            raise CycleError(
+                "contradictory schedule orders (incremental settle); "
+                f"cycle: {_cycle_text([o for o, _ in cycle])}",
+                [o.edge if is_hop else o.task for o, is_hop in cycle[:-1]],
+            )
 
-    times_append = txn.times.append if txn is not None else None
-    # Contradictory orders (BSA's rare rejected commits) make times grow
-    # around the cycle without converging, so the worklist would never
-    # empty. Two heuristics bound that — both only trade performance,
-    # because the full-pass fallback is exact whether or not a cycle
-    # exists: a node whose start *grows* many times in one settle is on
-    # a cycle (legitimate transients re-grow a node once or twice), and
-    # a global pop budget of about one pass-worth backstops everything
-    # else (a legitimate settle touches far fewer nodes than that).
-    regrow: Dict[int, int] = {}
-    budget = len(slots) + 3 * len(routes) + 64
+    # -- worklist ---------------------------------------------------------
     pops = 0
-
     while heap:
         pops += 1
-        if pops > budget:
-            # almost certainly a contradictory order cycle: let the full
-            # pass prove it (or, if not, settle everything exactly)
-            if _obs.ACTIVE:
-                _obs.inc("settle.budget_fallbacks")
-                _obs.inc("settle.cone_pops", pops)
-                _obs.inc("timeline.patches", patches)
-            schedule.drop_timelines()
-            return kahn_settle(schedule)
         _, _, is_hop, obj = heappop(heap)
         pending.discard(id(obj))
 
@@ -427,8 +472,6 @@ def settle_incremental(schedule: Schedule, seed_tasks, seed_hops,
         if new_start == obj.start:
             continue  # times converged here; successors are unaffected
 
-        if times_append is not None:
-            times_append((obj, obj.start, obj.finish))
         duration = obj.cost
         if duration is None:
             duration = (
@@ -461,33 +504,6 @@ def settle_incremental(schedule: Schedule, seed_tasks, seed_hops,
         # predecessor ever changes — that predecessor's own write
         # triggers the push, and the recompute reads all predecessors.
         grew = new_finish > old_finish
-        if grew:
-            oid = id(obj)
-            c = regrow.get(oid, 0) + 1
-            if c >= 3:
-                # repeated growth: almost surely a contradictory order
-                # cycle through this node — confirm with a successor DFS
-                # (far cheaper than proving it via the full pass). A
-                # cleared node is a legitimate multi-wave transient:
-                # mark it checked and keep iterating (the fixpoint does
-                # not depend on processing order; a cycle elsewhere is
-                # caught by its own members' growth or the pop budget).
-                if _reaches_itself(schedule, obj, is_hop):
-                    if _obs.ACTIVE:
-                        _obs.inc("settle.cone_pops", pops)
-                        _obs.inc("timeline.patches", patches)
-                    schedule.drop_timelines()
-                    desc = (
-                        f"hop {obj.edge} {obj.src}->{obj.dst}" if is_hop
-                        else f"task {obj.task!r}@P{obj.proc}"
-                    )
-                    raise CycleError(
-                        "contradictory schedule orders (incremental "
-                        f"settle): cycle through {desc}",
-                        [obj.edge if is_hop else obj.task],
-                    )
-                c = -(1 << 30)  # proven cycle-free; never re-check
-            regrow[oid] = c
         if is_hop:
             if i + 1 < len(order):
                 nxt = order[i + 1]
@@ -549,11 +565,15 @@ def settle_incremental(schedule: Schedule, seed_tasks, seed_hops,
     return schedule
 
 
-def _reaches_itself(schedule: Schedule, start, start_is_hop: bool) -> bool:
-    """True when ``start`` lies on a constraint cycle (reachable from its
-    own successors). Pure order-graph traversal — no float work, no
-    global graph build — so confirming a suspected contradictory commit
-    costs a DFS over the reachable cone instead of a full settle pass.
+def _order_cycle(schedule: Schedule, heads, reach: float,
+                 hold: AbstractSet) -> list:
+    """One constraint cycle reachable from ``heads``, or ``[]``.
+
+    A DFS from the seeds that head a backward edge, over constraint
+    successors starting no later than ``reach`` and never into
+    ``hold``; :func:`settle_incremental` says why it finds a cycle
+    exactly when one exists. It reads times and writes nothing. Nodes
+    are ``(node, is_hop)`` pairs, the cycle's first one repeated last.
     """
     slots = schedule.slots
     routes = schedule.routes
@@ -563,28 +583,29 @@ def _reaches_itself(schedule: Schedule, start, start_is_hop: bool) -> bool:
     lpos = schedule.link_positions
     ppos = schedule.proc_positions
 
-    def successors(node, is_hop):
+    def successors(pair):
+        node, is_hop = pair
         out = []
         if is_hop:
             ch = node._chan
             order = link_order[ch]
-            i = lpos(ch)[id(node)]
-            if i + 1 < len(order):
-                out.append((order[i + 1], True))
+            i = lpos(ch)[id(node)] + 1
+            if i < len(order):
+                out.append((order[i], True))
             u, v = node.edge
             if u in slots and v in slots:
                 hops = routes[node.edge].hops
-                k = node._rpos
-                if k + 1 < len(hops):
-                    out.append((hops[k + 1], True))
-                else:
+                k = node._rpos + 1
+                if k < len(hops):
+                    out.append((hops[k], True))
+                elif v not in hold:
                     out.append((slots[v], False))
         else:
             t, p = node.task, node.proc
             order = proc_order[p]
-            i = ppos(p)[t]
-            if i + 1 < len(order):
-                out.append((slots[order[i + 1]], False))
+            i = ppos(p)[t] + 1
+            if i < len(order) and order[i] not in hold:
+                out.append((slots[order[i]], False))
             for v in graph_succ[t]:
                 vs = slots.get(v)
                 if vs is None:
@@ -592,22 +613,11 @@ def _reaches_itself(schedule: Schedule, start, start_is_hop: bool) -> bool:
                 r = routes.get((t, v))
                 if r is not None and r.hops:
                     out.append((r.hops[0], True))
-                else:
+                elif v not in hold:
                     out.append((vs, False))
-        return out
+        return [nxt for nxt in out if nxt[0].start <= reach]
 
-    stack = successors(start, start_is_hop)
-    seen = set()
-    while stack:
-        node, is_hop = stack.pop()
-        if node is start:
-            return True
-        oid = id(node)
-        if oid in seen:
-            continue
-        seen.add(oid)
-        stack.extend(successors(node, is_hop))
-    return False
+    return _first_cycle(heads, successors, lambda pair: id(pair[0]))
 
 
 def _settle_legacy(schedule: Schedule) -> Schedule:
@@ -698,50 +708,59 @@ def _settle_legacy(schedule: Schedule) -> Schedule:
 
 
 def _extract_cycle(succ, blocked_list, objs, schedule) -> str:
-    """Find one concrete cycle among blocked nodes (debugging aid).
-
-    Classic O(V+E) colored DFS: *gray* nodes are on the current path, and
-    *black* nodes are fully explored and provably not part of a cycle
-    reachable from here (so they are never revisited — keeping this linear
-    matters: the exponential naive version once froze whole BSA runs).
-    """
-    blocked = set(blocked_list)
-    if not blocked:
+    """Describe one concrete cycle among blocked nodes (debugging aid)."""
+    if not blocked_list:
         return "<none>"
+    blocked = set(blocked_list)
+    cycle = _first_cycle(blocked_list,
+                         lambda k: [j for j in succ[k] if j in blocked], int)
+    if not cycle:
+        return "<no simple cycle found>"
+    return _cycle_text([objs[k] for k in cycle])
 
-    def describe(i: int) -> str:
-        obj = objs[i]
-        if hasattr(obj, "task"):
-            return f"task {obj.task!r}@P{obj.proc}"
-        return f"hop {obj.edge} {obj.src}->{obj.dst}"
 
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {i: WHITE for i in blocked}
-    for root in blocked_list:
-        if color[root] != WHITE:
+def _first_cycle(roots, successors, key) -> list:
+    """The first cycle a colored DFS from ``roots`` meets, with its first
+    node repeated last, or ``[]`` when none is reachable.
+
+    ``successors(node)`` lists a node's successors and ``key(node)``
+    identifies it. Classic O(V+E): nodes on the current path are
+    *open*, and *done* nodes are fully explored and provably not part of
+    a cycle reachable from here (so they are never revisited — keeping
+    this linear matters: the exponential naive version once froze whole
+    BSA runs).
+    """
+    OPEN, DONE = 1, 2
+    state: Dict[object, int] = {}
+    for root in roots:
+        if key(root) in state:
             continue
-        stack = [(root, iter(succ[root]))]
-        color[root] = GRAY
+        state[key(root)] = OPEN
         path = [root]
+        stack = [iter(successors(root))]
         while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in blocked or color.get(nxt) == BLACK:
-                    continue
-                if color[nxt] == GRAY:
-                    idx = path.index(nxt)
-                    cycle = path[idx:] + [nxt]
-                    shown = cycle if len(cycle) <= 12 else cycle[:12]
-                    suffix = "" if len(cycle) <= 12 else f" -> ... ({len(cycle)} nodes)"
-                    return " -> ".join(describe(k) for k in shown) + suffix
-                color[nxt] = GRAY
-                path.append(nxt)
-                stack.append((nxt, iter(succ[nxt])))
-                advanced = True
-                break
-            if not advanced:
+            for nxt in stack[-1]:
+                seen = state.get(key(nxt))
+                if seen == OPEN:
+                    k = key(nxt)
+                    i = next(j for j, x in enumerate(path) if key(x) == k)
+                    return path[i:] + [nxt]
+                if seen is None:
+                    state[key(nxt)] = OPEN
+                    path.append(nxt)
+                    stack.append(iter(successors(nxt)))
+                    break
+            else:
                 stack.pop()
-                path.pop()
-                color[node] = BLACK
-    return "<no simple cycle found>"
+                state[key(path.pop())] = DONE
+    return []
+
+
+def _cycle_text(nodes) -> str:
+    """``task 'a'@P0 -> hop ('a', 'b') 0->1 -> ...``, cut after 12 nodes."""
+    shown = " -> ".join(
+        f"task {o.task!r}@P{o.proc}" if hasattr(o, "task")
+        else f"hop {o.edge} {o.src}->{o.dst}" for o in nodes[:12])
+    if len(nodes) > 12:
+        shown += f" -> ... ({len(nodes)} nodes)"
+    return shown

@@ -139,36 +139,55 @@ _start = attrgetter("start")
 _finish = attrgetter("finish")
 _hops = attrgetter("hops")
 _past_eps = partial(lt, EPS)
+_NEG_INF = float("-inf")
 
 
 def _overlapping(groups: List[list]) -> List[List[tuple]]:
-    """For each group of slots or hops, the consecutive pairs ``(a, b)``
-    of the group sorted by start (stably, as ``sorted`` would) that
-    overlap by more than EPS (:func:`~repro.util.intervals.
-    intervals_overlap`). The start and finish columns of all groups are
-    compared in C: in a group already in start order, ``a`` and ``b``
-    can overlap only if ``a`` finishes more than EPS after ``b`` starts,
-    so only those pairs, and the groups out of start order, are looked at
-    one by one."""
+    """For each group of slots or hops, the pairs ``(a, b)`` that overlap
+    by more than EPS (:func:`~repro.util.intervals.intervals_overlap`),
+    where ``b`` runs over the group sorted by start (stably, as
+    ``sorted`` would) and ``a`` is the item before ``b`` that finishes
+    last (the latest of those on a tie). Comparing ``b`` with that item
+    rather than its neighbour finds an overlap hidden behind a shorter
+    item, such as a zero-length hop inside a longer one, and a
+    zero-length item is never reported itself.
+
+    The start and finish columns of all groups are compared in C. In a
+    group already in start order, ``b`` can overlap that item ``a`` only
+    if ``a``'s neighbour starts more than EPS before ``a`` finishes, so
+    only those neighbour pairs are looked at one by one. Where the
+    neighbour finishes no earlier than ``a`` it is the item that
+    finishes last so far, and the pair is checked; where it finishes
+    earlier (or at NaN), the group is walked instead, in start order
+    with a running maximum of the finishes, which no NaN finish enters.
+    So is every group out of start order."""
     found: List[List[tuple]] = [[] for _ in groups]
     items = list(chain.from_iterable(groups))
     starts = list(map(_start, items))
     finishes = list(map(_finish, items))
     ends = list(accumulate(map(len, groups)))
-    unsorted = set()
+    walked = set()
     for i in compress(count(), map(not_, map(le, starts, starts[1:]))):
         g = bisect_right(ends, i)
         if i + 1 < ends[g]:
-            unsorted.add(g)
+            walked.add(g)
     for i in compress(count(), map(_past_eps, map(sub, finishes, starts[1:]))):
         g = bisect_right(ends, i)
-        if (i + 1 < ends[g] and g not in unsorted and intervals_overlap(
-                starts[i], finishes[i], starts[i + 1], finishes[i + 1])):
-            found[g].append((items[i], items[i + 1]))
-    for g in sorted(unsorted):
-        group = sorted(groups[g], key=_start)
-        found[g] = [(a, b) for a, b in zip(group, group[1:])
-                    if intervals_overlap(a.start, a.finish, b.start, b.finish)]
+        if i + 1 < ends[g] and g not in walked:
+            if not finishes[i + 1] >= finishes[i]:
+                walked.add(g)
+                found[g] = []
+            elif intervals_overlap(starts[i], finishes[i],
+                                   starts[i + 1], finishes[i + 1]):
+                found[g].append((items[i], items[i + 1]))
+    for g in sorted(walked):
+        latest, a = _NEG_INF, None
+        for b in sorted(groups[g], key=_start):
+            if a is not None and intervals_overlap(
+                    a.start, a.finish, b.start, b.finish):
+                found[g].append((a, b))
+            if b.finish >= latest:
+                latest, a = b.finish, b
     return found
 
 

@@ -87,6 +87,17 @@ class TestRegistriesAgree:
                 ALGORITHM_NAMES
             )
 
+    def test_bench_reports_cover_every_engine_mode(self):
+        """The committed reports that compare engine modes name exactly
+        the modes the engine switch accepts, so a deleted mode cannot
+        linger in a record."""
+        from repro.util.intervals import HOTPATH_MODES
+
+        dynamic = _load_json("BENCH_dynamic.json")["mode_identity"]
+        assert sorted(dynamic["modes"]) == sorted(HOTPATH_MODES)
+        assert sorted(_load_json("BENCH_obs.json")["modes"]) == sorted(
+            HOTPATH_MODES)
+
 
 class TestReadme:
     def test_readme_flag_lists_match_cli(self):
@@ -243,21 +254,15 @@ class TestExperimentsSection10:
     def test_scaling_curve_table_matches_bench(self):
         """The §10 scaling-curve table is generated from the
         scaling_curve section of BENCH_hotpath.json — both artifacts
-        are committed, so every point (size, the engine's scaled and raw
-        medians and scaled reps, the parent engines' medians) must
-        agree."""
+        are committed, so every point (size, the engine's median and
+        reps, the settle's worklist pops) must agree."""
         report = _load_json("BENCH_hotpath.json")
         curve = report["scaling_curve"]
         section = _read("EXPERIMENTS.md").split("## 10.")[1]
         for p in curve["points"]:
-            reps = " / ".join(str(r) for r in p["reps_scaled_s"])
-            row = (f"| {p['n_tasks']} "
-                   f"| {p['incremental_scaled_s']} s ({p['incremental_s']} s) "
-                   f"| {reps} "
-                   f"| {p['parent_incremental_scaled_s']} s "
-                   f"({p['parent_incremental_s']} s) "
-                   f"| {p['parent_array_scaled_s']} s "
-                   f"({p['parent_array_s']} s) | yes |")
+            reps = " / ".join(str(r) for r in p["reps_s"])
+            row = (f"| {p['n_tasks']} | {p['incremental_s']} s | {reps} "
+                   f"| {p['settle_cone_pops']} | yes |")
             # normalize column padding: compare without repeated spaces
             squashed = " ".join(section.split())
             assert " ".join(row.split()) in squashed, (

@@ -138,9 +138,10 @@ PINNED_N1000_SHA256 = (
 )
 #: ``settle.cone_pops`` of the incremental engine on the same cell, a
 #: host-independent guard on settle work at the size where the
-#: first-phase hold matters most (687325 before it, counting the pops
-#: of settles that end in a cycle)
-PINNED_N1000_CONE_POPS = 216791
+#: first-phase hold matters most (687325 before it; 216791 while the
+#: settles that end in a cycle popped until a heuristic caught it, where
+#: now they raise before their worklist starts)
+PINNED_N1000_CONE_POPS = 188762
 
 
 #: 16-processor cells for the list schedulers' earliest-finish screen

@@ -16,6 +16,9 @@ directly:
 * the engine's guard rails: zero-cost-edge graphs take the full pass,
   contradictory orders still raise ``CycleError``, transactions cannot
   be double-opened;
+* the cone settle decides a cycle before it writes anything: it raises
+  exactly when a full pass would, and leaves every time, cached
+  timeline and position map as it found them;
 * the one Kahn pass (``kahn_settle``) raises ``CycleError`` before it
   writes anything and records every time it changes in the open
   transaction;
@@ -84,20 +87,21 @@ def _assert_exact_outside(sched, hold) -> None:
                   [h for r in sched.routes.values() for h in r.hops])
 
 
+_EQUIVALENCE_CELLS = [
+    pytest.param(Cell("regular", "gauss", 40, 1.0, "ring", "bsa",
+                      n_procs=8, graph_seed=3, system_seed=3), id="ring"),
+    pytest.param(Cell("random", "random", 30, 0.1, "hypercube", "bsa",
+                      n_procs=8, graph_seed=7, system_seed=7),
+                 id="hypercube"),
+    pytest.param(Cell("random", "random", 30, 1.0, "torus", "bsa",
+                      n_procs=9, graph_seed=13, system_seed=13,
+                      duplex="full", bandwidth_skew=8.0),
+                 id="torus-full-skew"),
+]
+
+
 class TestIncrementalSettleEquivalence:
-    @pytest.mark.parametrize(
-        "cell",
-        [
-            Cell("regular", "gauss", 40, 1.0, "ring", "bsa",
-                 n_procs=8, graph_seed=3, system_seed=3),
-            Cell("random", "random", 30, 0.1, "hypercube", "bsa",
-                 n_procs=8, graph_seed=7, system_seed=7),
-            Cell("random", "random", 30, 1.0, "torus", "bsa", n_procs=9,
-                 graph_seed=13, system_seed=13, duplex="full",
-                 bandwidth_skew=8.0),
-        ],
-        ids=["ring", "hypercube", "torus-full-skew"],
-    )
+    @pytest.mark.parametrize("cell", _EQUIVALENCE_CELLS)
     def test_every_commit_matches_full_settle(self, cell, incremental_mode,
                                               monkeypatch):
         """After *each* incremental settle during a BSA run (commit and
@@ -151,7 +155,7 @@ class TestIncrementalSettleEquivalence:
 
     def test_zero_cost_edge_graph_takes_full_pass(self, incremental_mode):
         """Graphs with a 0-cost message fall back to the full pass (the
-        cycle-growth argument needs positive hop durations) and still
+        cycle check's argument needs positive hop durations) and still
         schedule identically across modes."""
         from repro.graph.model import TaskGraph
         from repro.network.system import HeterogeneousSystem
@@ -194,9 +198,9 @@ class TestUndoLogRollback:
         sched.clear_route(edge)
         sched.set_route(edge, path, hop_starts=[0.0] * (len(path) - 1))
         sched.mark_local(("T1", "T9"))
-        # simulate a settle write-back recorded in the undo log
+        # simulate a Kahn pass's write-back recorded in the undo log
         slot = sched.slots["T2"]
-        txn.record_time(slot, slot.start, slot.finish)
+        txn.times.append((slot, slot.start, slot.finish))
         slot.start, slot.finish = -1.0, -0.5
 
         assert _state_fingerprint(sched) != before
@@ -258,24 +262,24 @@ class TestSettleIncrementalDirect:
             settle_incremental(s, set(s.slots), [])
 
     @pytest.mark.parametrize("n", [4, 100], ids=["short-cycle",
-                                              "long-cycle-pop-budget"])
+                                              "long-cycle"])
     def test_contradiction_leaves_no_stale_timeline(self, n,
                                                     incremental_mode,
                                                     monkeypatch):
-        """The incremental settle rewrites cached timelines as it goes
-        and refreshes their running maximum at the end; when a cycle
-        cuts it short, no cached timeline may disagree with its order.
-        A chain t0 -> ... -> t(n-1) on one processor ordered
-        [t(n-1), t0, ..., t(n-2)] closes one cycle through every task:
-        a short one is caught by the regrow check, a long one exhausts
-        the pop budget first and falls back to the full pass."""
+        """The cycle check runs before the worklist: a contradictory
+        settle raises CycleError naming the cycle, never calls the full
+        pass, and leaves every time, cached timeline and position map as
+        it found them. A chain t0 -> ... -> t(n-1) on one processor
+        ordered [t(n-1), t0, ..., t(n-2)] closes one cycle through every
+        task. The timeline and position map are built first, so the
+        caches must come back whole (a map the check builds itself is
+        exact for the unchanged order)."""
         import importlib
 
         from repro.graph.model import TaskGraph
         from repro.network.system import HeterogeneousSystem
         from repro.network.topology import chain
         from repro.schedule.schedule import Schedule
-        from repro.util.intervals import Timeline
 
         settle_mod = importlib.import_module("repro.schedule.settle")
 
@@ -290,20 +294,95 @@ class TestSettleIncrementalDirect:
         s = Schedule(system)
         for pos, t in enumerate([tasks[-1]] + tasks[:-1]):
             s.place_task(t, 0, start=2.0 * pos, position=pos)
-        before = list(s.proc_timeline(0).finishes)
+        tl, positions = s.proc_timeline(0), s.proc_positions(0)
+
+        def state():
+            return (_state_fingerprint(s),
+                    [dict(c) for c in (s._proc_tl, s._link_tl,
+                                       s._proc_pos, s._link_pos)],
+                    [list(a) for a in (tl.starts, tl.finishes, tl._maxf)],
+                    dict(positions))
+
+        before = state()
         full_passes = []
-        fast = settle_mod.kahn_settle
         monkeypatch.setattr(settle_mod, "kahn_settle",
-                            lambda sched: full_passes.append(1) or fast(sched))
-        with pytest.raises(CycleError):
+                            lambda *args: full_passes.append(args))
+        with pytest.raises(CycleError, match=(
+                f"cycle: task '{tasks[-1]}'@P0 -> task 't0'@P0 -> ")):
             settle_incremental(s, set(s.slots), [])
-        assert len(full_passes) == (n > 4)
-        after = [s.slots[t].finish for t in s.proc_order[0]]
-        assert after != before  # times were written before the cycle
-        tl = s.proc_timeline(0)
-        fresh = Timeline.from_items([s.slots[t] for t in s.proc_order[0]])
-        assert (tl.starts, tl.finishes, tl._maxf) == (
-            fresh.starts, fresh.finishes, fresh._maxf)
+        assert full_passes == []
+        assert state() == before
+        assert s._proc_tl[0] is tl and s._proc_pos[0] is positions
+
+    def test_hop_only_cycle_raises_before_writing(self, incremental_mode):
+        """A cycle of hops alone: messages u -> v along P0 -> P1 -> P2
+        and x -> y back along P2 -> P1 -> P0 cross on both half-duplex
+        links in contradictory orders (x -> y's second hop first on
+        (0, 1), u -> v's second hop first on (1, 2)). The only seed that
+        starts before a predecessor finishes is a hop, so the check must
+        start its DFS from hop seeds too."""
+        from repro.graph.model import TaskGraph
+        from repro.network.system import HeterogeneousSystem
+        from repro.network.topology import chain
+        from repro.schedule.schedule import Schedule
+
+        g = TaskGraph("crossing")
+        for t in "uvxy":
+            g.add_task(t, 1.0)
+        g.add_edge("u", "v", 1.0)
+        g.add_edge("x", "y", 1.0)
+        s = Schedule(HeterogeneousSystem.from_exec_table(
+            g, chain(3), {t: (1.0, 1.0, 1.0) for t in "uvxy"}))
+        for t, p, start in (("u", 0, 0.0), ("y", 0, 20.0),
+                            ("x", 2, 0.0), ("v", 2, 20.0)):
+            s.place_task(t, p, start=start)
+        s.set_route(("u", "v"), [0, 1, 2], hop_starts=[10.0, 11.0])
+        s.set_route(("x", "y"), [2, 1, 0], hop_starts=[12.0, 5.0])
+        before = _state_fingerprint(s)
+        hops = [h for r in s.routes.values() for h in r.hops]
+        with pytest.raises(CycleError, match=(
+                r"cycle: hop \('x', 'y'\) 1->0 -> hop \('u', 'v'\) 0->1 -> ")):
+            settle_incremental(s, set(s.slots), hops)
+        assert _state_fingerprint(s) == before
+        with pytest.raises(CycleError):
+            kahn_settle(s)
+
+    def test_cycle_verdict_matches_full_pass(self, incremental_mode,
+                                             monkeypatch):
+        """During whole BSA runs (the pinned n=40 cell, which rejects two
+        commits, and the equivalence cells), every cone settle raises
+        CycleError exactly when a full Kahn pass over a copy of the same
+        schedule does, and a settle that raises leaves the schedule as it
+        found it."""
+        import repro.core.migration as mig
+
+        orig = mig.settle_incremental
+        verdicts = []
+
+        def checking(schedule, seed_tasks, seed_hops, hold=frozenset()):
+            try:
+                kahn_settle(schedule.copy())
+                cyclic = False
+            except CycleError:
+                cyclic = True
+            before = _state_fingerprint(schedule)
+            try:
+                out = orig(schedule, seed_tasks, seed_hops, hold)
+            except CycleError:
+                assert _state_fingerprint(schedule) == before
+                verdicts.append((cyclic, True))
+                raise
+            verdicts.append((cyclic, False))
+            return out
+
+        monkeypatch.setattr(mig, "settle_incremental", checking)
+        pinned = Cell("random", "random", 40, 1.0, "ring", "bsa",
+                      graph_seed=0, system_seed=0)
+        for cell in [pinned, *(p.values[0] for p in _EQUIVALENCE_CELLS)]:
+            validate_schedule(schedule_bsa(build_cell_system(cell),
+                                           BSAOptions()))
+        assert all(cyclic == raised for cyclic, raised in verdicts)
+        assert any(raised for _, raised in verdicts)
 
 
 class TestKahnSettle:

@@ -1,10 +1,15 @@
 """Tests for the strict schedule validator."""
 
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import Schedule, settle, validate_schedule
 from repro.errors import InvalidScheduleError
-from repro.schedule.validator import schedule_violations
+from repro.schedule.validator import _overlapping, schedule_violations
+from repro.util.intervals import intervals_overlap
 
 
 @pytest.fixture
@@ -103,6 +108,38 @@ class TestViolationDetection:
         v = schedule_violations(s)
         assert any("precedence violated" in x for x in v)
 
+    @pytest.mark.parametrize("duplex", ["half", "full"])
+    def test_overlap_behind_zero_length_hop(self, duplex):
+        """Hops [1, 11), [2, 2) (a zero-cost message) and [5, 6) on one
+        channel: the zero-length hop, which overlaps nothing itself,
+        stands between the two that overlap in start order. Exactly one
+        finding names them."""
+        from repro.graph.model import TaskGraph
+        from repro.network.system import HeterogeneousSystem
+        from repro.network.topology import apply_link_model, chain
+        from repro.schedule.validator import (
+            FULL_DUPLEX_OVERLAP,
+            HALF_DUPLEX_OVERLAP,
+        )
+
+        g = TaskGraph("fan")
+        for t in "pxyz":
+            g.add_task(t, 1.0)
+        for t, cost in (("x", 10.0), ("y", 0.0), ("z", 1.0)):
+            g.add_edge("p", t, cost)
+        topology = apply_link_model(chain(2), duplex=duplex)
+        s = Schedule(HeterogeneousSystem.from_exec_table(
+            g, topology, {t: (1.0, 1.0) for t in "pxyz"}))
+        s.place_task("p", 0, start=0.0)
+        for t, start in (("y", 2.0), ("z", 6.0), ("x", 11.0)):
+            s.place_task(t, 1, start=start)
+        for t, start in (("x", 1.0), ("y", 2.0), ("z", 5.0)):
+            s.set_route(("p", t), [0, 1], hop_starts=[start])
+        v = schedule_violations(s)
+        assert [x.kind for x in v] == [
+            HALF_DUPLEX_OVERLAP if duplex == "half" else FULL_DUPLEX_OVERLAP]
+        assert "('p', 'x')[1.000,11.000) and ('p', 'z')[5.000,6.000)" in v[0]
+
     def test_negative_start(self, valid_schedule):
         valid_schedule.slots["a"].start = -1.0
         valid_schedule.slots["a"].finish = 9.0
@@ -164,3 +201,32 @@ class TestViolationDetection:
         assert any(
             "message ('a', 'b') hop 0 missing from link_order" in x for x in v
         ), v
+
+
+_TIMES = st.sampled_from([0.0, 1.0, 2.0, 5.0, 5.0 + 5e-10, 5.0 + 2e-9, 6.0,
+                          10.0, 11.0, float("nan")])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.tuples(_TIMES, _TIMES), max_size=6), max_size=3))
+def test_overlap_pairs_are_a_running_maximum_walk(groups):
+    """The overlap pairs compared in C are exactly what a walk of each
+    order in start order finds when it pairs every entry with the
+    earlier entry that finishes last (NaN finishes never counted),
+    whatever the order: sorted or not, zero-length, NaN or
+    within-EPS times."""
+    groups = [[SimpleNamespace(start=s, finish=f) for s, f in g]
+              for g in groups]
+
+    def walk(group):
+        pairs, latest, a = [], float("-inf"), None
+        for b in sorted(group, key=lambda x: x.start):
+            if a is not None and intervals_overlap(a.start, a.finish,
+                                                   b.start, b.finish):
+                pairs.append((id(a), id(b)))
+            if b.finish >= latest:
+                latest, a = b.finish, b
+        return pairs
+
+    assert [[(id(a), id(b)) for a, b in found]
+            for found in _overlapping(groups)] == list(map(walk, groups))
