@@ -32,8 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.corpus.overlays import Overlay
 from repro.errors import ConfigurationError
 from repro.experiments.config import ALGORITHM_NAMES, Cell
-from repro.experiments.external import corpus_paths
-from repro.graph.interchange import ExternalWorkload, load_workload
+from repro.graph.interchange import FORMATS, ExternalWorkload, load_workload
 from repro.graph.validation import weak_components
 from repro.util.checked import is_int, is_number, loads, read_text, want
 from repro.workloads.external import external_cell
@@ -44,6 +43,7 @@ __all__ = [
     "MANIFEST_VERSION",
     "ManifestEntry",
     "Manifest",
+    "corpus_paths",
     "scan_corpus",
     "manifest_cells",
     "CORPUS_TOPOLOGIES",
@@ -56,7 +56,7 @@ DEFAULT_CORPUS_DIR = os.path.join("examples", "corpus")
 MANIFEST_FORMAT = "repro-corpus-manifest"
 MANIFEST_VERSION = 1
 
-#: topologies a corpus bench sweeps by default
+#: topologies a corpus bench and the §7 grid sweep by default
 CORPUS_TOPOLOGIES: Tuple[str, ...] = ("ring", "hypercube")
 
 #: default processor count for scalar corpus files (vector files pin
@@ -167,6 +167,28 @@ class Manifest:
     def load(cls, path: str) -> "Manifest":
         return cls.from_json(
             read_text(path, ConfigurationError, f"manifest {path}"))
+
+
+def corpus_paths(directory: str) -> List[str]:
+    """Every graph file in ``directory`` with a registered extension,
+    sorted by name. Raises when the directory has no graph files (an
+    empty corpus almost always means a wrong path)."""
+    extensions = tuple(ext for f in FORMATS.values() for ext in f.extensions)
+    try:
+        names = sorted(os.listdir(directory))
+    except OSError as exc:
+        raise ConfigurationError(f"cannot list corpus {directory!r}: {exc}") from None
+    paths = [
+        os.path.join(directory, n)
+        for n in names
+        if n.lower().endswith(extensions)
+    ]
+    if not paths:
+        raise ConfigurationError(
+            f"corpus directory {directory!r} contains no graph files "
+            f"(known extensions: {sorted(set(extensions))})"
+        )
+    return paths
 
 
 def scan_corpus(

@@ -8,11 +8,6 @@ from repro.experiments.config import (
     ALGORITHM_NAMES,
     TOPOLOGY_NAMES,
 )
-from repro.experiments.external import (
-    corpus_paths,
-    corpus_cells,
-    corpus_table,
-)
 from repro.experiments.runner import (
     CellResult,
     SweepReport,
@@ -75,3 +70,14 @@ __all__ = [
     "run_paper_example",
     "TABLE1_EXEC_COSTS",
 ]
+
+
+def __getattr__(name):
+    # the §7 grid builds on corpus.manifest, which imports this package's
+    # config: importing it here eagerly would close that cycle, so its
+    # names resolve on demand
+    if name in ("corpus_paths", "corpus_cells", "corpus_table"):
+        from repro.experiments import external
+
+        return getattr(external, name)
+    raise AttributeError(f"module 'repro.experiments' has no attribute {name!r}")

@@ -17,9 +17,11 @@ directory is ``$REPRO_CACHE_DIR/results`` (``.repro_cache/results``).
 
 The cache is versioned: changing the library's algorithmic behavior
 should bump ``CACHE_VERSION`` so stale numbers are never mixed in.
-Entry files are untrusted input: one that is missing, unreadable, not a
-JSON object, from another version or for another key is a miss, never
-an error, and a value its reader's check refuses is stale.
+Entry files are untrusted input, and :meth:`ResultCache.get` is their
+only judge. A file that is missing, unreadable, not a JSON object,
+from another ``CACHE_VERSION`` or for another key is a miss, never an
+error. A value whose provenance stamp contradicts the request, or that
+the reader's check refuses, is stale: recomputed, never served.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import os
 import re
 import sys
 import tempfile
-from typing import Callable, Dict, Mapping, Optional, Set
+from typing import Callable, Dict, Optional, Set
 
 from repro.obs import counters as _obs
 from repro.util.checked import loads
@@ -65,48 +67,16 @@ def stamp_provenance(value: dict, request_key: str) -> dict:
     return out
 
 
-def provenance_of(value: Optional[dict]) -> Optional[dict]:
-    if not isinstance(value, dict):
-        return None
-    return value.get(PROVENANCE_KEY)
-
-
-def is_stale(value: dict, request_key: str,
-             fields: Optional[Mapping[str, type]] = None) -> bool:
-    """True when a cached entry's provenance contradicts the request —
-    stale entries are recomputed, never served.
-
-    Staleness means a *different library version* wrote the entry, or
-    the entry was written under a *different request key* (a key-grammar
-    bug). ``engine_mode`` is recorded but deliberately not a
-    criterion: schedules are byte-identical across the ``REPRO_HOTPATH``
-    modes by contract, so cross-mode serving is correct (and the corpus
-    report stays byte-identical across modes). Entries written before
-    provenance existed carry no stamp and are grandfathered —
-    ``CACHE_VERSION`` gates those wholesale. Cache files are untrusted,
-    so a stamp that is not an object is stale, and so is an entry whose
-    value for a name in ``fields`` is not of the mapped type.
-    """
+def _stamp_fits(value: dict, request_key: str) -> bool:
+    """Whether a stored value's provenance stamp, if it has one, was
+    written by this library version for ``request_key`` (a key-grammar
+    bug writes another)."""
     from repro import __version__
 
-    prov = provenance_of(value)
-    if prov is None:
-        stale = False
-    elif not isinstance(prov, dict):
-        stale = True
-    else:
-        stale = (prov.get("repro_version") != __version__
-                 or prov.get("request_key") != request_key)
-    if fields and not stale:
-        stale = any(not isinstance(value.get(name), kind)
-                    for name, kind in fields.items())
-    if _obs.ACTIVE:
-        # every get() that found an entry is followed by exactly one
-        # is_stale() at each caller, so hit/stale tally here (misses and
-        # refused entries tally in ResultCache.get) and the three
-        # dispositions partition the lookups
-        _obs.inc("cache.stale" if stale else "cache.hits")
-    return stale
+    prov = value.get(PROVENANCE_KEY)
+    return prov is None or (isinstance(prov, dict)
+                            and prov.get("repro_version") == __version__
+                            and prov.get("request_key") == request_key)
 
 
 class ResultCache:
@@ -124,6 +94,8 @@ class ResultCache:
         # next put
         self._unwritten: Set[str] = set()
         self._warned = False
+        #: file entries this handle's gets refused as stale
+        self.stale = 0
 
     def _file(self, key: str) -> str:
         digest = hashlib.sha256(key.encode("utf-8")).hexdigest()
@@ -131,20 +103,35 @@ class ResultCache:
 
     def get(self, key: str,
             check: Optional[Callable[[dict], bool]] = None) -> Optional[dict]:
-        """The value stored under ``key``, or None. ``check`` vets a value
-        read from its file: one it refuses is stale, to be recomputed.
-        Values in memory were written or vetted here: a hit pays none."""
+        """The value stored under ``key``, or None.
+
+        A value in memory was written or vetted by this handle and is
+        served as it is. A value read from its file is judged once, here.
+        It is stale when its provenance stamp is not an object or names
+        another library version or request key, or when ``check``
+        refuses it. An unstamped value predates stamps and is served.
+        ``engine_mode`` is no criterion: schedules are byte-identical
+        across modes by contract. A stale value is neither served nor
+        kept, so a current entry another handle writes later is found.
+        Each call counts one of ``cache.hits``, ``cache.misses`` and
+        ``cache.stale``; ``self.stale`` counts this handle's refusals.
+        """
         value = self._entries.get(key)
         if value is None:
             value = self._read(key)
-            if value is not None and check is not None and not check(value):
+            if value is None:
+                if _obs.ACTIVE:
+                    _obs.inc("cache.misses")
+                return None
+            if not _stamp_fits(value, key) or (check is not None
+                                               and not check(value)):
+                self.stale += 1
                 if _obs.ACTIVE:
                     _obs.inc("cache.stale")
                 return None
-            if value is not None:
-                self._entries[key] = value
-            elif _obs.ACTIVE:
-                _obs.inc("cache.misses")
+            self._entries[key] = value
+        if _obs.ACTIVE:
+            _obs.inc("cache.hits")
         return value
 
     def _read(self, key: str) -> Optional[dict]:

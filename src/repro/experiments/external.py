@@ -24,47 +24,23 @@ or cell-by-cell with ``repro schedule --graph examples/graphs/<file>``.
 from __future__ import annotations
 
 import os
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from repro.errors import ConfigurationError
+from repro.corpus.manifest import (  # noqa: F401 - corpus_paths is re-exported
+    CORPUS_N_PROCS,
+    CORPUS_TOPOLOGIES,
+    corpus_paths,
+    manifest_cells,
+    scan_corpus,
+)
 from repro.experiments.config import ALGORITHM_NAMES, Cell
 from repro.experiments.runner import run_cells
-from repro.graph.interchange import FORMATS
-from repro.workloads.external import external_cell, split_token
+from repro.graph.interchange import ExternalWorkload
+from repro.workloads.external import split_token
 
 #: default corpus location, relative to the repository root (the corpus
 #: ships with the examples, not inside the installed package)
 DEFAULT_CORPUS_DIR = os.path.join("examples", "graphs")
-
-#: topologies §7 evaluates the corpus on
-CORPUS_TOPOLOGIES: Tuple[str, ...] = ("ring", "hypercube")
-
-#: processor count for corpus cells (the bundled trace carries
-#: 8-processor cost vectors, so the whole suite runs on 8)
-CORPUS_N_PROCS = 8
-
-
-def corpus_paths(directory: Optional[str] = None) -> List[str]:
-    """Every graph file in ``directory`` with a registered extension,
-    sorted by name. Raises when the directory has no graph files (an
-    empty corpus almost always means a wrong path)."""
-    directory = directory or DEFAULT_CORPUS_DIR
-    extensions = tuple(ext for f in FORMATS.values() for ext in f.extensions)
-    try:
-        names = sorted(os.listdir(directory))
-    except OSError as exc:
-        raise ConfigurationError(f"cannot list corpus {directory!r}: {exc}") from None
-    paths = [
-        os.path.join(directory, n)
-        for n in names
-        if n.lower().endswith(extensions)
-    ]
-    if not paths:
-        raise ConfigurationError(
-            f"corpus directory {directory!r} contains no graph files "
-            f"(known extensions: {sorted(set(extensions))})"
-        )
-    return paths
 
 
 def corpus_cells(
@@ -74,25 +50,13 @@ def corpus_cells(
     n_procs: int = CORPUS_N_PROCS,
     system_seed: int = 0,
 ) -> List[Cell]:
-    """The full §7 grid: every corpus file x algorithm x topology."""
-    from repro.graph.interchange import load_workload
-
-    cells: List[Cell] = []
-    for path in corpus_paths(directory):
-        workload = load_workload(path)  # parse/hash once per file, not per cell
-        for topology in topologies:
-            for algorithm in algorithms:
-                cells.append(
-                    external_cell(
-                        path,
-                        algorithm=algorithm,
-                        topology=topology,
-                        n_procs=n_procs,
-                        system_seed=system_seed,
-                        workload=workload,
-                    )
-                )
-    return cells
+    """The full §7 grid: every corpus file x topology x algorithm, the
+    corpus manifest's expansion (a disconnected file is bridged)."""
+    workloads: Dict[str, ExternalWorkload] = {}
+    manifest = scan_corpus(directory or DEFAULT_CORPUS_DIR, workloads)
+    return manifest_cells(manifest, topologies=topologies,
+                          algorithms=algorithms, n_procs=n_procs,
+                          system_seed=system_seed, workloads=workloads)
 
 
 def corpus_table(
@@ -111,7 +75,7 @@ def corpus_table(
     by_axes = {
         (split_token(c.app)[0], c.topology, c.algorithm): c for c in cells
     }
-    paths = corpus_paths(directory)
+    paths = list(dict.fromkeys(path for path, _, _ in by_axes))
     sections: List[str] = []
     for topology in topologies:
         rows = []

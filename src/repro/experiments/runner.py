@@ -21,12 +21,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.errors import ConfigurationError, TopologyError
-from repro.experiments.cache import (
-    ResultCache,
-    default_cache,
-    is_stale,
-    stamp_provenance,
-)
+from repro.experiments.cache import ResultCache, default_cache, stamp_provenance
 from repro.experiments.config import Cell
 from repro.network.system import HeterogeneousSystem
 from repro.network.topology import (
@@ -239,7 +234,7 @@ def run_cell(
         cache = default_cache()
     if use_cache:
         hit = cache.get(cell.key(), _cell_entry_ok)
-        if hit is not None and not is_stale(hit, cell.key()):
+        if hit is not None:
             return CellResult.from_dict(hit)
 
     system = build_cell_system(cell)
@@ -298,8 +293,8 @@ class SweepReport:
     total: int = 0
     unique: int = 0
     cache_hits: int = 0
-    #: cached entries whose provenance stamp contradicted the request
-    #: (library version or request key mismatch) — recomputed, not served
+    #: entry files the cache refused as stale (provenance or shape) —
+    #: recomputed, not served; the sweep's ``cache.stale`` count
     stale: int = 0
     computed: int = 0
     failures: List[Tuple[str, str]] = field(default_factory=list)
@@ -423,16 +418,15 @@ def _run_cells_impl(
 
     results: Dict[str, CellResult] = {}
     misses: List[Cell] = []
+    stale_before = cache.stale
     for key, cell in unique.items():
         hit = cache.get(key, _cell_entry_ok) if use_cache else None
-        if hit is not None and is_stale(hit, key):
-            report.stale += 1
-            hit = None
         if hit is not None:
             results[key] = CellResult.from_dict(hit)
         else:
             misses.append(cell)
     report.cache_hits = len(results)
+    report.stale = cache.stale - stale_before
     if results:
         say(f"cache: {len(results)}/{len(unique)} cells already present")
 

@@ -66,11 +66,14 @@ COUNTERS: Dict[str, str] = {
     "bsa.walks_skipped":
         "examined tasks whose candidates the one-hop bound all pruned before any route-trie walk",
     "settle.incremental_runs":
-        "change-driven cone settles completed without fallback",
+        "change-driven cone settles run to their fixpoint (one whose orders "
+        "hold a cycle raises before writing and is not counted)",
     "settle.cone_pops":
         "worklist pops across incremental settles (total cone size)",
     "settle.full_passes":
-        "full Kahn settle passes (settle() calls and incremental fallbacks)",
+        "full Kahn settle passes: settle() calls, and the incremental "
+        "engine's settles on graphs with a zero-cost edge, the only ones it "
+        "runs whole",
     "txn.rollbacks":
         "schedule transactions rolled back via the undo log",
     "timeline.rebuilds":
@@ -91,11 +94,13 @@ COUNTERS: Dict[str, str] = {
     "route.trie_misses":
         "candidate-screen route-trie builds (cache misses)",
     "cache.hits":
-        "ResultCache entries served (fresh provenance)",
+        "ResultCache gets served from memory or from an entry file that "
+        "passed its provenance and shape checks",
     "cache.misses":
         "ResultCache lookups that found no entry",
     "cache.stale":
-        "ResultCache entries recomputed for contradicting provenance",
+        "ResultCache entry files refused for their provenance or their "
+        "shape, and recomputed",
 }
 
 _values: Dict[str, int] = {name: 0 for name in COUNTERS}

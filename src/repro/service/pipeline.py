@@ -17,13 +17,18 @@ Caching. Schedule responses are memoized in the
 idempotency key (the same store the experiment cells use; key grammars
 cannot collide because cell keys start with a suite name and service
 keys with ``schedule/``). Every entry carries provenance
-``{repro_version, engine_mode, request_key}``; an entry whose version or
-request key disagrees is *stale* and recomputed rather than served.
-``engine_mode`` is recorded for observability but deliberately not a
-staleness criterion: byte-identity of schedules across both
-``REPRO_HOTPATH`` modes is the library's contract (enforced by
-``tests/test_hotpath_equivalence.py``), so a bundle computed under one
-mode is valid under all of them.
+``{repro_version, engine_mode, request_key}``.
+:meth:`~repro.experiments.cache.ResultCache.get` judges an entry once,
+when it reads its file: one whose version or request key disagrees, or
+that lacks its bundle text or summary object, is *stale* and recomputed
+rather than served. ``engine_mode`` is recorded for observability but
+deliberately not a staleness criterion: byte-identity of schedules
+across both ``REPRO_HOTPATH`` modes is the library's contract (enforced
+by ``tests/test_hotpath_equivalence.py``), so a bundle computed under
+one mode is valid under all of them.
+
+Requests arrive valid: each request dataclass validates itself when it
+is built, so :func:`execute` checks nothing again.
 
 Thread-safety: :class:`ResultCache` is not thread-safe and the HTTP
 server is threaded, so all cache access goes through a module lock.
@@ -216,12 +221,18 @@ def _run_scheduler(req, system):
 # per-type executors
 # ----------------------------------------------------------------------
 
+def _schedule_entry_ok(value: dict) -> bool:
+    """Whether a schedule entry read from disk can be served: its
+    bundle is text and its summary an object."""
+    return (isinstance(value.get("bundle"), str)
+            and isinstance(value.get("summary"), dict))
+
+
 def _execute_schedule(req: ScheduleRequest, cache, use_cache: bool,
                       want_schedule: bool) -> ServiceResponse:
     from repro.experiments.cache import (
         PROVENANCE_KEY,
         default_cache,
-        is_stale,
         stamp_provenance,
     )
     # looked up per call, not at import: perfbench's encode layer
@@ -237,10 +248,8 @@ def _execute_schedule(req: ScheduleRequest, cache, use_cache: bool,
     # the cached bytes and the recomputed bytes are the same bundle)
     if use_cache and not want_schedule:
         with _cache_lock:
-            hit = cache.get(key)
-        # cache files are untrusted: a malformed entry is stale
-        if hit is not None and not is_stale(
-                hit, key, {"bundle": str, "summary": dict}):
+            hit = cache.get(key, _schedule_entry_ok)
+        if hit is not None:
             return ServiceResponse(
                 kind=req.TYPE, request_key=key, cache="hit",
                 summary=dict(hit["summary"]), bundle_text=hit["bundle"],
@@ -419,7 +428,7 @@ def _execute_simulate(req: SimulateRequest) -> ServiceResponse:
     )
 
     key = req.idempotency_key()
-    system = build_schedule_system(req._as_schedule())
+    system = build_schedule_system(req.schedule_part)
     sched = _run_scheduler(req, system)
     static_sl = sched.schedule_length()
     if req.events is not None:
@@ -475,7 +484,6 @@ def execute(
     render. Failures raise the library's exceptions — transports map
     them via :mod:`repro.service.errors`.
     """
-    request.validate()
     kind = getattr(request, "TYPE", type(request).__name__)
     with obs.span("service.execute", kind=kind) as sp:
         if isinstance(request, ScheduleRequest):

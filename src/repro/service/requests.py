@@ -7,7 +7,7 @@ frozen dataclasses with JSON (de)serialization, so the same request can
 arrive as CLI flags, an HTTP body, or a test literal and mean exactly
 the same computation.
 
-Validation is strict and fails early with
+Validation is strict and fails early, when a request is built, with
 :class:`~repro.errors.ConfigurationError`: unknown fields are rejected
 (a typo'd ``"algoritm"`` must not silently run the default), enum
 fields are checked against the *live* registries
@@ -42,6 +42,7 @@ repro.errors.ConfigurationError: unknown ScheduleRequest field(s): ['algoritm']
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -127,9 +128,7 @@ def _from_dict(cls, data) -> Any:
                  "objectives"):
         if name in kwargs and isinstance(kwargs[name], list):
             kwargs[name] = tuple(kwargs[name])
-    req = cls(**kwargs)
-    req.validate()
-    return req
+    return cls(**kwargs)
 
 
 def _sha12(text: str) -> str:
@@ -153,7 +152,11 @@ def _overlay_token(overlay: str, bridge: str) -> str:
 
 
 class _RequestBase:
-    """Shared (de)serialization for all request dataclasses."""
+    """Shared (de)serialization for all request dataclasses. A request
+    is valid by construction: building one runs its ``validate()``."""
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -504,7 +507,10 @@ class SimulateRequest(_RequestBase):
     events_path: Optional[str] = None     # event-trace file (CLI)
     compare_replan: bool = True
 
-    def _as_schedule(self) -> ScheduleRequest:
+    @functools.cached_property
+    def schedule_part(self) -> ScheduleRequest:
+        """The workload and platform fields as a :class:`ScheduleRequest`,
+        built (and so validated) once."""
         return ScheduleRequest(
             graph=self.graph, graph_path=self.graph_path, format=self.format,
             bridge=self.bridge, workload=self.workload, size=self.size,
@@ -515,7 +521,7 @@ class SimulateRequest(_RequestBase):
         )
 
     def validate(self) -> None:
-        self._as_schedule().validate()
+        self.schedule_part  # noqa: B018 - building it validates those fields
         kind = type(self).__name__
         want(self.scenario, str, f"{kind}.scenario", ConfigurationError)
         want(self.compare_replan, bool, f"{kind}.compare_replan", ConfigurationError)
@@ -533,7 +539,7 @@ class SimulateRequest(_RequestBase):
             parse_scenario(self.scenario)
 
     def idempotency_key(self) -> str:
-        base = self._as_schedule().idempotency_key()[len("schedule/"):]
+        base = self.schedule_part.idempotency_key()[len("schedule/"):]
         if self.events is not None:
             suffix = f"ev#{_sha12(self.events)}"
         elif self.events_path is not None:

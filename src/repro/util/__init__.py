@@ -4,9 +4,7 @@ from repro.util.rng import RngStream, stable_uniform, stable_seed
 from repro.util.intervals import (
     Interval,
     earliest_gap,
-    insert_interval,
     intervals_overlap,
-    total_busy,
 )
 from repro.util.tables import format_table, format_series
 
@@ -16,9 +14,7 @@ __all__ = [
     "stable_seed",
     "Interval",
     "earliest_gap",
-    "insert_interval",
     "intervals_overlap",
-    "total_busy",
     "format_table",
     "format_series",
 ]

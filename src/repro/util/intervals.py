@@ -43,7 +43,7 @@ import os
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.util.tolerance import EPS
 
@@ -136,29 +136,6 @@ def earliest_gap(
         if iv.finish > t:
             t = iv.finish
     return t
-
-
-def insert_interval(busy: List[Interval], item: Interval) -> int:
-    """Insert ``item`` into the sorted timeline ``busy``; return its index.
-
-    Raises ``ValueError`` if the insertion would overlap an existing
-    reservation — callers are expected to have used :func:`earliest_gap`.
-    """
-    lo, hi = 0, len(busy)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if busy[mid].start < item.start:
-            lo = mid + 1
-        else:
-            hi = mid
-    idx = lo
-    for neighbor in busy[max(0, idx - 1): idx + 1]:
-        if neighbor.overlaps(item):
-            raise ValueError(
-                f"overlapping reservation: {item} vs {neighbor}"
-            )
-    busy.insert(idx, item)
-    return idx
 
 
 class Timeline:
@@ -320,16 +297,3 @@ class Timeline:
             if f > t:
                 t = f
         return t
-
-
-def total_busy(busy: Sequence[Interval]) -> float:
-    """Total reserved time on a timeline (assumes non-overlapping)."""
-    return sum(iv.duration for iv in busy)
-
-
-def verify_disjoint(busy: Sequence[Interval]) -> Optional[Tuple[Interval, Interval]]:
-    """Return the first overlapping pair in a start-sorted timeline, if any."""
-    for a, b in zip(busy, busy[1:]):
-        if a.overlaps(b):
-            return (a, b)
-    return None

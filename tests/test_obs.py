@@ -17,6 +17,7 @@ Pins the layer's three contracts:
 
 from __future__ import annotations
 
+import hashlib
 import http.client
 import io
 import json
@@ -246,12 +247,42 @@ class TestCounters:
         req = ScheduleRequest(workload="gauss", size=18, topology="ring",
                               n_procs=4, algorithm="heft")
         key = req.idempotency_key()
-        cache = cache_mod.ResultCache(str(tmp_path / "cache"))
-        cache.put(key, cache_mod.stamp_provenance({"summary": {}}, key))
-        assert execute(req, cache=cache).cache == "miss"
+        directory = str(tmp_path / "cache")
+        cache_mod.ResultCache(directory).put(
+            key, cache_mod.stamp_provenance({"summary": {}}, key))
+        assert execute(req, cache=cache_mod.ResultCache(directory)).cache == "miss"
         snap = obs.snapshot()
         assert (snap["cache.hits"], snap["cache.misses"],
                 snap["cache.stale"]) == (0, 0, 1)
+
+    def test_sweep_stale_equals_the_counter(self, obs_on, tmp_path,
+                                            incremental_mode):
+        """One sweep over a missing, a version-stale, a shape-refused and
+        a valid entry file: each lookup counts one disposition, and the
+        report's stale count is the counter's."""
+        directory = str(tmp_path / "cache")
+        missing, version_stale, shape_refused, valid = (
+            _pinned_cell(size=s) for s in (18, 20, 22, 24))
+        run_cells([version_stale, shape_refused, valid],
+                  cache=cache_mod.ResultCache(directory))
+
+        def rewrite(cell, mutate):
+            name = hashlib.sha256(cell.key().encode("utf-8")).hexdigest()
+            path = tmp_path / "cache" / f"{name}.json"
+            blob = json.loads(path.read_text())
+            mutate(blob["value"])
+            path.write_text(json.dumps(blob))
+
+        rewrite(version_stale,
+                lambda v: v[cache_mod.PROVENANCE_KEY].update(repro_version="0.0.0"))
+        rewrite(shape_refused, lambda v: v.update(speedup="fast"))
+        obs.reset()
+        _, report = run_cells([missing, version_stale, shape_refused, valid],
+                              cache=cache_mod.ResultCache(directory))
+        snap = obs.snapshot()
+        assert (snap["cache.hits"], snap["cache.misses"],
+                snap["cache.stale"]) == (1, 1, 2)
+        assert (report.cache_hits, report.stale, report.computed) == (1, 2, 3)
 
 
 # ----------------------------------------------------------------------

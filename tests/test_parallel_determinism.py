@@ -16,7 +16,11 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.cache import ResultCache
+from repro.experiments.cache import (
+    PROVENANCE_KEY,
+    ResultCache,
+    stamp_provenance,
+)
 from repro.experiments.config import Cell, Scale
 from repro.experiments.figures import figure3
 from repro.experiments.reporting import render_panels
@@ -79,6 +83,20 @@ class TestResultCache:
         assert reader.get("k") is None
         ResultCache(str(tmp_path / "cache")).put("k", {"v": 1})
         assert reader.get("k") == {"v": 1}
+
+    def test_refused_entry_is_not_remembered(self, tmp_path):
+        """A handle that refused a version-stale entry file serves the
+        current entry another handle writes later for that key."""
+        directory = str(tmp_path / "cache")
+        stale = stamp_provenance({"v": 0}, "k")
+        stale[PROVENANCE_KEY]["repro_version"] = "0.0.0"
+        ResultCache(directory).put("k", stale)
+        reader = ResultCache(directory)
+        assert reader.get("k") is None
+        fresh = stamp_provenance({"v": 1}, "k")
+        ResultCache(directory).put("k", fresh)
+        assert reader.get("k") == fresh
+        assert reader.stale == 1
 
     def test_concurrent_writers_keep_every_entry(self, tmp_path):
         """Writers sharing one directory never drop each other's

@@ -40,8 +40,6 @@ from repro.errors import (
 from repro.experiments.cache import (
     PROVENANCE_KEY,
     ResultCache,
-    is_stale,
-    provenance_of,
     stamp_provenance,
 )
 from repro.service import (
@@ -191,23 +189,31 @@ def _graph_request(request_type, text, fmt=None):
     return ConvertRequest(graph=text, from_fmt=fmt, to_fmt="trace")
 
 
+def _entry_file(directory, key):
+    """Where cache ``directory`` keeps ``key``: the key's SHA-256."""
+    return directory / (hashlib.sha256(key.encode("utf-8")).hexdigest() + ".json")
+
+
+def _plant_entry(directory, key, value):
+    """Write an entry file holding ``value`` for ``key``, as a put would."""
+    directory.mkdir(parents=True, exist_ok=True)
+    _entry_file(directory, key).write_text(json.dumps(
+        {"version": cache_mod.CACHE_VERSION, "key": key, "value": value}))
+
+
 def _plant_malformed_entry(directory, key, shape):
     """Write a malformed entry file for ``key`` into cache ``directory``."""
     if shape == "list-file":
-        text = "[]"
-    else:
-        value = {
-            "stamp-not-object": {"summary": {}, "bundle": "{}\n",
-                                 PROVENANCE_KEY: "0.0.1"},
-            "no-bundle": stamp_provenance({"summary": {}}, key),
-            "summary-not-object": stamp_provenance(
-                {"summary": [], "bundle": "{}\n"}, key),
-        }[shape]
-        text = json.dumps({"version": cache_mod.CACHE_VERSION, "key": key,
-                           "value": value})
-    directory.mkdir(parents=True, exist_ok=True)
-    name = hashlib.sha256(key.encode("utf-8")).hexdigest() + ".json"
-    (directory / name).write_text(text)
+        directory.mkdir(parents=True, exist_ok=True)
+        _entry_file(directory, key).write_text("[]")
+        return
+    _plant_entry(directory, key, {
+        "stamp-not-object": {"summary": {}, "bundle": "{}\n",
+                             PROVENANCE_KEY: "0.0.1"},
+        "no-bundle": stamp_provenance({"summary": {}}, key),
+        "summary-not-object": stamp_provenance(
+            {"summary": [], "bundle": "{}\n"}, key),
+    }[shape])
 
 
 @pytest.fixture()
@@ -288,6 +294,24 @@ class TestRequests:
     def test_non_positive_size_rejected(self):
         with pytest.raises(ConfigurationError):
             ScheduleRequest(size=0).validate()
+
+    #: request type -> (fields one of which is invalid, the error's text)
+    INVALID_WHEN_BUILT = {
+        "schedule": (ScheduleRequest, {"size": 0}, "size"),
+        "convert": (ConvertRequest, {"graph": "x"}, "to_fmt"),
+        "sweep": (SweepRequest, {"apps": ()}, "apps"),
+        "simulate": (SimulateRequest, {"size": True}, "size"),
+        "pareto": (ParetoRequest, {"objectives": ("makespan",)},
+                   "two objectives"),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(INVALID_WHEN_BUILT))
+    def test_request_is_checked_when_built(self, kind):
+        """A request built in Python, as the CLI builds them, is
+        validated before anything can run it."""
+        cls, fields, text = self.INVALID_WHEN_BUILT[kind]
+        with pytest.raises(ConfigurationError, match=text):
+            cls(**fields)
 
     def test_wrong_typed_request_tag(self):
         with pytest.raises(ConfigurationError, match="type"):
@@ -444,9 +468,9 @@ class TestPipeline:
         assert first.summary == second.summary
 
     def test_provenance_stamp(self, tmp_path):
-        cache = ResultCache(str(tmp_path / "cache"))
-        resp = execute(self.REQ, cache=cache)
-        prov = provenance_of(cache.get(resp.request_key))
+        resp = execute(self.REQ, cache=ResultCache(str(tmp_path / "cache")))
+        entry = ResultCache(str(tmp_path / "cache")).get(resp.request_key)
+        prov = entry[PROVENANCE_KEY]
         assert prov == {
             "repro_version": __version__,
             "engine_mode": hotpath_mode(),
@@ -455,24 +479,56 @@ class TestPipeline:
         assert resp.provenance == prov
 
     def test_stale_version_recomputes(self, tmp_path):
-        cache = ResultCache(str(tmp_path / "cache"))
-        resp = execute(self.REQ, cache=cache)
+        directory = tmp_path / "cache"
+        resp = execute(self.REQ, cache=ResultCache(str(directory)))
         key = resp.request_key
-        entry = cache.get(key)
+        entry = json.loads(_entry_file(directory, key).read_text())["value"]
         entry[PROVENANCE_KEY]["repro_version"] = "0.0.1"
-        cache.put(key, entry)
-        assert is_stale(cache.get(key), key)
+        _plant_entry(directory, key, entry)
+        cache = ResultCache(str(directory))
+        assert cache.get(key) is None
+        assert cache.stale == 1
         again = execute(self.REQ, cache=cache)
         assert again.cache == "miss"  # stale entries never served
-        assert not is_stale(cache.get(key), key)  # re-stamped on recompute
+        assert again.bundle_text == resp.bundle_text
+        # re-stamped on recompute
+        assert ResultCache(str(directory)).get(key)[PROVENANCE_KEY][
+            "repro_version"] == __version__
 
-    def test_foreign_request_key_is_stale(self):
-        entry = stamp_provenance({"summary": {}, "bundle": ""}, "schedule/a")
-        assert is_stale(entry, "schedule/b")
-        assert not is_stale(entry, "schedule/a")
+    def test_foreign_request_key_is_stale(self, tmp_path):
+        directory = tmp_path / "cache"
+        _plant_entry(directory, "schedule/b",
+                     stamp_provenance({"summary": {}, "bundle": ""}, "schedule/a"))
+        _plant_entry(directory, "schedule/a",
+                     stamp_provenance({"summary": {}, "bundle": ""}, "schedule/a"))
+        cache = ResultCache(str(directory))
+        assert cache.get("schedule/b") is None
+        assert cache.get("schedule/a")["bundle"] == ""
+        assert cache.stale == 1
 
-    def test_unstamped_entry_is_grandfathered(self):
-        assert not is_stale({"summary": {}, "bundle": ""}, "schedule/a")
+    def test_unstamped_entry_is_grandfathered(self, tmp_path):
+        _plant_entry(tmp_path, "schedule/a", {"summary": {}, "bundle": ""})
+        cache = ResultCache(str(tmp_path))
+        assert cache.get("schedule/a") == {"summary": {}, "bundle": ""}
+        assert cache.stale == 0
+
+    def test_simulate_validates_its_schedule_part_once(self, monkeypatch):
+        calls = []
+        validate = ScheduleRequest.validate
+
+        def counting(req):
+            calls.append(req)
+            validate(req)
+
+        monkeypatch.setattr(ScheduleRequest, "validate", counting)
+        execute(SimulateRequest.from_dict(
+            {"workload": "gauss", "size": 18, "topology": "ring",
+             "n_procs": 4, "algorithm": "heft"}))
+        assert len(calls) == 1
+
+    def test_non_request_is_a_configuration_error(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="not a service request"):
+            execute(dict(_SCHEDULE_BODY), cache=ResultCache(str(tmp_path)))
 
     def test_engine_mode_is_not_a_staleness_criterion(self, tmp_path):
         # schedules are byte-identical across modes by contract, so a
@@ -756,6 +812,19 @@ class TestHttp:
         status, _, body = _request(server, "POST", "/schedule", b"not json")
         assert status == 400
         assert "not valid JSON" in json.loads(body)["detail"]
+
+    def test_schedule_request_is_validated_once(self, server, monkeypatch):
+        calls = []
+        validate = ScheduleRequest.validate
+
+        def counting(req):
+            calls.append(req)
+            validate(req)
+
+        monkeypatch.setattr(ScheduleRequest, "validate", counting)
+        status, _, _ = _request(server, "POST", "/schedule", _SCHEDULE_BODY)
+        assert status == 200
+        assert len(calls) == 1
 
     def test_unknown_field_is_400(self, server):
         status, _, body = _request(server, "POST", "/schedule",

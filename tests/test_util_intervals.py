@@ -8,12 +8,9 @@ from repro.util.intervals import (
     Timeline,
     earliest_gap,
     hotpath_mode,
-    insert_interval,
     intervals_overlap,
     reference_mode,
     set_hotpath_mode,
-    total_busy,
-    verify_disjoint,
 )
 
 
@@ -98,38 +95,6 @@ class TestEarliestGap:
     def test_exact_fit(self):
         busy = [Interval(0, 10), Interval(15, 20)]
         assert earliest_gap(busy, ready=0.0, duration=5.0) == 10.0
-
-
-class TestInsertInterval:
-    def test_insert_sorted_position(self):
-        busy = [Interval(0, 10), Interval(20, 30)]
-        idx = insert_interval(busy, Interval(12, 18))
-        assert idx == 1
-        assert [iv.start for iv in busy] == [0, 12, 20]
-
-    def test_insert_overlap_rejected(self):
-        busy = [Interval(0, 10)]
-        with pytest.raises(ValueError):
-            insert_interval(busy, Interval(5, 8))
-
-    def test_insert_at_front_and_back(self):
-        busy = [Interval(10, 20)]
-        insert_interval(busy, Interval(0, 5))
-        insert_interval(busy, Interval(25, 30))
-        assert [iv.start for iv in busy] == [0, 10, 25]
-
-
-class TestTotals:
-    def test_total_busy(self):
-        assert total_busy([Interval(0, 5), Interval(10, 12)]) == 7.0
-
-    def test_verify_disjoint_clean(self):
-        assert verify_disjoint([Interval(0, 5), Interval(5, 9)]) is None
-
-    def test_verify_disjoint_finds_overlap(self):
-        bad = [Interval(0, 5), Interval(4, 9)]
-        pair = verify_disjoint(bad)
-        assert pair == (bad[0], bad[1])
 
 
 def _random_busy(rng, n):
